@@ -5,9 +5,7 @@ from .algebra import (
     bridge_matrix,
     bridge_matrix_exact,
     dk_stp,
-    kron,
     lcm,
-    ones,
     sta,
     stp,
     weighted_bridge_matrix,

@@ -13,6 +13,9 @@ dimensions) via Kronecker expansion and then multiply or add:
 All of them reduce to the ordinary product/sum when the shapes already
 conform.  ``bridge_matrix(n, p)`` is the fixed middle factor that turns
 dk_stp into an ordinary triple product: dk_stp(A, B) == A @ bridge @ B.
+It is defined by lcm-sized Kronecker factors but built from interval
+overlaps at its own n x p size, and every other bridge or projection matrix
+rescales it; only the four operators above expand to the lcm.
 
 Matrices are plain 2-D float ndarrays, vectors 1-D.  Every function is pure;
 nothing here mutates its inputs.
@@ -59,19 +62,6 @@ def as_vector(x, name="vector") -> np.ndarray:
     return x
 
 
-def ones(r: int, c: int = 1) -> np.ndarray:
-    """All-ones r x c matrix; ones(n, 1) is the usual ones column."""
-    if r < 1 or c < 1:
-        raise ShapeError(f"ones dims must be positive, got ({r}, {c})")
-    return np.ones((r, c))
-
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is A[i, j] * B."""
-    A, B = np.asarray(A, float), np.asarray(B, float)
-    return np.kron(A, B)
-
-
 def stp(A, B) -> np.ndarray:
     """Semi-tensor product of two matrices.
 
@@ -116,14 +106,20 @@ def dk_stp(A, B) -> np.ndarray:
 def bridge_matrix(n: int, p: int) -> np.ndarray:
     """The n x p middle factor with dk_stp(A, B) == A @ bridge_matrix(n, p) @ B.
 
-    bridge(n, p) = (I_n kron ones_row(t/n)) @ (I_p kron ones_col(t/p)),
-    t = lcm(n, p); entries are nonnegative integers, bridge(n, n) = I_n.
+    Equals (I_n kron ones_row(t/n)) @ (I_p kron ones_col(t/p)), t = lcm(n, p),
+    whose entry (i, j) counts the k < t with k // (t/n) == i and
+    k // (t/p) == j: the overlap of [i t/n, (i+1) t/n) and [j t/p, (j+1) t/p),
+    computed here without any t-sized factor.  Entries are nonnegative
+    integers, bridge(n, n) = I_n.
     """
     if n < 1 or p < 1:
         raise ShapeError(f"bridge_matrix dims must be positive, got ({n}, {p})")
+    _check_budget(n, p)
     t = lcm(n, p)
-    _check_budget(n, t)
-    return np.kron(np.eye(n), np.ones((1, t // n))) @ np.kron(np.eye(p), np.ones((t // p, 1)))
+    rows = np.arange(n)[:, None] * (t // n)
+    cols = np.arange(p)[None, :] * (t // p)
+    overlap = np.minimum(rows + t // n, cols + t // p) - np.maximum(rows, cols)
+    return np.maximum(overlap, 0).astype(float)
 
 
 def weighted_bridge_matrix(n: int, p: int) -> np.ndarray:
@@ -172,23 +168,12 @@ def sta(x, y, sign: int = 1) -> np.ndarray:
 # --- exact-arithmetic twins -------------------------------------------------
 #
 # The bridge and projection matrices have rational entries by construction;
-# golden-value tests compare them with zero tolerance.  These variants build
-# the same matrices over Fraction entries (object-dtype arrays).
+# golden-value tests compare them with zero tolerance.  These variants hold
+# the same matrices as Fraction entries (object-dtype arrays).
 
-def _frac_eye(n: int) -> np.ndarray:
-    E = np.full((n, n), Fraction(0), dtype=object)
-    for i in range(n):
-        E[i, i] = Fraction(1)
-    return E
-
-
-def _frac_ones(r: int, c: int) -> np.ndarray:
-    return np.full((r, c), Fraction(1), dtype=object)
+_to_fraction = np.frompyfunc(Fraction, 1, 1)
 
 
 def bridge_matrix_exact(n: int, p: int) -> np.ndarray:
     """bridge_matrix with Fraction entries (exact integer counts)."""
-    t = lcm(n, p)
-    left = np.kron(_frac_eye(n), _frac_ones(1, t // n))
-    right = np.kron(_frac_eye(p), _frac_ones(t // p, 1))
-    return left.dot(right)
+    return _to_fraction(bridge_matrix(n, p))

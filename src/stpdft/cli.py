@@ -399,24 +399,41 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
     mats = {}
     if weights_path is not None:
         config, mats = _parse_weights(weights_path)
-    if "batch_size" in config and int(config["batch_size"]) != s:
+
+    def number(key, default, convert=int):
+        try:
+            return convert(config.get(key, default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"{weights_path}: field 'config.{key}': {exc}") from exc
+
+    if number("batch_size", s) != s:
         raise ShapeError(
             f"weights file declares batch size {config['batch_size']},"
             f" but the batch has {s} sequences"
         )
-    d = int(config.get("nominal_dim", max(dims)))
-    heads = int(config.get("heads", 1))
-    cfg = ModelConfig(
-        batch_size=s,
-        nominal_dim=d,
-        heads=heads,
-        padding=padding if padding is not None else config.get("padding", "projection"),
-        scaling=scale if scale is not None else config.get("scaling", "sqrt-n"),
-        mask=mask if mask is not None else config.get("mask", "none"),
-        layers=layers if layers is not None else int(config.get("layers", 1)),
-        norm_mode=config.get("norm_mode", "vector-wise"),
-        eps=float(config.get("eps", 1e-3)),
-    )
+    d = number("nominal_dim", max(dims))
+    heads = number("heads", 1)
+    layers = layers if layers is not None else number("layers", 1)
+    eps = number("eps", 1e-3, float)
+    try:
+        cfg = ModelConfig(
+            batch_size=s,
+            nominal_dim=d,
+            heads=heads,
+            padding=padding if padding is not None else config.get("padding", "projection"),
+            scaling=scale if scale is not None else config.get("scaling", "sqrt-n"),
+            mask=mask if mask is not None else config.get("mask", "none"),
+            layers=layers,
+            norm_mode=config.get("norm_mode", "vector-wise"),
+            eps=eps,
+        )
+    except ShapeError:
+        raise
+    except ValueError as exc:
+        # argparse checks the flags, so the bad value came from the file; the
+        # message starts with the ModelConfig field, which is the config key.
+        key = str(exc).split()[0]
+        raise SchemaError(f"{weights_path}: field 'config.{key}': {exc}") from exc
     if cfg.padding == "zero" and d < max(dims):
         raise ShapeError(
             f"nominal dim {d} is smaller than the longest sequence"
@@ -551,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Q/K/V padding scheme (default: projection)")
     fw.add_argument("--scale", choices=["sqrt-n", "sqrt-s", "n"], default=None,
                     help="attention scaling convention (default: sqrt-n)")
-    fw.add_argument("--mask", choices=["none", "causal", "paper-literal"], default=None,
+    fw.add_argument("--mask", choices=["none", "causal"], default=None,
                     help="additive attention mask (default: none)")
     fw.add_argument("--layers", type=int, default=None,
                     help="number of encoder blocks (default: 1)")

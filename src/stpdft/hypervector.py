@@ -115,18 +115,6 @@ class HyperVector:
         return HyperVector([fn(c) for c in self._components])
 
 
-def to_addition_form(X: HyperVector) -> np.ndarray:
-    return X.to_addition_form()
-
-
-def from_addition_form(v, dims) -> HyperVector:
-    return HyperVector.from_addition_form(v, dims)
-
-
-def to_product_form(X: HyperVector) -> np.ndarray:
-    return X.to_product_form()
-
-
 def factor_product_form(x, dims, rtol: float = 1e-6) -> HyperVector:
     """Recover normalized factors of an exact Kronecker product.
 

@@ -12,6 +12,8 @@ geometry the closest point in R^n to a given x in R^m is a linear map of x,
     project(x, n) = proj_matrix(m, n) @ x,
 
 whose rows are convex averages of source coordinates (each row sums to 1).
+proj_matrix is n/t times ``algebra.bridge_matrix(n, m)``, so it is built
+at its own n x m size; only vinner and vdist replicate to length t.
 ``nominal_add`` adds two vectors of any lengths inside a chosen R^r by
 projecting both there first.
 """
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import as_vector, _frac_eye, _frac_ones
+from .algebra import as_vector, bridge_matrix, bridge_matrix_exact
 from .errors import ShapeError
 
 lcm = math.lcm
@@ -54,24 +56,20 @@ def vdist(x, y) -> float:
 def proj_matrix(m: int, n: int) -> np.ndarray:
     """n x m matrix of the least-distance map R^m -> R^n.
 
-    proj_matrix(m, n) = (n/t) (I_n kron ones_row(t/n)) (I_m kron ones_col(t/m)),
-    t = lcm(m, n).  proj_matrix(n, n) is the identity; target n = 1 yields the
-    row of means; source m = 1 replicates the scalar.
+    Equals (n/t) (I_n kron ones_row(t/n)) (I_m kron ones_col(t/m)), t = lcm(m, n),
+    i.e. (n/t) bridge_matrix(n, m): entry (i, j) is n/t times the overlap of
+    [i t/n, (i+1) t/n) and [j t/m, (j+1) t/m).  proj_matrix(n, n) is the
+    identity; target n = 1 yields the row of means; source m = 1 replicates
+    the scalar.
     """
     if m < 1 or n < 1:
         raise ShapeError(f"proj_matrix dims must be positive, got ({m}, {n})")
-    t = lcm(m, n)
-    left = np.kron(np.eye(n), np.ones((1, t // n)))
-    right = np.kron(np.eye(m), np.ones((t // m, 1)))
-    return (n / t) * (left @ right)
+    return (n / lcm(m, n)) * bridge_matrix(n, m)
 
 
 def proj_matrix_exact(m: int, n: int) -> np.ndarray:
     """proj_matrix over Fraction entries; used by zero-tolerance golden tests."""
-    t = lcm(m, n)
-    left = np.kron(_frac_eye(n), _frac_ones(1, t // n))
-    right = np.kron(_frac_eye(m), _frac_ones(t // m, 1))
-    return Fraction(n, t) * left.dot(right)
+    return Fraction(n, lcm(m, n)) * bridge_matrix_exact(n, m)
 
 
 def project(x, n: int) -> np.ndarray:

@@ -41,7 +41,7 @@ from .projection import project
 from .stochastic import softmax_rows
 
 SCALING_MODES = ("sqrt-n", "sqrt-s", "n")
-MASK_MODES = ("none", "causal", "paper-literal")
+MASK_MODES = ("none", "causal")
 PADDING_MODES = ("zero", "projection")
 NORM_MODES = ("vector-wise", "layer-wise")
 
@@ -602,8 +602,7 @@ def _zero_pipeline(X, W, d, dims_out):
 def _block_mask(cfg: ModelConfig):
     if cfg.mask == "none":
         return None
-    mode = "conventional" if cfg.mask == "causal" else "paper-literal"
-    return causal_mask(cfg.batch_size, mode)
+    return causal_mask(cfg.batch_size)
 
 
 def encoder_block(X: HyperVector, w: AttentionWeights, cfg: ModelConfig,

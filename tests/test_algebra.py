@@ -1,3 +1,5 @@
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +11,7 @@ from stpdft import (
     bridge_matrix,
     bridge_matrix_exact,
     dk_stp,
-    kron,
     lcm,
-    ones,
     sta,
     stp,
     weighted_bridge_matrix,
@@ -20,15 +20,25 @@ from stpdft import (
 from stpdft.stochastic import is_stochastic_matrix, is_stochastic_vector
 
 
-def kron_block_oracle(A, B):
-    """Direct block expansion, independent of np.kron."""
-    m, n = A.shape
-    p, q = B.shape
-    out = np.zeros((m * p, n * q))
-    for i in range(m):
-        for j in range(n):
-            out[i * p : (i + 1) * p, j * q : (j + 1) * q] = A[i, j] * B
-    return out
+def kron_bridge(n, p):
+    """The paper's definition of bridge_matrix, built from lcm-sized factors:
+    (I_n kron ones_row(t/n)) @ (I_p kron ones_col(t/p)), t = lcm(n, p)."""
+    t = lcm(n, p)
+    return np.kron(np.eye(n), np.ones((1, t // n))) @ np.kron(np.eye(p), np.ones((t // p, 1)))
+
+
+def kron_bridge_exact(n, p):
+    """kron_bridge in integer arithmetic, as an array of Fraction entries."""
+    t = lcm(n, p)
+    left = np.kron(np.eye(n, dtype=int), np.ones((1, t // n), dtype=int))
+    right = np.kron(np.eye(p, dtype=int), np.ones((t // p, 1), dtype=int))
+    return np.array([[Fraction(int(c)) for c in row] for row in left @ right], dtype=object)
+
+
+def assert_fractions_equal(actual, expected):
+    assert actual.shape == expected.shape
+    assert all(type(v) is Fraction for v in actual.flat)
+    assert np.all(actual == expected)
 
 
 def random_stochastic(rng, m, n):
@@ -42,34 +52,6 @@ class TestLcmOnes:
         assert lcm(4, 6) == 12
         for n in range(1, 9):
             assert lcm(n, n) == n
-
-    def test_ones(self):
-        np.testing.assert_array_equal(ones(2, 1), [[1.0], [1.0]])
-        np.testing.assert_array_equal(ones(1, 3), [[1.0, 1.0, 1.0]])
-        np.testing.assert_array_equal(ones(2, 2), [[1.0, 1.0], [1.0, 1.0]])
-
-
-class TestKron:
-    def test_identity_times_ones(self):
-        np.testing.assert_array_equal(
-            kron(np.eye(2), ones(2, 1)), [[1, 0], [1, 0], [0, 1], [0, 1]]
-        )
-
-    def test_row_times_identity_matches_block_oracle(self):
-        A = np.array([[1.0, 2.0]])
-        expected = kron_block_oracle(A, np.eye(2))
-        np.testing.assert_array_equal(kron(A, np.eye(2)), expected)
-        np.testing.assert_array_equal(expected, [[1, 0, 2, 0], [0, 1, 0, 2]])
-
-    def test_scalar_identity(self, rng):
-        A = rng.normal(size=(3, 4))
-        np.testing.assert_array_equal(kron(A, [[1.0]]), A)
-
-    def test_random_against_block_oracle(self, rng):
-        for _ in range(20):
-            A = rng.normal(size=rng.integers(1, 4, 2))
-            B = rng.normal(size=rng.integers(1, 4, 2))
-            np.testing.assert_allclose(kron(A, B), kron_block_oracle(A, B), rtol=0)
 
 
 class TestStp:
@@ -147,10 +129,25 @@ class TestBridgeMatrix:
             np.testing.assert_array_equal(bridge_matrix(n, n), np.eye(n))
 
     def test_exact_variant_matches_float(self):
-        for n in range(1, 7):
-            for p in range(1, 7):
-                exact = bridge_matrix_exact(n, p).astype(float)
-                np.testing.assert_array_equal(exact, bridge_matrix(n, p))
+        for n in range(1, 10):
+            for p in range(1, 10):
+                exact = bridge_matrix_exact(n, p)
+                assert_fractions_equal(exact, kron_bridge_exact(n, p))
+                np.testing.assert_array_equal(exact.astype(float), bridge_matrix(n, p))
+
+    def test_bytes_match_kronecker_oracle(self):
+        for n in range(1, 41):
+            for p in range(1, 41):
+                expected = kron_bridge(n, p)
+                assert bridge_matrix(n, p).tobytes() == expected.tobytes(), (n, p)
+                weighted = expected / (lcm(n, p) // p)
+                assert weighted_bridge_matrix(n, p).tobytes() == weighted.tobytes(), (n, p)
+
+    def test_large_coprime_column_sums(self):
+        n, p = 1023, 1024
+        psi = bridge_matrix(n, p)
+        assert psi.shape == (n, p)
+        np.testing.assert_array_equal(psi.sum(axis=0), np.full(p, lcm(n, p) // p))
 
 
 class TestWeightedDkStp:
@@ -221,6 +218,16 @@ class TestSizeBudget:
         y = np.zeros(2**17)
         with pytest.raises(SizeBudgetError):
             sta(x, y)
+
+    def test_bridge_overflow_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError):
+                bridge_matrix(2**16, 2**16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_stp_overflow_rejected(self):
         A = np.zeros((1, 2**17 - 1))

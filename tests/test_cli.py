@@ -154,6 +154,19 @@ class TestForwardCommand:
         code, _, err = run_cli("forward", batch, "--weights", str(weights))
         assert code == 2 and "nominal_dims" in err
 
+    def test_paper_literal_mask_is_not_an_option(self, tmp_path):
+        batch = write_batch(tmp_path / "batch.json", RAGGED)
+        code, _, err = run_cli("forward", batch, "--mask", "paper-literal")
+        assert code == 2 and "--mask" in err
+
+    @pytest.mark.parametrize("key,value", [("mask", "bogus"), ("layers", "two")])
+    def test_bad_config_value_exit_2_names_key(self, tmp_path, key, value):
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"config": {key: value}}))
+        code, _, err = run_cli("forward", batch, "--weights", str(weights))
+        assert code == 2 and f"config.{key}" in err
+
     def test_declared_batch_size_mismatch_exit_3(self, tmp_path):
         batch = write_batch(tmp_path / "batch.json", HOMOG)
         eye3 = {"rows": 3, "cols": 3, "data": [1, 0, 0, 0, 1, 0, 0, 0, 1]}

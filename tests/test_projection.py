@@ -1,11 +1,23 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from stpdft import nominal_add, proj_matrix, proj_matrix_exact, project, sta, vdist, vinner, vnorm
+from stpdft import (
+    SizeBudgetError,
+    nominal_add,
+    proj_matrix,
+    proj_matrix_exact,
+    project,
+    sta,
+    vdist,
+    vinner,
+    vnorm,
+)
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
+from test_algebra import assert_fractions_equal, kron_bridge, kron_bridge_exact
 
 
 def least_squares_oracle(x, n):
@@ -71,10 +83,34 @@ class TestProjMatrix:
             np.testing.assert_array_equal(proj_matrix(n, n), np.eye(n))
 
     def test_float_matches_exact(self):
-        for m in range(1, 8):
-            for n in range(1, 8):
-                exact = proj_matrix_exact(m, n).astype(float)
-                np.testing.assert_allclose(proj_matrix(m, n), exact, atol=1e-15)
+        for m in range(1, 10):
+            for n in range(1, 10):
+                exact = proj_matrix_exact(m, n)
+                t = math.lcm(m, n)
+                assert_fractions_equal(exact, Fraction(n, t) * kron_bridge_exact(n, m))
+                np.testing.assert_allclose(proj_matrix(m, n), exact.astype(float), atol=1e-15)
+
+    def test_bytes_match_kronecker_oracle(self):
+        # proj_matrix(m, n) = (n/t) (I_n kron ones_row(t/n)) (I_m kron ones_col(t/m)).
+        for m in range(1, 41):
+            for n in range(1, 41):
+                expected = (n / math.lcm(m, n)) * kron_bridge(n, m)
+                assert proj_matrix(m, n).tobytes() == expected.tobytes(), (m, n)
+
+    def test_large_coprime_rows_sum_to_one(self):
+        P = proj_matrix(1023, 1024)
+        assert P.shape == (1024, 1023)
+        np.testing.assert_allclose(P.sum(axis=1), np.ones(1024), rtol=0, atol=1e-12)
+
+    def test_overflow_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError):
+                proj_matrix(2**16, 2**16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_rows_sum_to_one_exactly(self):
         for m in range(1, 9):
@@ -93,6 +129,12 @@ class TestProject:
     def test_same_dim_identity(self, rng):
         x = rng.normal(size=4)
         np.testing.assert_array_equal(project(x, 4), x)
+
+    def test_large_coprime_lengths(self, rng):
+        x = rng.normal(size=1023)
+        y = project(x, 1024)
+        assert y.shape == (1024,)
+        assert np.mean(y) == pytest.approx(np.mean(x), abs=1e-12)
 
     def test_beats_random_candidates_and_matches_least_squares(self, rng):
         x = rng.normal(size=5)
