@@ -2,6 +2,7 @@
 
 from .algebra import (
     SIZE_BUDGET,
+    bridge_band,
     bridge_matrix,
     bridge_matrix_exact,
     dk_stp,

@@ -16,6 +16,9 @@ dk_stp into an ordinary triple product: dk_stp(A, B) == A @ bridge @ B.
 It is defined by lcm-sized Kronecker factors but built from interval
 overlaps at its own n x p size, and every other bridge or projection matrix
 rescales it; only the four operators above expand to the lcm.
+``bridge_band(n, p)`` lists the at most n+p-1 nonzeros of the same matrix
+for many length pairs at once; the cross-length inner products of
+``projection`` and ``hypervector`` sum over it instead of replicating.
 
 Matrices are plain 2-D float ndarrays, vectors 1-D.  Every function is pure;
 nothing here mutates its inputs.
@@ -120,6 +123,35 @@ def bridge_matrix(n: int, p: int) -> np.ndarray:
     cols = np.arange(p)[None, :] * (t // p)
     overlap = np.minimum(rows + t // n, cols + t // p) - np.maximum(rows, cols)
     return np.maximum(overlap, 0).astype(float)
+
+
+def bridge_band(n, p):
+    """Nonzeros of bridge_matrix(n[k], p[k]) for every length pair k at once.
+
+    n and p are equal-length integer arrays.  Returns integer arrays
+    (k, i, j, w), one entry per nonzero: pair k, row i, column j and the
+    overlap w = min((i+1) p, (j+1) n) - max(i p, j n) of [i p, (i+1) p) and
+    [j n, (j+1) n), the entry's share of [0, t) in units of 1/(n p); that is
+    bridge_matrix(n, p)[i, j] * gcd(n, p).  Row i of a pair spans columns
+    i p // n .. ((i+1) p - 1) // n, so pair k has n + p - gcd(n, p) entries,
+    listed row by row, and nothing lcm-sized is built.
+    """
+    n = np.atleast_1d(np.asarray(n, dtype=np.int64))
+    p = np.atleast_1d(np.asarray(p, dtype=np.int64))
+    if n.shape != p.shape or n.ndim != 1:
+        raise ShapeError(f"bridge_band needs two equal-length 1-D arrays, got {n.shape}, {p.shape}")
+    if np.any(n < 1) or np.any(p < 1):
+        raise ShapeError("bridge_band dims must be positive")
+    pair = np.repeat(np.arange(len(n)), n)
+    i = np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
+    rn, rp = n[pair], p[pair]
+    j_lo = i * rp // rn
+    count = ((i + 1) * rp - 1) // rn - j_lo + 1
+    row = np.repeat(np.arange(len(pair)), count)
+    j = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count) + j_lo[row]
+    k, i, n, p = pair[row], i[row], rn[row], rp[row]
+    w = np.minimum((i + 1) * p, (j + 1) * n) - np.maximum(i * p, j * n)
+    return k, i, j, w
 
 
 def weighted_bridge_matrix(n: int, p: int) -> np.ndarray:

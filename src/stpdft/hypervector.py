@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SIZE_BUDGET, as_matrix, as_vector
+from .algebra import SIZE_BUDGET, as_matrix, as_vector, bridge_band
 from .errors import NonFactorizableError, ShapeError, SizeBudgetError
-from .projection import nominal_add, proj_matrix, project, vinner
+from .projection import nominal_add, proj_matrix, project
 
 lcm = math.lcm
 
@@ -206,29 +206,58 @@ def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
     )
 
 
+# Unequal-length pairs are summed over their bridge bands in chunks of at
+# most this many band entries (one pair may exceed it alone), so the working
+# set of hyper_inner stays a few MiB however many long pairs there are.
+_BAND_CHUNK = 1 << 16
+
+
 def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
     """Gram matrix of the replication-averaged inner product, shape s x t.
 
-    When every component of both operands has length d this is
-    X.to_matrix() @ Y.to_matrix().T / d.
+    Entry (i, j) is vinner(X[i], Y[j]) = <repeat(x, T/m), repeat(y, T/n)> / T
+    with T = lcm(m, n), but nothing is replicated.  For each length d found in
+    both operands one product Xd @ Yd.T / d fills that block; when every
+    component of both operands has length d this is
+    X.to_matrix() @ Y.to_matrix().T / d.  All unequal-length pairs sum
+    x_i y_j w over their bridge bands (algebra.bridge_band) in one vectorised
+    gather per chunk of band entries, divided by m n.
     """
-    return np.array(
-        [[vinner(xc, yc) for yc in Y.components] for xc in X.components]
-    )
+    dx, dy = np.array(X.dims), np.array(Y.dims)
+    G = np.empty((len(dx), len(dy)))
+    for d in np.intersect1d(dx, dy):
+        ix, iy = np.flatnonzero(dx == d), np.flatnonzero(dy == d)
+        Xd = np.stack([X[i] for i in ix])
+        Yd = np.stack([Y[j] for j in iy])
+        G[np.ix_(ix, iy)] = Xd @ Yd.T / d
+    a, b = np.nonzero(dx[:, None] != dy[None, :])
+    if len(a):
+        P, Q = X.to_addition_form(), Y.to_addition_form()
+        off_x, off_y = np.cumsum(dx) - dx, np.cumsum(dy) - dy
+        n, p = dx[a], dy[b]
+        ends = np.cumsum(n + p - np.gcd(n, p))
+        lo = 0
+        while lo < len(a):
+            start = ends[lo - 1] if lo else 0
+            hi = max(int(np.searchsorted(ends, start + _BAND_CHUNK, "right")), lo + 1)
+            c = slice(lo, hi)
+            k, i, j, w = bridge_band(n[c], p[c])
+            vals = P[off_x[a[c]][k] + i] * Q[off_y[b[c]][k] + j] * w
+            G[a[c], b[c]] = np.bincount(k, weights=vals, minlength=hi - lo) / (n[c] * p[c])
+            lo = hi
+    return G
 
 
 def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:
     """hyper_inner with entry (i, j) scaled by sqrt(lcm(len x_i, len y_j)).
 
-    In the uniform-length case (all lengths d) the result is
+    Built as hyper_inner(X, Y) * sqrt(np.lcm.outer(X.dims, Y.dims)), so it
+    inherits hyper_inner's grouped-product and band construction.  In the
+    uniform-length case (all lengths d) the result is
     X.to_matrix() @ Y.to_matrix().T / sqrt(d), the familiar scaled-dot-product
     score matrix.
     """
-    G = hyper_inner(X, Y)
-    W = np.array(
-        [[math.sqrt(lcm(len(xc), len(yc))) for yc in Y.components] for xc in X.components]
-    )
-    return G * W
+    return hyper_inner(X, Y) * np.sqrt(np.lcm.outer(X.dims, Y.dims))
 
 
 @dataclass(frozen=True)

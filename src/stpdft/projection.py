@@ -13,7 +13,11 @@ geometry the closest point in R^n to a given x in R^m is a linear map of x,
 
 whose rows are convex averages of source coordinates (each row sums to 1).
 proj_matrix is n/t times ``algebra.bridge_matrix(n, m)``, so it is built
-at its own n x m size; only vinner and vdist replicate to length t.
+at its own n x m size.  Nothing here replicates to length t either: the
+replicated vectors are constant on the pieces of [0, t) where one entry of
+x meets one entry of y, and those pieces are the nonzeros of
+``algebra.bridge_band(m, n)``, at most m + n - 1 of them, so vinner and
+vdist sum over the band instead.
 ``nominal_add`` adds two vectors of any lengths inside a chosen R^r by
 projecting both there first.
 """
@@ -25,19 +29,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import as_vector, bridge_matrix, bridge_matrix_exact
+from .algebra import as_vector, bridge_band, bridge_matrix, bridge_matrix_exact
 from .errors import ShapeError
 
 lcm = math.lcm
 
 
 def vinner(x, y) -> float:
-    """Replication-averaged inner product of vectors of any lengths."""
+    """Replication-averaged inner product of vectors of any lengths.
+
+    Equal lengths give x @ y / m; otherwise the sum of x_i y_j w over the
+    band (k, i, j, w) = bridge_band(m, n), divided by m n.
+    """
     x = as_vector(x)
     y = as_vector(y)
     m, n = len(x), len(y)
-    t = lcm(m, n)
-    return float(np.dot(np.repeat(x, t // m), np.repeat(y, t // n))) / t
+    if m == n:
+        return float(x @ y) / m
+    _, i, j, w = bridge_band(m, n)
+    return float(np.dot(x[i] * y[j], w)) / (m * n)
 
 
 def vnorm(x) -> float:
@@ -46,11 +56,19 @@ def vnorm(x) -> float:
 
 
 def vdist(x, y) -> float:
-    """Norm of the replicated difference; zero iff x and y replicate equally."""
+    """Norm of the replicated difference; zero iff x and y replicate equally.
+
+    Unequal lengths sum (x_i - y_j)^2 w over bridge_band(m, n), so a vector
+    and its replication differ by exact zeros.
+    """
     x = as_vector(x)
     y = as_vector(y)
-    t = lcm(len(x), len(y))
-    return vnorm(np.repeat(x, t // len(x)) - np.repeat(y, t // len(y)))
+    m, n = len(x), len(y)
+    if m == n:
+        return vnorm(x - y)
+    _, i, j, w = bridge_band(m, n)
+    d = x[i] - y[j]
+    return math.sqrt(float(np.dot(d * d, w)) / (m * n))
 
 
 def proj_matrix(m: int, n: int) -> np.ndarray:

@@ -32,17 +32,25 @@ def softmax(x) -> np.ndarray:
 
 
 def softmax_rows(E) -> np.ndarray:
-    """softmax applied to each row of a matrix; rows come out stochastic."""
+    """softmax applied to each row of a matrix; rows come out stochastic.
+
+    One masked exp over the whole matrix: each row is shifted by its own
+    max, so -inf entries become exact zeros.  The first bad row decides the
+    error, as a row-by-row softmax would: NaN or +inf raises ValueError, an
+    all -inf row raises DegenerateRowError naming it (1-based).
+    """
     E = np.asarray(E, dtype=float)
-    if E.ndim != 2:
-        raise ValueError(f"softmax_rows expects a 2-D matrix, got shape {E.shape}")
-    rows = []
-    for i, row in enumerate(E):
-        try:
-            rows.append(softmax(row))
-        except DegenerateRowError:
-            raise DegenerateRowError(f"row {i + 1} is entirely masked (-inf)") from None
-    return np.stack(rows)
+    if E.ndim != 2 or E.size == 0:
+        raise ValueError(f"softmax_rows expects a nonempty 2-D matrix, got shape {E.shape}")
+    invalid = (np.isnan(E) | (E == np.inf)).any(axis=1)
+    dead = ~(E > -np.inf).any(axis=1)
+    if invalid.any() or dead.any():
+        first = int(np.argmax(invalid | dead))
+        if invalid[first]:
+            raise ValueError("softmax entries must be finite or -inf")
+        raise DegenerateRowError(f"row {first + 1} is entirely masked (-inf)")
+    e = np.exp(E - E.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def is_stochastic_vector(x, tol: float = 1e-9) -> bool:

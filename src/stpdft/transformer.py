@@ -416,9 +416,7 @@ def _dv_scores(Q: HyperVector, K: HyperVector, scaling: str) -> np.ndarray:
     if scaling == "sqrt-s":
         # Undo the lcm averaging, then apply the 1/sqrt(batch) convention;
         # for uniform lengths this is exactly Q K^T / sqrt(s).
-        G = hyper_inner(Q, K)
-        L = np.array([[lcm(len(q), len(k)) for k in K.components] for q in Q.components])
-        return G * L / math.sqrt(Q.batch_size)
+        return hyper_inner(Q, K) * np.lcm.outer(Q.dims, K.dims) / math.sqrt(Q.batch_size)
     raise ValueError(f"scaling must be one of {SCALING_MODES}, got {scaling!r}")
 
 

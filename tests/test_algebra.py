@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stpdft import (
+    ShapeError,
     SizeBudgetError,
+    bridge_band,
     bridge_matrix,
     bridge_matrix_exact,
     dk_stp,
@@ -142,6 +145,28 @@ class TestBridgeMatrix:
                 assert bridge_matrix(n, p).tobytes() == expected.tobytes(), (n, p)
                 weighted = expected / (lcm(n, p) // p)
                 assert weighted_bridge_matrix(n, p).tobytes() == weighted.tobytes(), (n, p)
+
+    def test_band_scatters_to_bridge_times_gcd(self):
+        n, p = np.divmod(np.arange(40 * 40), 40)
+        n, p = n + 1, p + 1
+        k, i, j, w = bridge_band(n, p)
+        assert np.all(w > 0)
+        sizes = np.bincount(k, minlength=len(n))
+        np.testing.assert_array_equal(sizes, n + p - np.gcd(n, p))
+        assert np.all(sizes <= n + p - 1)
+        for q, (rows, cols, ws) in enumerate(
+            zip(*(np.split(a, np.cumsum(sizes)[:-1]) for a in (i, j, w)))
+        ):
+            dense = np.zeros((n[q], p[q]))
+            np.add.at(dense, (rows, cols), ws)
+            expected = bridge_matrix(n[q], p[q]) * math.gcd(n[q], p[q])
+            np.testing.assert_array_equal(dense, expected, err_msg=f"{(n[q], p[q])}")
+
+    def test_band_rejects_bad_dims(self):
+        with pytest.raises(ShapeError):
+            bridge_band([3, 0], [2, 2])
+        with pytest.raises(ShapeError):
+            bridge_band([3, 4], [2])
 
     def test_large_coprime_column_sums(self):
         n, p = 1023, 1024

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpdft import (
     DiamondPlan,
@@ -21,6 +24,34 @@ from stpdft import (
     qkv_vectorized,
     vinner,
 )
+from test_projection import repeat_vinner
+
+
+def oracle_gram(X, Y, weighted=False):
+    """Entry (i, j) is repeat_vinner(X[i], Y[j]), times sqrt(lcm) if weighted."""
+    return np.array([
+        [repeat_vinner(x, y) * (math.sqrt(math.lcm(len(x), len(y))) if weighted else 1.0)
+         for y in Y.components]
+        for x in X.components
+    ])
+
+
+def cauchy_schwarz_scale(X, Y, weighted=False):
+    """vnorm(x) vnorm(y) (times sqrt(lcm) if weighted): bounds |entry| and the
+    sum of |terms| behind it, so it sets the scale of roundoff."""
+    nx = np.array([math.sqrt(np.mean(x * x)) for x in X.components])
+    ny = np.array([math.sqrt(np.mean(y * y)) for y in Y.components])
+    scale = np.outer(nx, ny)
+    return scale * np.sqrt(np.lcm.outer(X.dims, Y.dims)) if weighted else scale
+
+
+@st.composite
+def mixed_profiles(draw, max_s=6):
+    """Two length profiles in [1, 40]; Y reuses some of X's lengths."""
+    xd = draw(st.lists(st.integers(1, 40), min_size=1, max_size=max_s))
+    yd = draw(st.lists(st.one_of(st.sampled_from(xd), st.integers(1, 40)),
+                       min_size=1, max_size=max_s))
+    return xd, yd, draw(st.integers(0, 2**32 - 1))
 
 
 def random_ragged(rng, s_max=5, d_max=6):
@@ -190,6 +221,37 @@ class TestHyperInner:
                 assert G[i, j] == pytest.approx(g, abs=1e-15)
                 scale = math.sqrt(math.lcm(len(X[i]), len(Y[j])))
                 assert W[i, j] == pytest.approx(g * scale, abs=1e-14)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_profiles())
+    def test_matches_replication_oracle(self, profiles):
+        xd, yd, seed = profiles
+        rng = np.random.default_rng(seed)
+        X = HyperVector([rng.normal(size=d) for d in xd])
+        Y = HyperVector([rng.normal(size=d) for d in yd])
+        for weighted, fn in ((False, hyper_inner), (True, hyper_inner_weighted)):
+            err = np.abs(fn(X, Y) - oracle_gram(X, Y, weighted))
+            assert np.all(err <= 1e-12 * cauchy_schwarz_scale(X, Y, weighted))
+
+    def test_long_ragged_profile_memory_bounded(self, rng):
+        # Unchunked, the band of these 4032 unequal pairs takes about 700 MiB.
+        X = HyperVector([rng.normal(size=d) for d in rng.permutation(np.arange(960, 1024))])
+        Y = HyperVector([rng.normal(size=d) for d in rng.permutation(np.arange(960, 1024))])
+        tracemalloc.start()
+        try:
+            W = hyper_inner_weighted(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+        # Replicating to lcm ~ 1e6 costs milliseconds per pair: check two
+        # rows and two columns, which cover 64 lengths on either side.
+        rows, cols = [0, 37], [5, 63]
+        Xr, Yc = HyperVector([X[i] for i in rows]), HyperVector([Y[j] for j in cols])
+        for got, A, B in ((W[rows], Xr, Y), (W[:, cols], X, Yc)):
+            err = np.abs(got - oracle_gram(A, B, weighted=True))
+            assert np.all(err <= 1e-12 * cauchy_schwarz_scale(A, B, weighted=True))
 
 
 class TestDiamond:

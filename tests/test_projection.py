@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from stpdft import (
+    HyperVector,
     SizeBudgetError,
+    hyper_inner,
     nominal_add,
     proj_matrix,
     proj_matrix_exact,
@@ -18,6 +20,14 @@ from stpdft import (
 )
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
 from test_algebra import assert_fractions_equal, kron_bridge, kron_bridge_exact
+
+
+def repeat_vinner(x, y):
+    """The replication definition of vinner: both vectors repeated entrywise
+    to t = lcm(m, n), ordinary inner product, averaged over t."""
+    m, n = len(x), len(y)
+    t = math.lcm(m, n)
+    return float(np.dot(np.repeat(x, t // m), np.repeat(y, t // n))) / t
 
 
 def least_squares_oracle(x, n):
@@ -47,6 +57,27 @@ class TestVinner:
                 assert vinner(np.ones(m), np.ones(n)) == pytest.approx(1.0, abs=1e-15)
 
 
+    def test_matches_replication_definition(self, rng):
+        for m in range(1, 13):
+            for n in range(1, 13):
+                x, y = rng.normal(size=m), rng.normal(size=n)
+                scale = math.sqrt(np.mean(x * x) * np.mean(y * y))
+                assert abs(vinner(x, y) - repeat_vinner(x, y)) <= 1e-14 * scale
+
+    def test_long_coprime_pair_allocates_no_lcm_vector(self):
+        # lcm(2**16 + 1, 2**16) is about 2**32: replicating would need 2 x 32 GiB.
+        x, y = np.ones(2**16 + 1), np.ones(2**16)
+        tracemalloc.start()
+        try:
+            assert vinner(x, y) == 1.0
+            assert vdist(x, 2 * y) == 1.0
+            np.testing.assert_array_equal(hyper_inner(HyperVector([x]), HyperVector([y])), [[1.0]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
 class TestNormDist:
     def test_ones_norm(self):
         for n in range(1, 9):
@@ -66,6 +97,14 @@ class TestNormDist:
         assert vdist(x, y) == pytest.approx(vdist(y, x), abs=1e-15)
         for k in range(1, 5):
             assert vdist(x, np.repeat(x, k)) == 0.0
+
+    def test_matches_replicated_difference(self, rng):
+        for m in range(1, 10):
+            for n in range(1, 10):
+                x, y = rng.normal(size=m), rng.normal(size=n)
+                t = math.lcm(m, n)
+                d = np.repeat(x, t // m) - np.repeat(y, t // n)
+                assert vdist(x, y) == pytest.approx(math.sqrt(d @ d / t), rel=1e-14)
 
 
 class TestProjMatrix:

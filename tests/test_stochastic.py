@@ -73,6 +73,39 @@ class TestSoftmaxRows:
             softmax_rows(E)
 
 
+    def test_first_bad_row_decides_the_error(self):
+        E = np.zeros((3, 2))
+        E[1] = -np.inf
+        E[2, 0] = np.nan
+        with pytest.raises(DegenerateRowError, match="row 2"):
+            softmax_rows(E)
+        E[0, 0] = np.inf
+        with pytest.raises(ValueError) as info:
+            softmax_rows(E)
+        assert type(info.value) is ValueError
+
+    def test_empty_matrix_rejected(self):
+        for shape in ((0, 3), (3, 0)):
+            with pytest.raises(ValueError):
+                softmax_rows(np.zeros(shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 12), st.integers(1, 40)),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 0.9),
+    )
+    def test_matches_rowwise_softmax(self, shape, seed, density):
+        rng = np.random.default_rng(seed)
+        E = rng.normal(scale=10.0, size=shape)
+        masked = rng.uniform(size=shape) < density
+        masked[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] = False
+        E[masked] = -np.inf
+        A = softmax_rows(E)
+        assert np.all(A[masked] == 0.0)
+        np.testing.assert_allclose(A, np.stack([softmax(row) for row in E]), rtol=0, atol=1e-15)
+
+
 class TestPredicates:
     def test_softmax_output_is_stochastic(self, rng):
         assert is_stochastic_vector(softmax(rng.normal(size=6)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpdft import (
     AttentionWeights,
@@ -35,6 +37,7 @@ from stpdft import (
     zero_pad_pipeline,
 )
 from stpdft.transformer import pe_apply, relu
+from test_hypervector import cauchy_schwarz_scale, oracle_gram
 
 
 class TestPositionalEncoding:
@@ -331,6 +334,28 @@ class TestDvAttention:
         Q = HyperVector([rng.normal(size=2), rng.normal(size=5), rng.normal(size=1)])
         V = HyperVector([rng.normal(size=3), rng.normal(size=2), rng.normal(size=4)])
         assert dv_attention(Q, Q, V).dims == V.dims
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_weights_match_replication_oracle(self, data):
+        qd = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+        kd = data.draw(st.lists(st.one_of(st.sampled_from(qd), st.integers(1, 40)),
+                                min_size=len(qd), max_size=len(qd)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        Q = HyperVector([rng.normal(size=d) for d in qd])
+        K = HyperVector([rng.normal(size=d) for d in kd])
+        V = HyperVector([rng.normal(size=d) for d in kd])
+        lcms = np.lcm.outer(Q.dims, K.dims)
+        factor = {"sqrt-n": np.sqrt(lcms), "n": 1.0, "sqrt-s": lcms / math.sqrt(len(qd))}
+        for scaling, f in factor.items():
+            _, A = dv_attention(Q, K, V, scaling=scaling, return_weights=True)
+            E = oracle_gram(Q, K) * f
+            e = np.exp(E - E.max(axis=1, keepdims=True))
+            expected = e / e.sum(axis=1, keepdims=True)
+            # A softmax moves by at most twice the largest score error in its row.
+            score_tol = 1e-12 * (cauchy_schwarz_scale(Q, K) * f).max(axis=1, keepdims=True)
+            assert np.all(np.abs(A - expected) <= 2 * score_tol + 1e-15), scaling
 
 
 class TestDvAttentionGeneral:
