@@ -133,8 +133,9 @@ def bridge_band(n, p):
     overlap w = min((i+1) p, (j+1) n) - max(i p, j n) of [i p, (i+1) p) and
     [j n, (j+1) n), the entry's share of [0, t) in units of 1/(n p); that is
     bridge_matrix(n, p)[i, j] * gcd(n, p).  Row i of a pair spans columns
-    i p // n .. ((i+1) p - 1) // n, so pair k has n + p - gcd(n, p) entries,
-    listed row by row, and nothing lcm-sized is built.
+    i p // n .. ((i+1) p - 1) // n, so pair k has n + p - gcd(n, p) entries.
+    They are listed pair by pair in the order they cover [0, n p), and
+    nothing lcm-sized is built.
     """
     n = np.atleast_1d(np.asarray(n, dtype=np.int64))
     p = np.atleast_1d(np.asarray(p, dtype=np.int64))
@@ -144,14 +145,17 @@ def bridge_band(n, p):
         raise ShapeError("bridge_band dims must be positive")
     pair = np.repeat(np.arange(len(n)), n)
     i = np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
-    rn, rp = n[pair], p[pair]
-    j_lo = i * rp // rn
-    count = ((i + 1) * rp - 1) // rn - j_lo + 1
-    row = np.repeat(np.arange(len(pair)), count)
-    j = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count) + j_lo[row]
-    k, i, n, p = pair[row], i[row], rn[row], rp[row]
-    w = np.minimum((i + 1) * p, (j + 1) * n) - np.maximum(i * p, j * n)
-    return k, i, j, w
+    rn, rp = np.repeat(n, n), np.repeat(p, n)
+    lo, hi = i * rp // rn, ((i + 1) * rp - 1) // rn
+    count = hi - lo + 1
+    first = np.cumsum(count) - count
+    j = np.arange(count.sum()) - np.repeat(first - lo, count)
+    # Interior columns lie inside the row, so they overlap it by a whole
+    # column (w = n); only a row's first and last column can be clipped.
+    w = np.repeat(rn, count)
+    for c in (lo, hi):
+        w[first + c - lo] = np.minimum((i + 1) * rp, (c + 1) * rn) - np.maximum(i * rp, c * rn)
+    return np.repeat(pair, count), np.repeat(i, count), j, w
 
 
 def weighted_bridge_matrix(n: int, p: int) -> np.ndarray:

@@ -207,8 +207,8 @@ def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
 
 
 # Unequal-length pairs are summed over their bridge bands in chunks of at
-# most this many band entries (one pair may exceed it alone), so the working
-# set of hyper_inner stays a few MiB however many long pairs there are.
+# most this many band entries (a longer pair forms a chunk of its own), so
+# the band's working set stays near 10 MiB however many long pairs there are.
 _BAND_CHUNK = 1 << 16
 
 

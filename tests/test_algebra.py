@@ -154,13 +154,17 @@ class TestBridgeMatrix:
         sizes = np.bincount(k, minlength=len(n))
         np.testing.assert_array_equal(sizes, n + p - np.gcd(n, p))
         assert np.all(sizes <= n + p - 1)
-        for q, (rows, cols, ws) in enumerate(
-            zip(*(np.split(a, np.cumsum(sizes)[:-1]) for a in (i, j, w)))
-        ):
-            dense = np.zeros((n[q], p[q]))
-            np.add.at(dense, (rows, cols), ws)
+        # Pair by pair, in the order the entries cover [0, n p).
+        start = np.maximum(i * p[k], j * n[k])
+        assert np.all(np.diff(k) >= 0)
+        assert np.all(np.diff(start)[np.diff(k) == 0] > 0)
+        offsets = np.cumsum(n * p) - n * p
+        dense = np.zeros(int(np.sum(n * p)))
+        np.add.at(dense, offsets[k] + i * p[k] + j, w)
+        for q in range(len(n)):
             expected = bridge_matrix(n[q], p[q]) * math.gcd(n[q], p[q])
-            np.testing.assert_array_equal(dense, expected, err_msg=f"{(n[q], p[q])}")
+            got = dense[offsets[q] : offsets[q] + n[q] * p[q]].reshape(n[q], p[q])
+            np.testing.assert_array_equal(got, expected, err_msg=f"{(n[q], p[q])}")
 
     def test_band_rejects_bad_dims(self):
         with pytest.raises(ShapeError):
