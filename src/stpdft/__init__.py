@@ -37,6 +37,7 @@ from .projection import (
     proj_matrix,
     proj_matrix_exact,
     project,
+    project_batch,
     vdist,
     vinner,
     vnorm,

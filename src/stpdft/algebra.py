@@ -18,7 +18,9 @@ overlaps at its own n x p size, and every other bridge or projection matrix
 rescales it; only the four operators above expand to the lcm.
 ``bridge_band(n, p)`` lists the at most n+p-1 nonzeros of the same matrix
 for many length pairs at once; the cross-length inner products of
-``projection`` and ``hypervector`` sum over it instead of replicating.
+``projection`` and ``hypervector`` and the batched resample
+``projection.project_batch`` sum over it instead of replicating or
+building dense matrices.
 
 Matrices are plain 2-D float ndarrays, vectors 1-D.  Every function is pure;
 nothing here mutates its inputs.
@@ -146,15 +148,16 @@ def bridge_band(n, p):
     pair = np.repeat(np.arange(len(n)), n)
     i = np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
     rn, rp = np.repeat(n, n), np.repeat(p, n)
-    lo, hi = i * rp // rn, ((i + 1) * rp - 1) // rn
+    start, end = i * rp, (i + 1) * rp  # row i covers [start, end) of [0, n p)
+    lo, hi = start // rn, (end - 1) // rn
     count = hi - lo + 1
     first = np.cumsum(count) - count
     j = np.arange(count.sum()) - np.repeat(first - lo, count)
     # Interior columns lie inside the row, so they overlap it by a whole
     # column (w = n); only a row's first and last column can be clipped.
     w = np.repeat(rn, count)
-    for c in (lo, hi):
-        w[first + c - lo] = np.minimum((i + 1) * rp, (c + 1) * rn) - np.maximum(i * rp, c * rn)
+    w[first] = np.minimum(end, (lo + 1) * rn) - start
+    w[first + count - 1] = end - np.maximum(start, hi * rn)
     return np.repeat(pair, count), np.repeat(i, count), j, w
 
 

@@ -38,10 +38,11 @@ from . import worked_examples as wx
 from .errors import SchemaError, ShapeError
 from .hypervector import HyperVector, diamond, diamond_vectorized
 from .prng import SplitMix64
-from .projection import proj_matrix_exact, project
+from .projection import proj_matrix_exact, project_batch
 from .transformer import (
     AttentionWeights,
     ModelConfig,
+    _prefix_mask,
     encoder_stack,
     proj_pad_pipeline,
     zero_pad_pipeline,
@@ -471,28 +472,33 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
 
 
 def _recon_rms(original: HyperVector, recovered) -> float:
-    num = sum(float(np.sum((o - r) ** 2)) for o, r in zip(original.components, recovered))
-    return math.sqrt(num / sum(original.dims))
+    """rms difference of two addition forms of the same profile."""
+    return math.sqrt(float(np.sum((original.buffer - recovered) ** 2)) / len(recovered))
 
 
 def padding_batch_stats(X: HyperVector, d: int) -> dict:
     """Round-trip one batch through both padding schemes at common length d.
 
     Reports the rms reconstruction error after pad -> unpad, the fraction of
-    zeros in the padded s x d matrix, and the wall time, per scheme.
+    zeros in the padded s x d matrix, and the wall time, per scheme.  Both
+    round trips use the batched pad and unpad of the forward pass: the
+    scatter and gather of zero_pad_pipeline, the project_batch pair of
+    proj_pad_pipeline.
     """
     dims = X.dims
     s = X.batch_size
 
     t0 = time.perf_counter()
-    padded = np.stack([np.pad(c, (0, d - len(c))) for c in X.components])
-    zero_rec = [padded[i, : dims[i]] for i in range(s)]
+    mask = _prefix_mask(dims, d)
+    padded = np.zeros((s, d))
+    padded[mask] = X.buffer
+    zero_rec = padded[mask]
     zero_time = time.perf_counter() - t0
     zero_frac = float(sum(d - n for n in dims)) / (s * d)
 
     t0 = time.perf_counter()
-    proj_mat = np.stack([project(c, d) for c in X.components])
-    proj_rec = [project(proj_mat[i], dims[i]) for i in range(s)]
+    proj_mat = project_batch(X.buffer, dims, (d,) * s).reshape(s, d)
+    proj_rec = project_batch(proj_mat.reshape(-1), (d,) * s, dims)
     proj_time = time.perf_counter() - t0
     proj_frac = float(np.count_nonzero(proj_mat == 0.0)) / (s * d)
 

@@ -7,12 +7,18 @@ component list itself there are two flat encodings:
     addition form   concatenation, length sum(n_i)
     product form    iterated Kronecker product, length prod(n_i)
 
+A HyperVector stores its addition form as one read-only buffer, the packed
+layout of varlen attention kernels (one flat array plus the lengths), and
+its components are views into it, so batch operations work on the buffer.
+
 The central operator is ``diamond(A, X)``: a square matrix A acts linearly
 on a hypervector by projecting every component to a common nominal length,
 multiplying the resulting ordinary matrix by A, and projecting each output
-row back to its component's original length.  ``diamond_vectorized`` is the
-same map written as one explicit matrix on the addition form; the two paths
-agree to roundoff and the matrix path is what ``DiamondPlan`` precomputes.
+row back to its component's original length.  Each projection step is one
+``projection.project_batch`` over the whole buffer.  ``diamond_vectorized``
+is the same map written as one explicit matrix on the addition form, built
+from the block-diagonal pad/unpad maps of ``DiamondPlan``; it is kept as the
+independent oracle of the stepwise path, which never builds those matrices.
 """
 
 from __future__ import annotations
@@ -22,52 +28,82 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SIZE_BUDGET, as_matrix, as_vector, bridge_band
+from .algebra import SIZE_BUDGET, _check_budget, as_matrix, as_vector, bridge_band
 from .errors import NonFactorizableError, ShapeError, SizeBudgetError
-from .projection import nominal_add, proj_matrix, project
+from .projection import nominal_add, proj_matrix, project_batch
 
 lcm = math.lcm
 
 
 class HyperVector:
-    """Immutable ordered list of 1-D float arrays, possibly ragged."""
+    """Immutable ordered list of 1-D float arrays, possibly ragged.
 
-    __slots__ = ("_components",)
+    The entries live in one read-only float64 buffer, the addition form,
+    with the component lengths in ``dims``; components are read-only views
+    into it.  ``HyperVector(components)`` takes a sequence of 1-D arrays and
+    ``HyperVector(v, dims)`` the addition form v; either way the input is
+    copied once and checked for non-finite entries once.
+    """
 
-    def __init__(self, components):
-        comps = tuple(np.array(c, dtype=float, copy=True) for c in components)
-        if not comps:
+    __slots__ = ("_buffer", "_dims", "_components")
+
+    def __init__(self, components, dims=None):
+        if dims is None:
+            comps = [np.asarray(c, dtype=float) for c in components]
+            for i, c in enumerate(comps):
+                if c.ndim != 1 or len(c) < 1:
+                    raise ShapeError(
+                        f"component {i + 1} must be a nonempty 1-D vector, got shape {c.shape}"
+                    )
+            dims = [len(c) for c in comps]
+            buf = np.concatenate(comps) if comps else np.empty(0)
+        else:
+            buf = np.array(components, dtype=float)
+        dims = tuple(map(int, dims))
+        if not dims:
             raise ShapeError("a hypervector needs at least one component")
-        for i, c in enumerate(comps):
-            if c.ndim != 1 or len(c) < 1:
-                raise ShapeError(
-                    f"component {i + 1} must be a nonempty 1-D vector, got shape {c.shape}"
-                )
-            if not np.all(np.isfinite(c)):
-                raise ValueError(f"component {i + 1} contains non-finite entries")
-            c.flags.writeable = False
-        self._components = comps
+        if min(dims) < 1:
+            k = next(i for i, d in enumerate(dims) if d < 1)
+            raise ShapeError(f"component {k + 1} must be nonempty, got length {dims[k]}")
+        if buf.ndim != 1 or len(buf) != sum(dims):
+            raise ShapeError(
+                f"addition form of shape {buf.shape} cannot split into dims {dims}"
+                f" (sum {sum(dims)})"
+            )
+        finite = np.isfinite(buf)
+        if not finite.all():
+            bad = int(np.searchsorted(np.cumsum(dims), np.argmin(finite), "right"))
+            raise ValueError(f"component {bad + 1} contains non-finite entries")
+        buf.flags.writeable = False
+        self._buffer, self._dims, self._components = buf, dims, None
+
+    @property
+    def buffer(self) -> np.ndarray:
+        """The read-only addition form itself (to_addition_form copies it)."""
+        return self._buffer
 
     @property
     def components(self):
+        if self._components is None:
+            self._components = tuple(np.split(self._buffer, np.cumsum(self._dims[:-1])))
         return self._components
 
     @property
     def dims(self):
-        return tuple(len(c) for c in self._components)
+        return self._dims
 
     @property
     def batch_size(self) -> int:
-        return len(self._components)
+        return len(self._dims)
 
     def __len__(self):
-        return len(self._components)
+        return len(self._dims)
 
     def __getitem__(self, i):
-        return self._components[i]
+        return self.components[i]
 
     def __iter__(self):
-        return iter(self._components)
+        return iter(self.components)
 
     def __repr__(self):
         return f"HyperVector(dims={self.dims})"
@@ -79,40 +115,33 @@ class HyperVector:
         """Stack components as rows; defined only when all lengths agree."""
         if not self.is_homogeneous():
             raise ShapeError(f"ragged dims {self.dims} do not form a matrix")
-        return np.stack(self._components)
+        return self._buffer.reshape(len(self._dims), -1).copy()
 
     @classmethod
     def from_matrix(cls, M) -> "HyperVector":
-        return cls(list(as_matrix(M)))
+        M = as_matrix(M)
+        return cls(M.reshape(-1), (M.shape[1],) * M.shape[0])
 
     def to_addition_form(self) -> np.ndarray:
-        return np.concatenate(self._components)
+        return self._buffer.copy()
 
     @classmethod
     def from_addition_form(cls, v, dims) -> "HyperVector":
-        v = as_vector(v)
-        dims = [int(d) for d in dims]
-        if sum(dims) != len(v):
-            raise ShapeError(
-                f"addition form of length {len(v)} cannot split into dims {tuple(dims)}"
-                f" (sum {sum(dims)})"
-            )
-        splits = np.cumsum(dims)[:-1]
-        return cls(np.split(v, splits))
+        return cls(v, dims)
 
     def to_product_form(self) -> np.ndarray:
         """Iterated Kronecker product of the components (left to right)."""
         size = math.prod(self.dims)
         if size > SIZE_BUDGET:
             raise SizeBudgetError(f"product form size {size} exceeds {SIZE_BUDGET}")
-        out = self._components[0]
-        for c in self._components[1:]:
+        out = self.components[0]
+        for c in self.components[1:]:
             out = np.kron(out, c)
         return out
 
     def map(self, fn) -> "HyperVector":
         """New hypervector with fn applied to every component."""
-        return HyperVector([fn(c) for c in self._components])
+        return HyperVector([fn(c) for c in self.components])
 
 
 def factor_product_form(x, dims, rtol: float = 1e-6) -> HyperVector:
@@ -174,7 +203,7 @@ def _replicate_components(X: HyperVector, k: int) -> HyperVector:
 
 def _tile_components(X: HyperVector, k: int) -> HyperVector:
     """Repeat the whole component list k times (ones kron hypervector)."""
-    return HyperVector(list(X.components) * k)
+    return HyperVector(np.tile(X.buffer, k), X.dims * k)
 
 
 def hyper_add(X: HyperVector, Y: HyperVector, r: int) -> np.ndarray:
@@ -194,15 +223,17 @@ def hyper_add(X: HyperVector, Y: HyperVector, r: int) -> np.ndarray:
 
 
 def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
-    """Componentwise nominal addition with a per-component target length r_i."""
-    r = [int(v) for v in r]
+    """Componentwise nominal addition with a per-component target length r_i:
+    component i is nominal_add(X[i], Y[i], r[i]), computed for the whole
+    batch as project_batch of X plus project_batch of Y."""
+    r = tuple(int(v) for v in r)
     if not (X.batch_size == Y.batch_size == len(r)):
         raise ShapeError(
             f"batch sizes and target list must agree: {X.batch_size} components,"
             f" {Y.batch_size} components, {len(r)} targets"
         )
     return HyperVector(
-        [nominal_add(xc, yc, ri) for xc, yc, ri in zip(X.components, Y.components, r)]
+        project_batch(X.buffer, X.dims, r) + project_batch(Y.buffer, Y.dims, r), r
     )
 
 
@@ -224,16 +255,14 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
     gather per chunk of band entries, divided by m n.
     """
     dx, dy = np.array(X.dims), np.array(Y.dims)
+    P, Q = X.buffer, Y.buffer
+    off_x, off_y = np.cumsum(dx) - dx, np.cumsum(dy) - dy
     G = np.empty((len(dx), len(dy)))
     for d in np.intersect1d(dx, dy):
         ix, iy = np.flatnonzero(dx == d), np.flatnonzero(dy == d)
-        Xd = np.stack([X[i] for i in ix])
-        Yd = np.stack([Y[j] for j in iy])
-        G[np.ix_(ix, iy)] = Xd @ Yd.T / d
+        G[np.ix_(ix, iy)] = _rows(P, off_x, ix, d) @ _rows(Q, off_y, iy, d).T / d
     a, b = np.nonzero(dx[:, None] != dy[None, :])
     if len(a):
-        P, Q = X.to_addition_form(), Y.to_addition_form()
-        off_x, off_y = np.cumsum(dx) - dx, np.cumsum(dy) - dy
         n, p = dx[a], dy[b]
         ends = np.cumsum(n + p - np.gcd(n, p))
         lo = 0
@@ -246,6 +275,14 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
             G[a[c], b[c]] = np.bincount(k, weights=vals, minlength=hi - lo) / (n[c] * p[c])
             lo = hi
     return G
+
+
+def _rows(buf, off, idx, d):
+    """Components idx (all of length d) of an addition form as rows of a
+    matrix; a reshape, not a copy, when they are the whole buffer."""
+    if len(idx) * d == len(buf):
+        return buf.reshape(-1, d)
+    return buf[off[idx, None] + np.arange(d)]
 
 
 def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:
@@ -262,12 +299,14 @@ def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiamondPlan:
-    """Precomputed pad/unpad maps for diamond over a fixed dimension profile.
+    """Explicit pad/unpad matrices of diamond over a fixed dimension profile.
 
     ``pad`` is block-diagonal in the per-component projections to the nominal
     length (shape s*n0 x sum(dims)); ``unpad`` is block-diagonal in the
-    reverse projections (shape sum(dims) x s*n0).  Plans are immutable and
-    safe to share between concurrent forward passes.
+    reverse projections (shape sum(dims) x s*n0).  Only diamond_vectorized,
+    the matrix-form oracle of diamond, builds them (s*n0*sum(dims) entries
+    each); diamond itself resamples with project_batch.  Both shapes pass
+    the element budget before anything is allocated.
     """
 
     dims: tuple
@@ -287,6 +326,8 @@ class DiamondPlan:
             raise ShapeError(f"nominal dim must be positive, got {n0}")
         out_dims = dims if out_dims is None else tuple(int(d) for d in out_dims)
         s, total_in, total_out = len(dims), sum(dims), sum(out_dims)
+        _check_budget(s * n0, total_in)
+        _check_budget(total_out, len(out_dims) * n0)
         pad = np.zeros((s * n0, total_in))
         col = 0
         for i, d in enumerate(dims):
@@ -323,7 +364,8 @@ def diamond_general(A, X: HyperVector, n0: int | None = None, out_dims=None) -> 
 
     Pads the s components to length n0, multiplies by A (p x s) to get p
     rows, and unpads row i to out_dims[i] (default: the input profile cycled
-    to length p).
+    to length p).  Pad and unpad are one project_batch each on the addition
+    form, with one product A @ padded between them.
     """
     A = as_matrix(A, "diamond matrix")
     p, s = A.shape
@@ -343,9 +385,9 @@ def diamond_general(A, X: HyperVector, n0: int | None = None, out_dims=None) -> 
             raise ShapeError(
                 f"output profile has {len(out_dims)} dims but the matrix produces {p} rows"
             )
-    padded = np.stack([project(c, n0) for c in X.components])
+    padded = project_batch(X.buffer, dims, (n0,) * s).reshape(s, n0)
     mixed = A @ padded
-    return HyperVector([project(mixed[i], out_dims[i]) for i in range(p)])
+    return HyperVector(project_batch(mixed.reshape(-1), (n0,) * p, out_dims), out_dims)
 
 
 def diamond_vectorized(A, X: HyperVector, n0: int | None = None) -> np.ndarray:
@@ -362,6 +404,8 @@ def diamond_vectorized(A, X: HyperVector, n0: int | None = None) -> np.ndarray:
             f"diamond needs a {s} x {s} matrix for a {s}-component hypervector,"
             f" got {A.shape[0]} x {A.shape[1]}"
         )
+    n0 = max(X.dims) if n0 is None else int(n0)
+    _check_budget(s * n0, s * n0)
     plan = DiamondPlan.build(X.dims, n0)
     op = plan.unpad @ np.kron(A, np.eye(plan.n0)) @ plan.pad
     return op @ X.to_addition_form()

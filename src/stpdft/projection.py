@@ -17,7 +17,9 @@ at its own n x m size.  Nothing here replicates to length t either: the
 replicated vectors are constant on the pieces of [0, t) where one entry of
 x meets one entry of y, and those pieces are the nonzeros of
 ``algebra.bridge_band(m, n)``, at most m + n - 1 of them, so vinner and
-vdist sum over the band instead.
+vdist sum over the band instead.  ``project_batch`` resamples every
+component of an addition form at once over the same band; single-vector
+``project`` keeps the dense matrix, which is cheaper for one small pair.
 ``nominal_add`` adds two vectors of any lengths inside a chosen R^r by
 projecting both there first.
 """
@@ -29,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import as_vector, bridge_band, bridge_matrix, bridge_matrix_exact
+from .algebra import _check_budget, as_vector, bridge_band, bridge_matrix, bridge_matrix_exact
 from .errors import ShapeError
 
 lcm = math.lcm
@@ -96,6 +98,41 @@ def project(x, n: int) -> np.ndarray:
     if n == len(x):
         return x.copy()
     return proj_matrix(len(x), n) @ x
+
+
+def project_batch(P, dims_in, dims_out) -> np.ndarray:
+    """Addition form of [project(x_k, dims_out[k])] for the components x_k of
+    the addition form P with profile dims_in.
+
+    Entry i of output k sums P[off_in[k] + j] * w / m_k over the band
+    (k, i, j, w) of bridge_band(dims_out, dims_in), m_k = dims_in[k]; w / m
+    is proj_matrix(m, n)[i, j] (n/t times the bridge entry w/gcd), so no
+    dense matrix is built and the whole batch is one np.bincount, equal to
+    per-component project up to roundoff.  Components whose length does not
+    change are copied bit for bit, and an unchanged profile is a plain copy.
+    """
+    P = as_vector(P, "addition form")
+    m = np.asarray(dims_in, dtype=np.int64)
+    n = np.asarray(dims_out, dtype=np.int64)
+    if m.ndim != 1 or m.shape != n.shape or len(m) < 1:
+        raise ShapeError(f"profiles of {m.size} and {n.size} components do not pair up")
+    if np.any(m < 1) or np.any(n < 1):
+        raise ShapeError("projection dims must be positive")
+    if len(P) != m.sum():
+        raise ShapeError(
+            f"addition form of length {len(P)} does not match dims summing to {m.sum()}"
+        )
+    same = m == n
+    if same.all():
+        return P.copy()
+    _check_budget(int((m + n).sum()))  # a pair's band has at most m + n entries
+    u = np.flatnonzero(~same)
+    k, i, j, w = bridge_band(n[u], m[u])
+    src = (np.cumsum(m) - m)[u][k] + j
+    dst = (np.cumsum(n) - n)[u][k] + i
+    out = np.bincount(dst, weights=P[src] * (w / m[u][k]), minlength=int(n.sum()))
+    out[np.repeat(same, n)] = P[np.repeat(same, m)]
+    return out
 
 
 def nominal_add(x, y, r: int) -> np.ndarray:

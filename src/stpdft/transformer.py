@@ -37,7 +37,7 @@ from .hypervector import (
     hyper_inner_weighted,
     _tile_components,
 )
-from .projection import project
+from .projection import project, project_batch
 from .stochastic import softmax_rows
 
 SCALING_MODES = ("sqrt-n", "sqrt-s", "n")
@@ -362,7 +362,9 @@ def zero_pad_pipeline(X: HyperVector, W, dims_out, d: int | None = None) -> Hype
 
     Every component is padded with zeros to length d (default: the largest
     input or output length, never less than that), mapped by W (d x d), and
-    the i-th result is cut back to dims_out[i].
+    the i-th result is cut back to dims_out[i].  Padding scatters the
+    addition form into an s x d matrix and truncation gathers it back, so the
+    map is one product for the whole batch.
     """
     dims_out = tuple(int(v) for v in dims_out)
     if len(dims_out) != X.batch_size:
@@ -379,9 +381,17 @@ def zero_pad_pipeline(X: HyperVector, W, dims_out, d: int | None = None) -> Hype
     W = as_matrix(W, "transform")
     if W.shape != (d, d):
         raise ShapeError(f"transform is {W.shape[0]} x {W.shape[1]}, expected {d} x {d}")
-    padded = np.stack([np.pad(c, (0, d - len(c))) for c in X.components])
+    padded = np.zeros((X.batch_size, d))
+    padded[_prefix_mask(X.dims, d)] = X.buffer
     mixed = padded @ W.T
-    return HyperVector([mixed[i, : dims_out[i]] for i in range(X.batch_size)])
+    return HyperVector(mixed[_prefix_mask(dims_out, d)], dims_out)
+
+
+def _prefix_mask(dims, d: int) -> np.ndarray:
+    """s x d mask of the first dims[i] entries of row i: scattering an
+    addition form through it zero-pads every component to length d, and
+    gathering through it truncates row i to dims[i]."""
+    return np.arange(d) < np.array(dims)[:, None]
 
 
 def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector:
@@ -390,6 +400,8 @@ def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector:
     Components are projected to the preassigned length d (which may be
     smaller than some inputs), mapped by W (d x d), and projected out to
     dims_out.  No zeros are injected and every source entry keeps weight.
+    Each resample is one project_batch on the addition form, with one
+    product between them.
     """
     dims_out = tuple(int(v) for v in dims_out)
     if len(dims_out) != X.batch_size:
@@ -403,9 +415,10 @@ def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector:
     W = as_matrix(W, "transform")
     if W.shape != (d, d):
         raise ShapeError(f"transform is {W.shape[0]} x {W.shape[1]}, expected {d} x {d}")
-    padded = np.stack([project(c, d) for c in X.components])
+    s = X.batch_size
+    padded = project_batch(X.buffer, X.dims, (d,) * s).reshape(s, d)
     mixed = padded @ W.T
-    return HyperVector([project(mixed[i], dims_out[i]) for i in range(X.batch_size)])
+    return HyperVector(project_batch(mixed.reshape(-1), (d,) * s, dims_out), dims_out)
 
 
 def _dv_scores(Q: HyperVector, K: HyperVector, scaling: str) -> np.ndarray:
@@ -479,8 +492,8 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
     """Combine head outputs by weighted projected addition per component.
 
     Component k of the result is sum_i weights[i] * project(head_i[k],
-    target_dims[k]) (weights default to all ones), optionally followed by a
-    per-component linear map out_maps[k].
+    target_dims[k]) (weights default to all ones), one project_batch per
+    head, optionally followed by a per-component linear map out_maps[k].
     """
     heads = list(heads)
     if not heads:
@@ -501,46 +514,52 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
         raise ShapeError(f"{len(weights)} weights for {len(heads)} heads")
     if any(v < 0 for v in weights):
         raise ValueError("head weights must be nonnegative")
-    comps = []
-    for k in range(s):
-        acc = np.zeros(target_dims[k])
-        for wgt, h in zip(weights, heads):
-            acc = acc + wgt * project(h[k], target_dims[k])
-        comps.append(acc)
-    if out_maps is not None:
-        if len(out_maps) != s:
-            raise ShapeError(f"{len(out_maps)} output maps for batch size {s}")
-        mapped = []
-        for k, (M, c) in enumerate(zip(out_maps, comps)):
-            if M is None:
-                mapped.append(c)
-                continue
-            M = as_matrix(M, f"output map {k + 1}")
-            if M.shape[1] != len(c):
-                raise ShapeError(
-                    f"output map {k + 1} has {M.shape[1]} columns for a"
-                    f" length-{len(c)} component"
-                )
-            mapped.append(M @ c)
-        comps = mapped
-    return HyperVector(comps)
+    acc = np.zeros(sum(target_dims))
+    for wgt, h in zip(weights, heads):
+        acc = acc + wgt * project_batch(h.buffer, h.dims, target_dims)
+    if out_maps is None:
+        return HyperVector(acc, target_dims)
+    if len(out_maps) != s:
+        raise ShapeError(f"{len(out_maps)} output maps for batch size {s}")
+    mapped = []
+    for k, (M, c) in enumerate(zip(out_maps, np.split(acc, np.cumsum(target_dims[:-1])))):
+        if M is None:
+            mapped.append(c)
+            continue
+        M = as_matrix(M, f"output map {k + 1}")
+        if M.shape[1] != len(c):
+            raise ShapeError(
+                f"output map {k + 1} has {M.shape[1]} columns for a"
+                f" length-{len(c)} component"
+            )
+        mapped.append(M @ c)
+    return HyperVector(mapped)
 
 
 def df_add_norm(X: HyperVector, F: HyperVector, mode: str = "vector-wise",
                 gamma: float = 1.0, beta: float = 0.0, eps: float = 1e-3) -> HyperVector:
     """Ragged residual add-and-norm: the skip input is projected onto the
     branch profile, added, rectified, and normalized (per component or
-    pooled over every entry)."""
+    pooled over every entry).
+
+    Everything runs on the addition form: one project_batch moves the skip
+    input onto the branch profile.  Vector-wise mode applies _normalize's
+    formula to every component at once, taking the per-component sums with
+    np.add.reduceat; layer-wise mode applies _normalize to the whole buffer.
+    """
     if X.batch_size != F.batch_size:
         raise ShapeError(
             f"batch sizes differ: {X.batch_size} skip vs {F.batch_size} branch"
         )
-    Z = [relu(project(xc, len(fc)) + fc) for xc, fc in zip(X.components, F.components)]
+    Z = relu(project_batch(X.buffer, X.dims, F.dims) + F.buffer)
     if mode == "vector-wise":
-        return HyperVector([_normalize(z, gamma, beta, eps) for z in Z])
+        n = np.array(F.dims)
+        starts = np.cumsum(n) - n
+        c = Z - np.repeat(np.add.reduceat(Z, starts) / n, n)
+        spread = np.sqrt(np.add.reduceat(c * c, starts)) / n
+        return HyperVector(c / np.repeat(np.sqrt(spread + eps), n) * gamma + beta, F.dims)
     if mode == "layer-wise":
-        flat = _normalize(np.concatenate(Z), gamma, beta, eps)
-        return HyperVector.from_addition_form(flat, [len(z) for z in Z])
+        return HyperVector(_normalize(Z, gamma, beta, eps), F.dims)
     raise ValueError(f"norm mode must be one of {NORM_MODES}, got {mode!r}")
 
 
@@ -563,7 +582,7 @@ def df_ffn(X: HyperVector, w1, w2, b1=None, b2=None, n0: int | None = None) -> H
     H = diamond(w1, X, n0=n0)
     if b1 is not None:
         H = hyper_add_listwise(H, _as_hyper(b1, s), dims)
-    H = H.map(relu)
+    H = HyperVector(relu(H.buffer), H.dims)
     out = diamond(w2, H, n0=n0)
     if b2 is not None:
         out = hyper_add_listwise(out, _as_hyper(b2, s), dims)

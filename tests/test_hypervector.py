@@ -11,6 +11,7 @@ from stpdft import (
     HyperVector,
     NonFactorizableError,
     ShapeError,
+    SizeBudgetError,
     diamond,
     diamond_general,
     diamond_vectorized,
@@ -71,6 +72,49 @@ def block_diag_projections(src_dims, n0, transpose=False):
         r += b.shape[0]
         c += b.shape[1]
     return out
+
+
+class TestContract:
+    def test_mutating_the_input_leaves_the_hypervector(self):
+        a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])
+        X = HyperVector([a, b])
+        a[0] = b[2] = 9.0
+        np.testing.assert_array_equal(X.to_addition_form(), [1, 2, 3, 4, 5])
+
+    def test_components_are_read_only(self):
+        X = HyperVector([[1.0, 2.0], [3.0]])
+        for c in (X.components[0], X[1], next(iter(X))):
+            assert not c.flags.writeable
+            with pytest.raises(ValueError):
+                c[0] = 7.0
+        np.testing.assert_array_equal(X.to_addition_form(), [1, 2, 3])
+
+    def test_addition_form_is_an_independent_copy(self):
+        X = HyperVector([[1.0, 2.0], [3.0]])
+        v = X.to_addition_form()
+        v[:] = 0.0
+        np.testing.assert_array_equal(X.to_addition_form(), [1, 2, 3])
+        np.testing.assert_array_equal(X[0], [1, 2])
+
+    def test_from_addition_form_copies(self):
+        v = np.array([1.0, 2.0, 3.0])
+        X = HyperVector.from_addition_form(v, [1, 2])
+        v[:] = 0.0
+        np.testing.assert_array_equal(X[1], [2, 3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_names_the_component(self, bad):
+        msg = "component 2 contains non-finite entries"
+        with pytest.raises(ValueError, match=msg):
+            HyperVector([[1.0], [2.0, bad], [3.0]])
+        with pytest.raises(ValueError, match=msg):
+            HyperVector.from_addition_form([1.0, 2.0, bad, 3.0], [1, 2, 1])
+
+    def test_empty_list_and_matrix_component_rejected(self):
+        with pytest.raises(ShapeError):
+            HyperVector([])
+        with pytest.raises(ShapeError):
+            HyperVector([[1.0, 2.0], [[3.0, 4.0]]])
 
 
 class TestForms:
@@ -356,6 +400,30 @@ class TestDiamondVectorized:
         plan = DiamondPlan.build((2, 3, 5), 4)
         assert plan.pad.shape == (3 * 4, 10)
         assert plan.unpad.shape == (10, 3 * 4)
+
+    def test_plan_over_budget_rejected_before_allocating(self):
+        dims = (2**16,) * 2**15
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError):
+                DiamondPlan.build(dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_operator_over_budget_rejected_before_allocating(self):
+        # The pad map alone would be 2**28 entries (2 GiB), A kron I 2**40.
+        X = HyperVector(np.ones(256), (1,) * 256)
+        A = np.eye(256)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError):
+                diamond_vectorized(A, X, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDiamondGeneral:

@@ -4,15 +4,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpdft import (
+    SIZE_BUDGET,
     HyperVector,
+    ShapeError,
     SizeBudgetError,
     hyper_inner,
     nominal_add,
     proj_matrix,
     proj_matrix_exact,
     project,
+    project_batch,
     sta,
     vdist,
     vinner,
@@ -194,6 +199,67 @@ class TestProject:
                 np.testing.assert_allclose(
                     project(x, n), least_squares_oracle(x, n), atol=1e-9
                 )
+
+
+@st.composite
+def resample_profiles(draw, max_s=8):
+    """Source lengths in [1, 40], each kept, shortened or lengthened."""
+    dims_in = draw(st.lists(st.integers(1, 40), min_size=1, max_size=max_s))
+    dims_out = [draw(st.one_of(st.just(m), st.integers(1, m), st.integers(m, 40)))
+                for m in dims_in]
+    return dims_in, dims_out, draw(st.integers(0, 2**32 - 1))
+
+
+class TestProjectBatch:
+    @settings(max_examples=80, deadline=None)
+    @given(resample_profiles())
+    def test_matches_per_component_project(self, profiles):
+        dims_in, dims_out, seed = profiles
+        rng = np.random.default_rng(seed)
+        xs = [rng.normal(size=m) for m in dims_in]
+        for x in xs:
+            x[rng.random(len(x)) < 0.2] = -0.0
+        got = project_batch(np.concatenate(xs), dims_in, dims_out)
+        pieces = np.split(got, np.cumsum(dims_out)[:-1])
+        for x, n, piece in zip(xs, dims_out, pieces):
+            P = proj_matrix(len(x), n)
+            terms = np.abs(P) @ np.abs(x)
+            assert np.all(np.abs(piece - P @ x) <= 1e-12 * terms)
+            if n == len(x):
+                assert piece.tobytes() == x.tobytes()
+
+    def test_equal_profile_is_a_copy(self, rng):
+        v = rng.normal(size=9)
+        w = v.copy()
+        out = project_batch(v, (4, 5), (4, 5))
+        assert out.tobytes() == v.tobytes()
+        out[:] = 0.0
+        assert v.tobytes() == w.tobytes()
+
+    def test_profile_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            project_batch(np.zeros(5), (2, 3), (2,))
+        with pytest.raises(ShapeError):
+            project_batch(np.zeros(5), (2, 2), (2, 2))
+        with pytest.raises(ShapeError):
+            project_batch(np.zeros(5), (2, 3), (2, 0))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.integers(2**27, 2**31), min_size=1, max_size=4), st.data())
+    def test_band_over_budget_rejected_before_allocating(self, dims_in, data):
+        dims_out = [data.draw(st.integers(2**27, 2**31)) for _ in dims_in]
+        dims_out[0] = dims_in[0] + 1
+        if sum(dims_in) + sum(dims_out) <= SIZE_BUDGET:
+            dims_out[0] += SIZE_BUDGET
+        P = np.broadcast_to(1.0, (sum(dims_in),))  # no memory behind it
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError):
+                project_batch(P, dims_in, dims_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestNominalAdd:

@@ -36,8 +36,9 @@ from stpdft import (
     softmax_rows,
     zero_pad_pipeline,
 )
-from stpdft.transformer import pe_apply, relu
+from stpdft.transformer import _normalize, pe_apply, relu
 from test_hypervector import cauchy_schwarz_scale, oracle_gram
+from test_projection import resample_profiles
 
 
 class TestPositionalEncoding:
@@ -466,6 +467,23 @@ class TestDfAddNorm:
         from stpdft.transformer import _normalize
         for o, z in zip(out.components, projected):
             np.testing.assert_allclose(o, _normalize(relu(z), 1.0, 0.0, 1e-3), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(resample_profiles(), st.floats(0.1, 3.0), st.floats(-2.0, 2.0),
+           st.sampled_from([1e-3, 1e-6]))
+    def test_vector_wise_matches_per_component_normalize(self, profiles, gamma, beta, eps):
+        dims_in, dims_out, seed = profiles
+        rng = np.random.default_rng(seed)
+        X = HyperVector([rng.normal(size=m) for m in dims_in])
+        F = HyperVector([rng.normal(size=n) for n in dims_out])
+        out = df_add_norm(X, F, "vector-wise", gamma, beta, eps)
+        assert out.dims == F.dims
+        for o, x, f in zip(out.components, X.components, F.components):
+            z = relu(project(x, len(f)) + f)
+            spread = math.sqrt(float(((z - z.mean()) ** 2).sum())) / z.size
+            scale = np.abs(z).max() / math.sqrt(spread + eps) * gamma + abs(beta)
+            err = np.abs(o - _normalize(z, gamma, beta, eps))
+            assert np.all(err <= 1e-12 * scale)
 
 
 class TestDfFfn:
