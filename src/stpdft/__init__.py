@@ -15,6 +15,7 @@ from .algebra import (
 from .errors import (
     DegenerateRowError,
     NonFactorizableError,
+    NonFiniteError,
     SchemaError,
     ShapeError,
     SizeBudgetError,

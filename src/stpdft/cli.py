@@ -10,8 +10,8 @@ Three subcommands:
     stpdft compare-padding   zero-padding vs projection-padding on random
                              ragged batches, CSV output
 
-Exit codes: 0 success, 2 input-schema error, 3 shape inconsistency,
-4 internal invariant violation.
+Exit codes: 0 success, 2 input-schema error or arithmetic overflow,
+3 shape inconsistency, 4 internal invariant violation.
 
 File formats (JSON):
     ragged batch    {"sequences": [[number, ...], ...]}
@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import worked_examples as wx
-from .errors import SchemaError, ShapeError
+from .errors import NonFiniteError, SchemaError, ShapeError
 from .hypervector import HyperVector, diamond, diamond_vectorized
 from .prng import SplitMix64
 from .projection import proj_matrix_exact, project_batch
@@ -444,8 +444,11 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
         w = _weights_from_file(mats, s, d, heads)
     else:
         w = random_weights(s, d, dims, SplitMix64(seed), heads)
+    w.eps = cfg.eps
 
-    Y, atts = encoder_stack(X, [w], cfg, return_weights=True)
+    # An overflow surfaces as a NonFiniteError from the stage that meets it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y, atts = encoder_stack(X, [w], cfg, return_weights=True)
     doc = {
         "config": {
             "batch_size": s,
@@ -614,6 +617,10 @@ def main(argv=None) -> int:
     except ShapeError as exc:
         print(f"stpdft: shape error: {exc}", file=sys.stderr)
         return 3
+    except NonFiniteError as exc:
+        print(f"stpdft: input error: float64 overflow (inputs or weights too large): {exc}",
+              file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 4
         print(f"stpdft: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -1,8 +1,8 @@
 """Exception types shared across the library and the CLI.
 
-The CLI maps these onto process exit codes: schema violations exit 2,
-shape inconsistencies exit 3, anything else that trips an internal
-invariant exits 4.
+The CLI maps these onto process exit codes: schema violations and
+arithmetic overflow exit 2, shape inconsistencies exit 3, anything else
+that trips an internal invariant exits 4.
 """
 
 
@@ -20,6 +20,10 @@ class SizeBudgetError(ValueError):
 
 class NonFactorizableError(ValueError):
     """A flat vector is not a Kronecker product with the requested dims."""
+
+
+class NonFiniteError(ValueError):
+    """A value that must be finite is NaN or infinite, e.g. after overflow."""
 
 
 class DegenerateRowError(ValueError):

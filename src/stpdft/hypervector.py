@@ -15,7 +15,14 @@ The central operator is ``diamond(A, X)``: a square matrix A acts linearly
 on a hypervector by projecting every component to a common nominal length,
 multiplying the resulting ordinary matrix by A, and projecting each output
 row back to its component's original length.  Each projection step is one
-``projection.project_batch`` over the whole buffer.  ``diamond_vectorized``
+``projection.project_batch`` over the whole buffer.
+
+``hyper_inner`` scores ragged operands over the bridge bands of all their
+length pairs.  Those index plans depend only on the two profiles, which stay
+fixed for a forward pass, so they are kept the way project_batch keeps its
+resample plans: in a small least-recently-used cache keyed by the profile
+pair, as read-only arrays with int32 indices.  Plans longer than
+``_BAND_CHUNK`` entries are not kept; they are built and applied in runs.  ``diamond_vectorized``
 is the same map written as one explicit matrix on the addition form, built
 from the block-diagonal pad/unpad maps of ``DiamondPlan``; it is kept as the
 independent oracle of the stepwise path, which never builds those matrices.
@@ -23,13 +30,14 @@ independent oracle of the stepwise path, which never builds those matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import SIZE_BUDGET, _check_budget, as_matrix, as_vector, bridge_band
-from .errors import NonFactorizableError, ShapeError, SizeBudgetError
+from .errors import NonFactorizableError, NonFiniteError, ShapeError, SizeBudgetError
 from .projection import nominal_add, proj_matrix, project_batch
 
 lcm = math.lcm
@@ -42,7 +50,8 @@ class HyperVector:
     with the component lengths in ``dims``; components are read-only views
     into it.  ``HyperVector(components)`` takes a sequence of 1-D arrays and
     ``HyperVector(v, dims)`` the addition form v; either way the input is
-    copied once and checked for non-finite entries once.
+    copied once and checked for non-finite entries once (NonFiniteError,
+    a ValueError, names the first bad component).
     """
 
     __slots__ = ("_buffer", "_dims", "_components")
@@ -73,7 +82,7 @@ class HyperVector:
         finite = np.isfinite(buf)
         if not finite.all():
             bad = int(np.searchsorted(np.cumsum(dims), np.argmin(finite), "right"))
-            raise ValueError(f"component {bad + 1} contains non-finite entries")
+            raise NonFiniteError(f"component {bad + 1} contains non-finite entries")
         buf.flags.writeable = False
         self._buffer, self._dims, self._components = buf, dims, None
 
@@ -237,9 +246,11 @@ def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
     )
 
 
-# Unequal-length pairs are summed over their bridge bands in chunks of at
-# most this many band entries (a longer pair forms a chunk of its own), so
-# the band's working set stays near 10 MiB however many long pairs there are.
+# A Gram plan lists one entry per band entry of every pair.  Plans of at most
+# this many entries are memoised; longer ones are built and applied in runs of
+# whole pairs of at most this many entries (a longer pair forms a run of its
+# own), so the band's working set stays near 10 MiB however many long pairs
+# there are.
 _BAND_CHUNK = 1 << 16
 
 
@@ -247,42 +258,79 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
     """Gram matrix of the replication-averaged inner product, shape s x t.
 
     Entry (i, j) is vinner(X[i], Y[j]) = <repeat(x, T/m), repeat(y, T/n)> / T
-    with T = lcm(m, n), but nothing is replicated.  For each length d found in
-    both operands one product Xd @ Yd.T / d fills that block; when every
-    component of both operands has length d this is
-    X.to_matrix() @ Y.to_matrix().T / d.  All unequal-length pairs sum
-    x_i y_j w over their bridge bands (algebra.bridge_band) in one vectorised
-    gather per chunk of band entries, divided by m n.
+    with T = lcm(m, n), but nothing is replicated.  When every component of
+    both operands has length d this is X.to_matrix() @ Y.to_matrix().T / d,
+    one product.  Otherwise every pair, equal lengths included, sums
+    x_i y_j bridge_matrix(m, n)[i, j] over its bridge band
+    (algebra.bridge_band) and divides by T: one gather and one np.bincount
+    per Gram plan (_gram_plan).
     """
-    dx, dy = np.array(X.dims), np.array(Y.dims)
+    s, t = X.batch_size, Y.batch_size
+    _check_budget(s, t)
+    d = X.dims[0]
+    if X.dims == (d,) * s and Y.dims == (d,) * t:
+        return X.buffer.reshape(s, d) @ Y.buffer.reshape(t, d).T / d
+    plan = _gram_plan(X.dims, Y.dims)
+    if plan is None:
+        parts = ((lo, hi, _gram_entries(X.dims, Y.dims, lo, hi))
+                 for lo, hi in _gram_runs(X.dims, Y.dims))
+    else:
+        parts = [(0, s * t, plan)]
     P, Q = X.buffer, Y.buffer
-    off_x, off_y = np.cumsum(dx) - dx, np.cumsum(dy) - dy
-    G = np.empty((len(dx), len(dy)))
-    for d in np.intersect1d(dx, dy):
-        ix, iy = np.flatnonzero(dx == d), np.flatnonzero(dy == d)
-        G[np.ix_(ix, iy)] = _rows(P, off_x, ix, d) @ _rows(Q, off_y, iy, d).T / d
-    a, b = np.nonzero(dx[:, None] != dy[None, :])
-    if len(a):
-        n, p = dx[a], dy[b]
-        ends = np.cumsum(n + p - np.gcd(n, p))
-        lo = 0
-        while lo < len(a):
-            start = ends[lo - 1] if lo else 0
-            hi = max(int(np.searchsorted(ends, start + _BAND_CHUNK, "right")), lo + 1)
-            c = slice(lo, hi)
-            k, i, j, w = bridge_band(n[c], p[c])
-            vals = P[off_x[a[c]][k] + i] * Q[off_y[b[c]][k] + j] * w
-            G[a[c], b[c]] = np.bincount(k, weights=vals, minlength=hi - lo) / (n[c] * p[c])
-            lo = hi
-    return G
+    G = np.empty(s * t)
+    for lo, hi, (src_x, src_y, pair, coef) in parts:
+        G[lo:hi] = np.bincount(pair, weights=P[src_x] * Q[src_y] * coef, minlength=hi - lo)
+    return G.reshape(s, t) / np.lcm.outer(X.dims, Y.dims)
 
 
-def _rows(buf, off, idx, d):
-    """Components idx (all of length d) of an addition form as rows of a
-    matrix; a reshape, not a copy, when they are the whole buffer."""
-    if len(idx) * d == len(buf):
-        return buf.reshape(-1, d)
-    return buf[off[idx, None] + np.arange(d)]
+def _band_ends(dims_x, dims_y):
+    """Running band sizes n + p - gcd(n, p) over the s t pairs, row-major."""
+    n, p = np.repeat(dims_x, len(dims_y)), np.tile(dims_y, len(dims_x))
+    return np.cumsum(n + p - np.gcd(n, p))
+
+
+def _gram_runs(dims_x, dims_y):
+    """Pair ranges [lo, hi) of at most _BAND_CHUNK band entries each (a longer
+    pair alone), over the s t pairs in row-major order."""
+    ends = _band_ends(dims_x, dims_y)
+    runs, lo = [], 0
+    while lo < len(ends):
+        start = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, start + _BAND_CHUNK, "right")), lo + 1)
+        runs.append((lo, hi))
+        lo = hi
+    return runs
+
+
+def _gram_entries(dims_x, dims_y, lo, hi):
+    """Read-only (src_x, src_y, pair, coef) of the pairs lo..hi-1 (row-major):
+    band entry e adds P[src_x[e]] * Q[src_y[e]] * coef[e] to Gram entry
+    lo + pair[e] before the division by the lcm; coef = w / gcd(m, n) is the
+    integer bridge entry.  Indices stay below the element budget, so int32
+    holds them."""
+    dx, dy = np.array(dims_x), np.array(dims_y)
+    a, b = np.divmod(np.arange(lo, hi), len(dy))
+    n, p = dx[a], dy[b]
+    k, i, j, w = bridge_band(n, p)
+    plan = (
+        ((np.cumsum(dx) - dx)[a][k] + i).astype(np.int32),
+        ((np.cumsum(dy) - dy)[b][k] + j).astype(np.int32),
+        k.astype(np.int32),
+        (w // np.gcd(n, p)[k]).astype(float),
+    )
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+@functools.lru_cache(maxsize=1)
+def _gram_plan(dims_x: tuple, dims_y: tuple):
+    """_gram_entries of all pairs of two profiles, memoised; None when the
+    plan would hold more than _BAND_CHUNK entries, so no long plan is kept
+    (hyper_inner then builds and applies it run by run)."""
+    if _band_ends(dims_x, dims_y)[-1] > _BAND_CHUNK:
+        return None
+    return _gram_entries(dims_x, dims_y, 0, len(dims_x) * len(dims_y))
 
 
 def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:

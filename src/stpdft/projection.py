@@ -20,12 +20,20 @@ x meets one entry of y, and those pieces are the nonzeros of
 vdist sum over the band instead.  ``project_batch`` resamples every
 component of an addition form at once over the same band; single-vector
 ``project`` keeps the dense matrix, which is cheaper for one small pair.
+
+A forward pass resamples the same profiles at every stage, so the index
+plan of a resample depends only on the (input, output) profile pair and is
+built once per pair: a bounded least-recently-used cache of a few plans,
+keyed by the two profiles, holds read-only arrays (int32 indices, float64
+coefficients) that every call only reads.  A profile whose band exceeds the
+element budget raises before anything is cached.
 ``nominal_add`` adds two vectors of any lengths inside a chosen R^r by
 projecting both there first.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -110,29 +118,49 @@ def project_batch(P, dims_in, dims_out) -> np.ndarray:
     dense matrix is built and the whole batch is one np.bincount, equal to
     per-component project up to roundoff.  Components whose length does not
     change are copied bit for bit, and an unchanged profile is a plain copy.
+    The gather and scatter indices come from _resample_plan, built once per
+    profile pair.
     """
     P = as_vector(P, "addition form")
     m = np.asarray(dims_in, dtype=np.int64)
     n = np.asarray(dims_out, dtype=np.int64)
     if m.ndim != 1 or m.shape != n.shape or len(m) < 1:
         raise ShapeError(f"profiles of {m.size} and {n.size} components do not pair up")
-    if np.any(m < 1) or np.any(n < 1):
+    m, n = tuple(m.tolist()), tuple(n.tolist())
+    if min(m) < 1 or min(n) < 1:
         raise ShapeError("projection dims must be positive")
-    if len(P) != m.sum():
+    if len(P) != sum(m):
         raise ShapeError(
-            f"addition form of length {len(P)} does not match dims summing to {m.sum()}"
+            f"addition form of length {len(P)} does not match dims summing to {sum(m)}"
         )
-    same = m == n
-    if same.all():
+    if m == n:
         return P.copy()
+    src, dst, coef, keep_in, keep_out = _resample_plan(m, n)
+    out = np.bincount(dst, weights=P[src] * coef, minlength=len(keep_out))
+    out[keep_out] = P[keep_in]
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _resample_plan(dims_in: tuple, dims_out: tuple):
+    """Read-only (src, dst, coef, keep_in, keep_out) of project_batch for
+    one pair of profiles: band entry e adds P[src[e]] * coef[e] to output
+    entry dst[e] of every component whose length changes, and the masks
+    pick the components copied unchanged.  The band size passes the budget
+    first, so a profile that raises is never cached; indices below the
+    budget fit in int32.
+    """
+    m, n = np.array(dims_in), np.array(dims_out)
     _check_budget(int((m + n).sum()))  # a pair's band has at most m + n entries
+    same = m == n
     u = np.flatnonzero(~same)
     k, i, j, w = bridge_band(n[u], m[u])
-    src = (np.cumsum(m) - m)[u][k] + j
-    dst = (np.cumsum(n) - n)[u][k] + i
-    out = np.bincount(dst, weights=P[src] * (w / m[u][k]), minlength=int(n.sum()))
-    out[np.repeat(same, n)] = P[np.repeat(same, m)]
-    return out
+    src = ((np.cumsum(m) - m)[u][k] + j).astype(np.int32)
+    dst = ((np.cumsum(n) - n)[u][k] + i).astype(np.int32)
+    plan = (src, dst, w / m[u][k], np.repeat(same, m), np.repeat(same, n))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 def nominal_add(x, y, r: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import as_matrix, as_vector
-from .errors import DegenerateRowError
+from .errors import DegenerateRowError, NonFiniteError
 
 
 def softmax(x) -> np.ndarray:
@@ -36,8 +36,9 @@ def softmax_rows(E) -> np.ndarray:
 
     One masked exp over the whole matrix: each row is shifted by its own
     max, so -inf entries become exact zeros.  The first bad row decides the
-    error, as a row-by-row softmax would: NaN or +inf raises ValueError, an
-    all -inf row raises DegenerateRowError naming it (1-based).
+    error, as a row-by-row softmax would: NaN or +inf raises NonFiniteError
+    (a ValueError), an all -inf row raises DegenerateRowError naming it
+    (1-based).
     """
     E = np.asarray(E, dtype=float)
     if E.ndim != 2 or E.size == 0:
@@ -47,7 +48,7 @@ def softmax_rows(E) -> np.ndarray:
     if invalid.any() or dead.any():
         first = int(np.argmax(invalid | dead))
         if invalid[first]:
-            raise ValueError("softmax entries must be finite or -inf")
+            raise NonFiniteError(f"row {first + 1}: softmax entries must be finite or -inf")
         raise DegenerateRowError(f"row {first + 1} is entirely masked (-inf)")
     e = np.exp(E - E.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)

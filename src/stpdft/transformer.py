@@ -102,8 +102,8 @@ class ModelConfig:
             raise ValueError(f"mask must be one of {MASK_MODES}, got {self.mask!r}")
         if self.norm_mode not in NORM_MODES:
             raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass

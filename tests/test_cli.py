@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from stpdft import HyperVector
-from stpdft.cli import main, padding_batch_stats
+from stpdft import HyperVector, ModelConfig, SplitMix64, encoder_stack
+from stpdft.cli import main, padding_batch_stats, random_weights
 
 
 def run_cli(*args):
@@ -159,13 +159,39 @@ class TestForwardCommand:
         code, _, err = run_cli("forward", batch, "--mask", "paper-literal")
         assert code == 2 and "--mask" in err
 
-    @pytest.mark.parametrize("key,value", [("mask", "bogus"), ("layers", "two")])
+    @pytest.mark.parametrize("key,value", [("mask", "bogus"), ("layers", "two"),
+                                           ("eps", float("nan")), ("eps", float("inf"))])
     def test_bad_config_value_exit_2_names_key(self, tmp_path, key, value):
         batch = write_batch(tmp_path / "batch.json", HOMOG)
         weights = tmp_path / "w.json"
         weights.write_text(json.dumps({"config": {key: value}}))
         code, _, err = run_cli("forward", batch, "--weights", str(weights))
         assert code == 2 and f"config.{key}" in err
+
+    def test_config_eps_reaches_the_norms(self, tmp_path):
+        batch = write_batch(tmp_path / "batch.json", RAGGED)
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"config": {"eps": 0.5}}))
+        out, default = tmp_path / "o.json", tmp_path / "d.json"
+        assert main(["forward", batch, "--weights", str(weights), "--seed", "5",
+                     "--out", str(out)]) == 0
+        assert main(["forward", batch, "--seed", "5", "--out", str(default)]) == 0
+        X = HyperVector(RAGGED)
+        w = random_weights(4, 4, X.dims, SplitMix64(5))
+        w.eps = 0.5
+        Y = encoder_stack(X, [w], ModelConfig(batch_size=4, nominal_dim=4, eps=0.5))
+        got = json.loads(out.read_text())
+        assert got["config"]["eps"] == 0.5
+        assert got["output"]["sequences"] == [c.tolist() for c in Y.components]
+        assert got["output"] != json.loads(default.read_text())["output"]
+
+    def test_overflow_exit_2_names_it(self, tmp_path, capsys):
+        batch = write_batch(tmp_path / "big.json", [[1e200, -1e200, 3], [1e200]])
+        out = tmp_path / "o.json"
+        assert main(["forward", batch, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "overflow" in err and "internal error" not in err
+        assert not out.exists()
 
     def test_declared_batch_size_mismatch_exit_3(self, tmp_path):
         batch = write_batch(tmp_path / "batch.json", HOMOG)

@@ -10,6 +10,7 @@ from stpdft import (
     DiamondPlan,
     HyperVector,
     NonFactorizableError,
+    NonFiniteError,
     ShapeError,
     SizeBudgetError,
     diamond,
@@ -25,6 +26,7 @@ from stpdft import (
     qkv_vectorized,
     vinner,
 )
+from stpdft.hypervector import _BAND_CHUNK, _gram_plan
 from test_projection import repeat_vinner
 
 
@@ -109,6 +111,11 @@ class TestContract:
             HyperVector([[1.0], [2.0, bad], [3.0]])
         with pytest.raises(ValueError, match=msg):
             HyperVector.from_addition_form([1.0, 2.0, bad, 3.0], [1, 2, 1])
+
+    def test_non_finite_entry_is_a_non_finite_error(self):
+        # An overflowed stage output lands here; the CLI maps this type to exit 2.
+        with pytest.raises(NonFiniteError, match="component 2"):
+            HyperVector([1.0, np.inf], (1, 1))
 
     def test_empty_list_and_matrix_component_rejected(self):
         with pytest.raises(ShapeError):
@@ -296,6 +303,37 @@ class TestHyperInner:
         for got, A, B in ((W[rows], Xr, Y), (W[:, cols], X, Yc)):
             err = np.abs(got - oracle_gram(A, B, weighted=True))
             assert np.all(err <= 1e-12 * cauchy_schwarz_scale(A, B, weighted=True))
+
+    def test_memoised_plan_gives_the_same_bytes(self, rng):
+        X = HyperVector([rng.normal(size=d) for d in (7, 3, 5, 7)])
+        Y = HyperVector([rng.normal(size=d) for d in (3, 11, 7)])
+        _gram_plan.cache_clear()
+        cold = hyper_inner(X, Y)
+        warm = hyper_inner(X, Y)
+        assert _gram_plan.cache_info().hits == 1
+        _gram_plan.cache_clear()
+        again = hyper_inner(X, Y)
+        assert cold.tobytes() == warm.tobytes() == again.tobytes()
+
+    def test_plan_is_read_only_with_int32_indices(self):
+        src_x, src_y, pair, coef = plan = _gram_plan((7, 3), (3, 11, 7))
+        assert src_x.dtype == src_y.dtype == pair.dtype == np.int32
+        for a in plan:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            coef[0] = 0.0
+
+    def test_long_plan_is_not_kept(self):
+        # Pair (n, n + 1) has 2n band entries.
+        assert _gram_plan((_BAND_CHUNK // 2,), (_BAND_CHUNK // 2 + 1,)) is not None
+        assert _gram_plan((_BAND_CHUNK // 2 + 1,), (_BAND_CHUNK // 2 + 2,)) is None
+
+    def test_cache_stays_bounded(self, rng):
+        info = _gram_plan.cache_info()
+        for n in range(2, 52):
+            X = HyperVector([rng.normal(size=n), rng.normal(size=3)])
+            hyper_inner(X, X)
+            assert _gram_plan.cache_info().currsize <= info.maxsize
 
 
 class TestDiamond:

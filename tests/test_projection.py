@@ -23,6 +23,7 @@ from stpdft import (
     vinner,
     vnorm,
 )
+from stpdft.projection import _resample_plan
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
 from test_algebra import assert_fractions_equal, kron_bridge, kron_bridge_exact
 
@@ -260,6 +261,40 @@ class TestProjectBatch:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_memoised_plan_gives_the_same_bytes(self, rng):
+        dims_in, dims_out = (7, 3, 5, 11), (11, 3, 4, 2)
+        v = rng.normal(size=sum(dims_in))
+        _resample_plan.cache_clear()
+        cold = project_batch(v, dims_in, dims_out)
+        warm = project_batch(v, list(dims_in), np.array(dims_out))
+        assert _resample_plan.cache_info().hits == 1
+        _resample_plan.cache_clear()
+        again = project_batch(v, dims_in, dims_out)
+        assert cold.tobytes() == warm.tobytes() == again.tobytes()
+
+    def test_plan_is_read_only_with_int32_indices(self):
+        src, dst, coef, keep_in, keep_out = plan = _resample_plan((7, 3, 5), (11, 3, 4))
+        assert src.dtype == dst.dtype == np.int32
+        for a in plan:
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            coef[0] = 0.0
+
+    def test_over_budget_profile_raises_on_every_call(self):
+        dims_in, dims_out = (2**30, 2**30), (2**30 + 1, 3)
+        P = np.broadcast_to(1.0, (2**31,))
+        _resample_plan.cache_clear()
+        for _ in range(2):
+            with pytest.raises(SizeBudgetError):
+                project_batch(P, dims_in, dims_out)
+        assert _resample_plan.cache_info().currsize == 0
+
+    def test_cache_stays_bounded(self, rng):
+        info = _resample_plan.cache_info()
+        for n in range(2, 52):
+            project_batch(rng.normal(size=n + 3), (n, 3), (n + 1, 3))
+            assert _resample_plan.cache_info().currsize <= info.maxsize
 
 
 class TestNominalAdd:

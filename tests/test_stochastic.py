@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stpdft import (
     DegenerateRowError,
+    NonFiniteError,
     is_stochastic_matrix,
     is_stochastic_vector,
     softmax,
@@ -82,7 +83,7 @@ class TestSoftmaxRows:
         E[0, 0] = np.inf
         with pytest.raises(ValueError) as info:
             softmax_rows(E)
-        assert type(info.value) is ValueError
+        assert type(info.value) is NonFiniteError
 
     def test_empty_matrix_rejected(self):
         for shape in ((0, 3), (3, 0)):

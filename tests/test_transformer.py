@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from stpdft import (
     softmax_rows,
     zero_pad_pipeline,
 )
+from stpdft import hypervector, projection
 from stpdft.transformer import _normalize, pe_apply, relu
 from test_hypervector import cauchy_schwarz_scale, oracle_gram
 from test_projection import resample_profiles
@@ -621,6 +624,56 @@ class TestEncoder:
         A = atts[0]
         assert A[0, 1] == 0.0 and A[0, 2] == 0.0
         np.testing.assert_allclose(A.sum(axis=1), np.ones(3), atol=1e-12)
+
+
+class TestPlanReuse:
+    """A forward pass builds each bridge band once per profile pair."""
+
+    def _stack(self, rng, lengths, n0):
+        X = HyperVector([rng.normal(size=n) for n in lengths])
+        s = len(lengths)
+        w = AttentionWeights(
+            wq=rng.normal(size=(n0, n0)),
+            wk=rng.normal(size=(n0, n0)),
+            wv=rng.normal(size=(n0, n0)),
+            ffn_w1=rng.normal(size=(s, s)),
+            ffn_w2=rng.normal(size=(s, s)),
+        )
+        return X, w, ModelConfig(batch_size=s, nominal_dim=n0, layers=2)
+
+    @staticmethod
+    def _clear_plans():
+        projection._resample_plan.cache_clear()
+        hypervector._gram_plan.cache_clear()
+
+    def test_two_layer_ragged_stack_lists_three_bands(self, rng, monkeypatch):
+        X, w, cfg = self._stack(rng, [61, *rng.integers(17, 61, 15)], 61)
+        calls, band = [], projection.bridge_band
+
+        def counting_band(n, p):
+            calls.append((n, p))
+            return band(n, p)
+
+        monkeypatch.setattr(projection, "bridge_band", counting_band)
+        monkeypatch.setattr(hypervector, "bridge_band", counting_band)
+        self._clear_plans()
+        encoder_stack(X, [w], cfg)
+        # Pad to n0, unpad to the profile, and the Q x K Gram plan.
+        assert len(calls) <= 3
+
+    def test_plans_retain_little_memory(self, rng):
+        X, w, cfg = self._stack(rng, rng.integers(17, 62, 16), 61)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            self._clear_plans()
+            Y = encoder_stack(X, [w], cfg)
+            del Y
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 * 2**20
 
 
 class TestNominalCoincidence:
