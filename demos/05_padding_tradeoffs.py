@@ -45,7 +45,7 @@ print("3. Same transform, both pipelines")
 print("=" * 64)
 
 W = rng.matrix(d, d)
-zq = zero_pad_pipeline(X, W, X.dims, d=d)
+zq = zero_pad_pipeline(X, W, d, X.dims)
 pq = proj_pad_pipeline(X, W, d, X.dims)
 print("zero-padding result, component 1:      ", np.round(zq[0], 4))
 print("projection-padding result, component 1:", np.round(pq[0], 4))

@@ -24,14 +24,11 @@ from .hypervector import (
     DiamondPlan,
     HyperVector,
     diamond,
-    diamond_general,
     diamond_vectorized,
     factor_product_form,
-    hyper_add,
     hyper_add_listwise,
     hyper_inner,
     hyper_inner_weighted,
-    qkv_vectorized,
 )
 from .projection import (
     nominal_add,
@@ -61,7 +58,6 @@ from .transformer import (
     df_add_norm,
     df_ffn,
     dv_attention,
-    dv_attention_general,
     dv_multi_head,
     encoder_block,
     encoder_stack,

@@ -1,8 +1,8 @@
 """Dimension-free matrix products and additions.
 
 Ordinary matrix algebra requires inner dimensions to match.  The operators
-here lift mismatched operands to a common size (the lcm of the mismatched
-dimensions) via Kronecker expansion and then multiply or add:
+here are defined by lifting mismatched operands to a common size (the lcm
+of the mismatched dimensions) via Kronecker expansion:
 
     stp(A, B)             expand with identity blocks; grows the result
     dk_stp(A, B)          expand with all-ones blocks; keeps rows(A) x cols(B)
@@ -15,7 +15,8 @@ conform.  ``bridge_matrix(n, p)`` is the fixed middle factor that turns
 dk_stp into an ordinary triple product: dk_stp(A, B) == A @ bridge @ B.
 It is defined by lcm-sized Kronecker factors but built from interval
 overlaps at its own n x p size, and every other bridge or projection matrix
-rescales it; only the four operators above expand to the lcm.
+rescales it; dk_stp and weighted_dk_stp are computed through it.  Only stp
+and sta, whose results are lcm-sized by definition, expand to the lcm.
 ``bridge_band(n, p)`` lists the at most n+p-1 nonzeros of the same matrix
 for many length pairs at once; the cross-length inner products of
 ``projection`` and ``hypervector`` and the batched resample
@@ -93,19 +94,23 @@ def stp(A, B) -> np.ndarray:
 def dk_stp(A, B) -> np.ndarray:
     """Dimension-keeping semi-tensor product: result is rows(A) x cols(B).
 
-    (A kron ones_row(t/n)) @ (B kron ones_col(t/p)) with t = lcm(n, p);
-    reduces to A @ B when the shapes conform.
+    Defined as (A kron ones_row(t/n)) @ (B kron ones_col(t/p)) with
+    t = lcm(n, p) and computed as A @ bridge_matrix(n, p) @ B, so nothing
+    lcm-sized is built; reduces to A @ B when the shapes conform.
     """
-    A = as_matrix(A, "dk_stp left operand")
-    B = as_matrix(B, "dk_stp right operand")
-    m, n = A.shape
-    p, q = B.shape
-    t = lcm(n, p)
-    _check_budget(m, t)
-    _check_budget(t, q)
+    return _bridged_product(A, B, bridge_matrix, "dk_stp")
+
+
+def _bridged_product(A, B, bridge, name) -> np.ndarray:
+    """A @ bridge(n, p) @ B for A m x n and B p x q, or A @ B when n == p;
+    the m x p intermediate passes the element budget first."""
+    A = as_matrix(A, f"{name} left operand")
+    B = as_matrix(B, f"{name} right operand")
+    (m, n), p = A.shape, B.shape[0]
     if n == p:
         return A @ B
-    return np.kron(A, np.ones((1, t // n))) @ np.kron(B, np.ones((t // p, 1)))
+    _check_budget(m, p)
+    return A @ bridge(n, p) @ B
 
 
 def bridge_matrix(n: int, p: int) -> np.ndarray:
@@ -170,21 +175,11 @@ def weighted_bridge_matrix(n: int, p: int) -> np.ndarray:
 def weighted_dk_stp(A, B) -> np.ndarray:
     """dk_stp with the right-hand ones expansion replaced by its average.
 
-    Equals A @ weighted_bridge_matrix(n, p) @ B, and maps a pair of
+    Computed as A @ weighted_bridge_matrix(n, p) @ B; maps a pair of
     stochastic operands (columnwise nonnegative, unit column sums) to a
     stochastic result.  Conforming shapes reduce to A @ B.
     """
-    A = as_matrix(A, "weighted_dk_stp left operand")
-    B = as_matrix(B, "weighted_dk_stp right operand")
-    m, n = A.shape
-    p, q = B.shape
-    t = lcm(n, p)
-    _check_budget(m, t)
-    _check_budget(t, q)
-    if n == p:
-        return A @ B
-    right = np.kron(B, np.ones((t // p, 1)) / (t // p))
-    return np.kron(A, np.ones((1, t // n))) @ right
+    return _bridged_product(A, B, weighted_bridge_matrix, "weighted_dk_stp")
 
 
 def sta(x, y, sign: int = 1) -> np.ndarray:

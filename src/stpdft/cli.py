@@ -10,8 +10,8 @@ Three subcommands:
     stpdft compare-padding   zero-padding vs projection-padding on random
                              ragged batches, CSV output
 
-Exit codes: 0 success, 2 input-schema error or arithmetic overflow,
-3 shape inconsistency, 4 internal invariant violation.
+Exit codes: 0 success, 2 input error (schema, float64 overflow or a size over
+the element budget), 3 shape inconsistency, 4 internal invariant violation.
 
 File formats (JSON):
     ragged batch    {"sequences": [[number, ...], ...]}
@@ -35,7 +35,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import worked_examples as wx
-from .errors import NonFiniteError, SchemaError, ShapeError
+from .algebra import SIZE_BUDGET
+from .errors import NonFiniteError, SchemaError, ShapeError, SizeBudgetError
 from .hypervector import HyperVector, diamond, diamond_vectorized
 from .prng import SplitMix64
 from .projection import proj_matrix_exact, project_batch
@@ -162,7 +163,7 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
     XB = HyperVector(comps)
     dims = XB.dims
 
-    zp = zero_pad_pipeline(XB, W6, dims, d=6)
+    zp = zero_pad_pipeline(XB, W6, 6, dims)
     zp_pub = wx.zero_padding_result(W6, comps)
     agree = all(_close(a, p) for a, p in zip(zp.components, zp_pub))
     items.append(_item(
@@ -239,6 +240,14 @@ def _load_json(path: str) -> object:
         raise SchemaError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
+def _finite_number(v) -> bool:
+    """A JSON number (not a boolean) that float64 holds as a finite value."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float64 range
+        return False
+
+
 def _parse_batch(path: str) -> HyperVector:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "sequences" not in doc:
@@ -251,7 +260,7 @@ def _parse_batch(path: str) -> HyperVector:
         if not isinstance(seq, list) or not seq:
             raise SchemaError(f"{path}: field 'sequences[{i}]' must be a nonempty list")
         for j, v in enumerate(seq):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+            if not _finite_number(v):
                 raise SchemaError(
                     f"{path}: field 'sequences[{i}][{j}]' must be a finite number"
                 )
@@ -280,7 +289,7 @@ def _parse_matrix(path, name, spec) -> np.ndarray:
             f"{path}: field 'matrices.{name}.data' must hold exactly rows*cols = {r * c} numbers"
         )
     for k, v in enumerate(data):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        if not _finite_number(v):
             raise SchemaError(f"{path}: field 'matrices.{name}.data[{k}]' must be a finite number")
     return np.array(data, dtype=float).reshape(r, c)
 
@@ -325,6 +334,10 @@ def _require_shape(name, M, shape):
 
 def random_weights(s: int, d: int, dims, rng: SplitMix64, heads: int = 1) -> AttentionWeights:
     """Deterministic weight set for a batch of s sequences at nominal dim d."""
+    draws = 3 * d * d + (2 + (3 * heads if heads > 1 else 0)) * s * s
+    if draws > SIZE_BUDGET:  # checked before any draw: drawing runs at Python speed
+        raise SizeBudgetError(f"seeded weights for nominal_dim {d}, batch size {s} and heads"
+                              f" {heads} need {draws} draws, over the budget {SIZE_BUDGET}")
     w = AttentionWeights(
         wq=rng.matrix(d, d),
         wk=rng.matrix(d, d),
@@ -544,6 +557,9 @@ def cmd_compare_padding(batches, dim_range, seed, out, batch_size, nominal) -> i
         raise ShapeError(
             f"nominal dim {nominal} is smaller than the largest drawable length {hi}"
         )
+    if batch_size * nominal > SIZE_BUDGET:
+        raise SizeBudgetError(f"--batch-size {batch_size} x --nominal-dim {nominal} padded"
+                              f" entries exceed the element budget {SIZE_BUDGET}")
     rows = compare_padding_rows(batches, lo, hi, seed, batch_size, nominal)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -611,7 +627,7 @@ def main(argv=None) -> int:
             return cmd_compare_padding(args.batches, args.dim_range, args.seed,
                                        args.out, args.batch_size, args.nominal_dim)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except SchemaError as exc:
+    except (SchemaError, SizeBudgetError) as exc:
         print(f"stpdft: input error: {exc}", file=sys.stderr)
         return 2
     except ShapeError as exc:

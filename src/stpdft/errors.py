@@ -1,8 +1,8 @@
 """Exception types shared across the library and the CLI.
 
-The CLI maps these onto process exit codes: schema violations and
-arithmetic overflow exit 2, shape inconsistencies exit 3, anything else
-that trips an internal invariant exits 4.
+The CLI maps these onto process exit codes: schema violations, arithmetic
+overflow and sizes over the element budget exit 2, shape inconsistencies
+exit 3, anything else that trips an internal invariant exits 4.
 """
 
 

@@ -11,10 +11,11 @@ A HyperVector stores its addition form as one read-only buffer, the packed
 layout of varlen attention kernels (one flat array plus the lengths), and
 its components are views into it, so batch operations work on the buffer.
 
-The central operator is ``diamond(A, X)``: a square matrix A acts linearly
-on a hypervector by projecting every component to a common nominal length,
-multiplying the resulting ordinary matrix by A, and projecting each output
-row back to its component's original length.  Each projection step is one
+The central operator is ``diamond(A, X)``: a p x s matrix A acts linearly
+on an s-component hypervector by projecting every component to a common
+nominal length, multiplying the resulting ordinary matrix by A, and
+projecting each of the p output rows to its own length (for a square A,
+its component's original length).  Each projection step is one
 ``projection.project_batch`` over the whole buffer.
 
 ``hyper_inner`` scores ragged operands over the bridge bands of all their
@@ -22,10 +23,11 @@ length pairs.  Those index plans depend only on the two profiles, which stay
 fixed for a forward pass, so they are kept the way project_batch keeps its
 resample plans: in a small least-recently-used cache keyed by the profile
 pair, as read-only arrays with int32 indices.  Plans longer than
-``_BAND_CHUNK`` entries are not kept; they are built and applied in runs.  ``diamond_vectorized``
-is the same map written as one explicit matrix on the addition form, built
-from the block-diagonal pad/unpad maps of ``DiamondPlan``; it is kept as the
-independent oracle of the stepwise path, which never builds those matrices.
+``_BAND_CHUNK`` entries are not kept; they are built and applied in runs.
+``diamond_vectorized`` is diamond with a square matrix written as one
+explicit matrix on the addition form, from the block-diagonal pad/unpad maps
+of ``DiamondPlan``; it is kept as the independent oracle of the stepwise
+path, which never builds those matrices.
 """
 
 from __future__ import annotations
@@ -38,9 +40,7 @@ import numpy as np
 
 from .algebra import SIZE_BUDGET, _check_budget, as_matrix, as_vector, bridge_band
 from .errors import NonFactorizableError, NonFiniteError, ShapeError, SizeBudgetError
-from .projection import nominal_add, proj_matrix, project_batch
-
-lcm = math.lcm
+from .projection import proj_matrix, project_batch
 
 
 class HyperVector:
@@ -134,10 +134,6 @@ class HyperVector:
     def to_addition_form(self) -> np.ndarray:
         return self._buffer.copy()
 
-    @classmethod
-    def from_addition_form(cls, v, dims) -> "HyperVector":
-        return cls(v, dims)
-
     def to_product_form(self) -> np.ndarray:
         """Iterated Kronecker product of the components (left to right)."""
         size = math.prod(self.dims)
@@ -147,10 +143,6 @@ class HyperVector:
         for c in self.components[1:]:
             out = np.kron(out, c)
         return out
-
-    def map(self, fn) -> "HyperVector":
-        """New hypervector with fn applied to every component."""
-        return HyperVector([fn(c) for c in self.components])
 
 
 def factor_product_form(x, dims, rtol: float = 1e-6) -> HyperVector:
@@ -200,35 +192,6 @@ def factor_product_form(x, dims, rtol: float = 1e-6) -> HyperVector:
         raise NonFactorizableError("last factor is not nonnegative with positive sum")
     factors.append(rest / s)
     return HyperVector(factors)
-
-
-def _replicate_components(X: HyperVector, k: int) -> HyperVector:
-    """Repeat each component k times consecutively (entrywise ones-expansion)."""
-    comps = []
-    for c in X.components:
-        comps.extend([c] * k)
-    return HyperVector(comps)
-
-
-def _tile_components(X: HyperVector, k: int) -> HyperVector:
-    """Repeat the whole component list k times (ones kron hypervector)."""
-    return HyperVector(np.tile(X.buffer, k), X.dims * k)
-
-
-def hyper_add(X: HyperVector, Y: HyperVector, r: int) -> np.ndarray:
-    """Rowwise nominal addition of two batches into a k x r matrix.
-
-    Unequal batch sizes s, t are reconciled by repeating each component
-    k/s (resp. k/t) times consecutively, k = lcm(s, t); row i of the result
-    is nominal_add of the paired components.
-    """
-    s, t = X.batch_size, Y.batch_size
-    k = lcm(s, t)
-    Xr = _replicate_components(X, k // s)
-    Yr = _replicate_components(Y, k // t)
-    return np.stack(
-        [nominal_add(xc, yc, r) for xc, yc in zip(Xr.components, Yr.components)]
-    )
 
 
 def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
@@ -363,7 +326,7 @@ class DiamondPlan:
     unpad: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(cls, dims, n0: int | None = None, out_dims=None) -> "DiamondPlan":
+    def build(cls, dims, n0: int | None = None) -> "DiamondPlan":
         dims = tuple(int(d) for d in dims)
         if any(d < 1 for d in dims):
             raise ShapeError(f"component dims must be positive, got {dims}")
@@ -372,48 +335,28 @@ class DiamondPlan:
         n0 = int(n0)
         if n0 < 1:
             raise ShapeError(f"nominal dim must be positive, got {n0}")
-        out_dims = dims if out_dims is None else tuple(int(d) for d in out_dims)
-        s, total_in, total_out = len(dims), sum(dims), sum(out_dims)
-        _check_budget(s * n0, total_in)
-        _check_budget(total_out, len(out_dims) * n0)
-        pad = np.zeros((s * n0, total_in))
+        s, total = len(dims), sum(dims)
+        _check_budget(s * n0, total)
+        pad = np.zeros((s * n0, total))
+        unpad = np.zeros((total, s * n0))
         col = 0
         for i, d in enumerate(dims):
             pad[i * n0 : (i + 1) * n0, col : col + d] = proj_matrix(d, n0)
+            unpad[col : col + d, i * n0 : (i + 1) * n0] = proj_matrix(n0, d)
             col += d
-        unpad = np.zeros((total_out, len(out_dims) * n0))
-        row = 0
-        for i, d in enumerate(out_dims):
-            unpad[row : row + d, i * n0 : (i + 1) * n0] = proj_matrix(n0, d)
-            row += d
         return cls(dims=dims, n0=n0, pad=pad, unpad=unpad)
 
 
-def diamond(A, X: HyperVector, n0: int | None = None) -> HyperVector:
-    """Linear action of a square matrix on a hypervector.
+def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVector:
+    """Linear action of a p x s matrix on an s-component hypervector.
 
     Three steps: project every component to length n0 (default: the largest
-    component length), left-multiply the stacked s x n0 matrix by A, project
-    each output row back to that component's original length.  When the
-    input is already homogeneous of length n0 this is exactly A @ X.to_matrix().
-    """
-    A = as_matrix(A, "diamond matrix")
-    s = X.batch_size
-    if A.shape != (s, s):
-        raise ShapeError(
-            f"diamond needs a {s} x {s} matrix for a {s}-component hypervector,"
-            f" got {A.shape[0]} x {A.shape[1]}"
-        )
-    return diamond_general(A, X, n0=n0, out_dims=X.dims)
-
-
-def diamond_general(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVector:
-    """diamond with a rectangular p x s matrix and explicit output profile.
-
-    Pads the s components to length n0, multiplies by A (p x s) to get p
-    rows, and unpads row i to out_dims[i] (default: the input profile cycled
-    to length p).  Pad and unpad are one project_batch each on the addition
-    form, with one product A @ padded between them.
+    component length), left-multiply the stacked s x n0 matrix by A, and
+    project output row i to out_dims[i] (default: the input profile cycled
+    to length p, so a square A keeps the input profile).  Pad and unpad are
+    one project_batch each on the addition form, with one product A @ padded
+    between them.  When the input is already homogeneous of length n0 and
+    A is square this is exactly A @ X.to_matrix().
     """
     A = as_matrix(A, "diamond matrix")
     p, s = A.shape
@@ -422,11 +365,9 @@ def diamond_general(A, X: HyperVector, n0: int | None = None, out_dims=None) -> 
             f"matrix with {s} columns cannot act on a {X.batch_size}-component hypervector"
         )
     dims = X.dims
-    if n0 is None:
-        n0 = max(dims)
-    n0 = int(n0)
+    n0 = max(dims) if n0 is None else int(n0)
     if out_dims is None:
-        out_dims = tuple(dims[i % len(dims)] for i in range(p))
+        out_dims = tuple(dims[i % s] for i in range(p))
     else:
         out_dims = tuple(int(d) for d in out_dims)
         if len(out_dims) != p:
@@ -457,20 +398,3 @@ def diamond_vectorized(A, X: HyperVector, n0: int | None = None) -> np.ndarray:
     plan = DiamondPlan.build(X.dims, n0)
     op = plan.unpad @ np.kron(A, np.eye(plan.n0)) @ plan.pad
     return op @ X.to_addition_form()
-
-
-def qkv_vectorized(W, M) -> np.ndarray:
-    """Row-stacked form of W @ M without forming the product row by row.
-
-    Uses the identity vec_rows(W @ M) = (W kron I_c) @ vec_rows(M), where c
-    is the column count of M.  Useful for reading a batched linear map as a
-    single matrix acting on the stacked representation.
-    """
-    W = as_matrix(W, "left factor")
-    M = as_matrix(M, "right factor")
-    if W.shape[1] != M.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {W.shape[0]} x {W.shape[1]} by {M.shape[0]} x {M.shape[1]}"
-        )
-    c = M.shape[1]
-    return np.kron(W, np.eye(c)) @ M.reshape(-1)

@@ -39,10 +39,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _check_budget, as_vector, bridge_band, bridge_matrix, bridge_matrix_exact
+from .algebra import _check_budget, as_vector, bridge_band, bridge_matrix, bridge_matrix_exact, lcm
 from .errors import ShapeError
-
-lcm = math.lcm
 
 
 def vinner(x, y) -> float:

@@ -10,7 +10,8 @@ length end to end:
     zero_pad_pipeline   pad with zeros, transform, truncate (the baseline)
     proj_pad_pipeline   resample via least-distance projection instead
     dv_attention        score hypervectors with the replication-averaged
-                        inner product, apply the result through diamond
+                        inner product, apply the softmax through diamond;
+                        Q, K and V may have different batch sizes
     dv_multi_head       combine heads by projected addition per component
     df_add_norm         residual add across differing lengths, then norm
     df_ffn              feed-forward whose linear maps act through diamond
@@ -31,11 +32,9 @@ from .errors import ShapeError, SizeBudgetError
 from .hypervector import (
     HyperVector,
     diamond,
-    diamond_general,
     hyper_add_listwise,
     hyper_inner,
     hyper_inner_weighted,
-    _tile_components,
 )
 from .projection import project, project_batch
 from .stochastic import softmax_rows
@@ -94,14 +93,12 @@ class ModelConfig:
             if any(d < 1 for d in dims):
                 raise ShapeError(f"{name} entries must be positive, got {dims}")
             setattr(self, name, dims)
-        if self.padding not in PADDING_MODES:
-            raise ValueError(f"padding must be one of {PADDING_MODES}, got {self.padding!r}")
-        if self.scaling not in SCALING_MODES:
-            raise ValueError(f"scaling must be one of {SCALING_MODES}, got {self.scaling!r}")
-        if self.mask not in MASK_MODES:
-            raise ValueError(f"mask must be one of {MASK_MODES}, got {self.mask!r}")
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
+        # Messages start with the field name: the CLI reports it as the config key.
+        for name, modes in (("padding", PADDING_MODES), ("scaling", SCALING_MODES),
+                            ("mask", MASK_MODES), ("norm_mode", NORM_MODES)):
+            value = getattr(self, name)
+            if value not in modes:
+                raise ValueError(f"{name} must be one of {modes}, got {value!r}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
@@ -135,9 +132,6 @@ class AttentionWeights:
     beta: float = 0.0
     eps: float = 1e-3
 
-    def head_count(self) -> int:
-        return 1 if self.head_q is None else len(self.head_q)
-
 
 # --- fixed-length (nominal) stages -----------------------------------------
 
@@ -156,12 +150,6 @@ def positional_encoding(s: int, d: int) -> np.ndarray:
     P[:, 0::2] = np.sin(angles)
     P[:, 1::2] = np.cos(angles)
     return P
-
-
-def pe_apply(X) -> np.ndarray:
-    """Add the sinusoidal position matrix to a stacked batch."""
-    X = as_matrix(X)
-    return X + positional_encoding(*X.shape)
 
 
 def qkv_nominal(X, w: AttentionWeights):
@@ -357,30 +345,19 @@ def assembled_attention_qk(X, wqk, wv) -> np.ndarray:
 # --- ragged (dimension-free) stages -----------------------------------------
 
 
-def zero_pad_pipeline(X: HyperVector, W, dims_out, d: int | None = None) -> HyperVector:
+def zero_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector:
     """Baseline ragged linear map: zero-pad, transform, truncate.
 
-    Every component is padded with zeros to length d (default: the largest
-    input or output length, never less than that), mapped by W (d x d), and
-    the i-th result is cut back to dims_out[i].  Padding scatters the
-    addition form into an s x d matrix and truncation gathers it back, so the
-    map is one product for the whole batch.
+    Every component is padded with zeros to length d, which must be at least
+    the largest input and output length, mapped by W (d x d), and the i-th
+    result is cut back to dims_out[i].  Padding scatters the addition form
+    into an s x d matrix and truncation gathers it back, so the map is one
+    product for the whole batch.
     """
-    dims_out = tuple(int(v) for v in dims_out)
-    if len(dims_out) != X.batch_size:
-        raise ShapeError(
-            f"{len(dims_out)} output dims for a {X.batch_size}-component hypervector"
-        )
-    if any(v < 1 for v in dims_out):
-        raise ShapeError(f"output dims must be positive, got {dims_out}")
+    W, dims_out = _pipeline_args(X, W, d, dims_out)
     d_min = max(max(X.dims), max(dims_out))
-    if d is None:
-        d = d_min
-    elif d < d_min:
+    if d < d_min:
         raise ShapeError(f"zero padding cannot shrink: d={d} < required {d_min}")
-    W = as_matrix(W, "transform")
-    if W.shape != (d, d):
-        raise ShapeError(f"transform is {W.shape[0]} x {W.shape[1]}, expected {d} x {d}")
     padded = np.zeros((X.batch_size, d))
     padded[_prefix_mask(X.dims, d)] = X.buffer
     mixed = padded @ W.T
@@ -403,6 +380,15 @@ def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector:
     Each resample is one project_batch on the addition form, with one
     product between them.
     """
+    W, dims_out = _pipeline_args(X, W, d, dims_out)
+    s = X.batch_size
+    padded = project_batch(X.buffer, X.dims, (d,) * s).reshape(s, d)
+    mixed = padded @ W.T
+    return HyperVector(project_batch(mixed.reshape(-1), (d,) * s, dims_out), dims_out)
+
+
+def _pipeline_args(X: HyperVector, W, d: int, dims_out):
+    """Checked (W, dims_out) of a ragged linear map at nominal length d."""
     dims_out = tuple(int(v) for v in dims_out)
     if len(dims_out) != X.batch_size:
         raise ShapeError(
@@ -415,10 +401,7 @@ def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector:
     W = as_matrix(W, "transform")
     if W.shape != (d, d):
         raise ShapeError(f"transform is {W.shape[0]} x {W.shape[1]}, expected {d} x {d}")
-    s = X.batch_size
-    padded = project_batch(X.buffer, X.dims, (d,) * s).reshape(s, d)
-    mixed = padded @ W.T
-    return HyperVector(project_batch(mixed.reshape(-1), (d,) * s, dims_out), dims_out)
+    return W, dims_out
 
 
 def _dv_scores(Q: HyperVector, K: HyperVector, scaling: str) -> np.ndarray:
@@ -435,18 +418,17 @@ def _dv_scores(Q: HyperVector, K: HyperVector, scaling: str) -> np.ndarray:
 
 def dv_attention(Q: HyperVector, K: HyperVector, V: HyperVector,
                  scaling: str = "sqrt-n", mask=None, n0: int | None = None,
-                 return_weights: bool = False):
-    """Attention over equal-size ragged batches.
+                 out_dims=None, return_weights: bool = False):
+    """Attention over ragged batches of sizes p, q, r (Q, K, V).
 
-    The score matrix is the (scaled) cross-length inner-product Gram matrix
-    of Q against K; its row softmax acts on V through diamond, so the output
-    keeps V's dimension profile.  With every length equal this reproduces
-    the fixed-length attention exactly.  Unequal batch sizes are routed to
-    dv_attention_general.
+    The p x q score matrix is the (scaled) cross-length inner-product Gram
+    matrix of Q against K; its row softmax acts on V through diamond, after
+    repeating its columns t/q times and tiling V's component list t/r times
+    (t = lcm(q, r)) when q != r.  The p output components take out_dims
+    (default: V's profile cycled, which is V's own profile when p == r).
+    With every length equal this reproduces the fixed-length attention
+    exactly.  return_weights also returns the p x q softmax.
     """
-    if not (Q.batch_size == K.batch_size == V.batch_size):
-        return dv_attention_general(Q, K, V, scaling=scaling, mask=mask, n0=n0,
-                                    return_weights=return_weights)
     E = _dv_scores(Q, K, scaling)
     if mask is not None:
         mask = np.asarray(mask, dtype=float)
@@ -454,37 +436,16 @@ def dv_attention(Q: HyperVector, K: HyperVector, V: HyperVector,
             raise ShapeError(f"mask is {mask.shape}, expected {E.shape}")
         E = E + mask
     A = softmax_rows(E)
-    out = diamond(A, V, n0=n0)
-    return (out, A) if return_weights else out
-
-
-def dv_attention_general(Q: HyperVector, K: HyperVector, V: HyperVector,
-                         scaling: str = "sqrt-n", mask=None, n0: int | None = None,
-                         out_dims=None, return_weights: bool = False):
-    """Attention when Q, K, V have different batch sizes p, q, r.
-
-    The p x q score softmax is reconciled with V by replicating score
-    columns t/q times and tiling V's component list t/r times, t = lcm(q, r),
-    then acting through the rectangular diamond.  Output batch is p, with
-    profile out_dims (default: V's profile cycled).  Reduces exactly to
-    dv_attention when q == r == p.
-    """
-    p, q, r = Q.batch_size, K.batch_size, V.batch_size
-    E = _dv_scores(Q, K, scaling)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=float)
-        if mask.shape != E.shape:
-            raise ShapeError(f"mask is {mask.shape}, expected {E.shape}")
-        E = E + mask
-    A = softmax_rows(E)
-    t = lcm(q, r)
-    if t * max(V.dims) > SIZE_BUDGET:
-        raise SizeBudgetError(
-            f"replicated batch {t} x {max(V.dims)} exceeds {SIZE_BUDGET}"
-        )
-    A_rep = np.kron(A, np.ones((1, t // q)))
-    V_rep = _tile_components(V, t // r)
-    out = diamond_general(A_rep, V_rep, n0=n0, out_dims=out_dims)
+    weights, q, r = A, K.batch_size, V.batch_size
+    if q != r:
+        t = lcm(q, r)
+        if t * max(V.dims) > SIZE_BUDGET:
+            raise SizeBudgetError(
+                f"replicated batch {t} x {max(V.dims)} exceeds {SIZE_BUDGET}"
+            )
+        weights = np.repeat(A, t // q, axis=1)
+        V = HyperVector(np.tile(V.buffer, t // r), V.dims * (t // r))
+    out = diamond(weights, V, n0=n0, out_dims=out_dims)
     return (out, A) if return_weights else out
 
 
@@ -605,15 +566,11 @@ def _qkv_hyper(X: HyperVector, w: AttentionWeights, cfg: ModelConfig):
     m = cfg.q_dims or X.dims
     a = cfg.k_dims or X.dims
     b = cfg.v_dims or X.dims
-    pipeline = proj_pad_pipeline if cfg.padding == "projection" else _zero_pipeline
+    pipeline = proj_pad_pipeline if cfg.padding == "projection" else zero_pad_pipeline
     Q = pipeline(X, w.wq, cfg.nominal_dim, m)
     K = pipeline(X, w.wk, cfg.nominal_dim, a)
     V = pipeline(X, w.wv, cfg.nominal_dim, b)
     return Q, K, V
-
-
-def _zero_pipeline(X, W, d, dims_out):
-    return zero_pad_pipeline(X, W, dims_out, d=d)
 
 
 def _block_mask(cfg: ModelConfig):

@@ -74,9 +74,13 @@ def test_acceptance_02_bridge_identity_exact():
                     m, q = rng.integers(1, 5, 2)
                     A = rng.integers(-5, 6, (m, n)).astype(float)
                     B = rng.integers(-5, 6, (p, q)).astype(float)
+                    t = math.lcm(n, p)
+                    kron = np.kron(A, np.ones((1, t // n))) @ np.kron(B, np.ones((t // p, 1)))
+                    assert np.array_equal(dk_stp(A, B), kron)
                     assert np.array_equal(dk_stp(A, B), A @ psi @ B)
 
-    _timed(2, "dk_stp == A @ bridge @ B, exact on integers, (n,p) in [1,6]^2", 5.0, body)
+    _timed(2, "dk_stp == Kronecker definition == A @ bridge @ B, exact on integers,"
+              " (n,p) in [1,6]^2", 5.0, body)
 
 
 def test_acceptance_03_stp_and_sta_laws():

@@ -30,6 +30,22 @@ def kron_bridge(n, p):
     return np.kron(np.eye(n), np.ones((1, t // n))) @ np.kron(np.eye(p), np.ones((t // p, 1)))
 
 
+def kron_dk_stp(A, B):
+    """The paper's definition of dk_stp, A m x n and B p x q:
+    (A kron ones_row(t/n)) @ (B kron ones_col(t/p)), t = lcm(n, p)."""
+    n, p = A.shape[1], B.shape[0]
+    t = lcm(n, p)
+    return np.kron(A, np.ones((1, t // n))) @ np.kron(B, np.ones((t // p, 1)))
+
+
+def kron_weighted_dk_stp(A, B):
+    """The paper's definition of weighted_dk_stp: kron_dk_stp with the right
+    ones expansion averaged, (A kron ones_row(t/n)) @ (B kron ones_col(t/p)) p/t."""
+    n, p = A.shape[1], B.shape[0]
+    t = lcm(n, p)
+    return np.kron(A, np.ones((1, t // n))) @ np.kron(B, np.ones((t // p, 1)) / (t // p))
+
+
 def kron_bridge_exact(n, p):
     """kron_bridge in integer arithmetic, as an array of Fraction entries."""
     t = lcm(n, p)
@@ -121,6 +137,19 @@ class TestDkStp:
                     A = rng.integers(-5, 6, (m, n)).astype(float)
                     B = rng.integers(-5, 6, (p, q)).astype(float)
                     np.testing.assert_array_equal(dk_stp(A, B), A @ psi @ B)
+                    np.testing.assert_array_equal(dk_stp(A, B), kron_dk_stp(A, B))
+
+    @pytest.mark.parametrize("op,oracle", [(dk_stp, kron_dk_stp),
+                                           (weighted_dk_stp, kron_weighted_dk_stp)])
+    def test_matches_kronecker_oracle_on_floats(self, rng, op, oracle):
+        # The bridge path sums in another order than the lcm-sized product,
+        # so agreement is to roundoff of the sum of |terms|.
+        for n, p in [(2, 3), (5, 3), (7, 11), (12, 8), (29, 31), (64, 65), (1, 9)]:
+            A = rng.normal(size=(3, n))
+            B = rng.normal(size=(p, 4))
+            expected = oracle(A, B)
+            scale = oracle(np.abs(A), np.abs(B))
+            assert np.all(np.abs(op(A, B) - expected) <= 1e-12 * scale), (n, p)
 
 
 class TestBridgeMatrix:
@@ -197,6 +226,13 @@ class TestWeightedDkStp:
             weighted_dk_stp(A, B), A @ weighted_bridge_matrix(3, 5) @ B, rtol=1e-12
         )
 
+    def test_exact_kronecker_oracle_on_dyadic_integers(self, rng):
+        # With t/p a power of two every product and sum is exact.
+        for n, p in [(2, 4), (8, 4), (16, 2), (4, 1), (6, 3)]:
+            A = rng.integers(-5, 6, (3, n)).astype(float)
+            B = rng.integers(-5, 6, (p, 2)).astype(float)
+            np.testing.assert_array_equal(weighted_dk_stp(A, B), kron_weighted_dk_stp(A, B))
+
     def test_stochastic_closure_matrix_matrix(self, rng):
         A = random_stochastic(rng, 3, 3)
         B = random_stochastic(rng, 2, 2)
@@ -257,6 +293,20 @@ class TestSizeBudget:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_dk_stp_overflow_rejected_before_allocating(self):
+        # A @ bridge would be 2**16 x 2**16; the operands are only 2**16 x 1.
+        A = np.zeros((2**16, 1))
+        B = np.zeros((2**16, 1))
+        for op in (dk_stp, weighted_dk_stp):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeBudgetError):
+                    op(A, B)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**22
 
     def test_stp_overflow_rejected(self):
         A = np.zeros((1, 2**17 - 1))

@@ -11,9 +11,10 @@ from stpdft import HyperVector, ModelConfig, SplitMix64, encoder_stack
 from stpdft.cli import main, padding_batch_stats, random_weights
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     proc = subprocess.run(
-        [sys.executable, "-m", "stpdft", *args], capture_output=True, text=True
+        [sys.executable, "-m", "stpdft", *args], capture_output=True, text=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -121,6 +122,13 @@ class TestForwardCommand:
         assert code == 2
         assert "sequences[0][1]" in err
 
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys):
+        # JSON integers are unbounded; one that float64 cannot hold is not finite.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"sequences": [[1.0, 1' + "0" * 400 + ']]}')
+        assert main(["forward", str(bad)]) == 2
+        assert "sequences[0][1]" in capsys.readouterr().err
+
     def test_malformed_json_reports_line(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"sequences": [[1.0,,]]}')
@@ -192,6 +200,18 @@ class TestForwardCommand:
         err = capsys.readouterr().err
         assert "overflow" in err and "internal error" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("nominal,flags", [(100000, ()), (70000, ("--layers", "0"))])
+    def test_seeded_weights_over_budget_exit_2(self, tmp_path, nominal, flags):
+        # 3 nominal_dim^2 draws exceed the element budget; the check runs
+        # before any is drawn, so the command fails at once.
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"config": {"nominal_dim": nominal}}))
+        code, _, err = run_cli("forward", batch, "--weights", str(weights), *flags,
+                               timeout=15)
+        assert code == 2, err
+        assert "nominal_dim" in err and "budget" in err
 
     def test_declared_batch_size_mismatch_exit_3(self, tmp_path):
         batch = write_batch(tmp_path / "batch.json", HOMOG)
@@ -331,6 +351,12 @@ class TestComparePaddingCommand:
         assert stats["zero_pad_zero_fraction"] == pytest.approx(9 / 24, abs=0)
         assert stats["zero_recon_rms"] == 0.0
         assert stats["proj_recon_rms"] > 0.0
+
+    def test_padded_size_over_budget_exit_2(self):
+        code, _, err = run_cli("compare-padding", "--batches", "1", "--nominal-dim",
+                               "3000000000", timeout=15)
+        assert code == 2, err
+        assert "--nominal-dim" in err and "budget" in err
 
     def test_bad_dim_range_exit_2(self):
         assert run_cli("compare-padding", "--dim-range", "oops")[0] == 2

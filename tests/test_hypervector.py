@@ -14,16 +14,13 @@ from stpdft import (
     ShapeError,
     SizeBudgetError,
     diamond,
-    diamond_general,
     diamond_vectorized,
     factor_product_form,
-    hyper_add,
     hyper_add_listwise,
     hyper_inner,
     hyper_inner_weighted,
     nominal_add,
     proj_matrix,
-    qkv_vectorized,
     vinner,
 )
 from stpdft.hypervector import _BAND_CHUNK, _gram_plan
@@ -100,7 +97,7 @@ class TestContract:
 
     def test_from_addition_form_copies(self):
         v = np.array([1.0, 2.0, 3.0])
-        X = HyperVector.from_addition_form(v, [1, 2])
+        X = HyperVector(v, [1, 2])
         v[:] = 0.0
         np.testing.assert_array_equal(X[1], [2, 3])
 
@@ -110,7 +107,7 @@ class TestContract:
         with pytest.raises(ValueError, match=msg):
             HyperVector([[1.0], [2.0, bad], [3.0]])
         with pytest.raises(ValueError, match=msg):
-            HyperVector.from_addition_form([1.0, 2.0, bad, 3.0], [1, 2, 1])
+            HyperVector([1.0, 2.0, bad, 3.0], [1, 2, 1])
 
     def test_non_finite_entry_is_a_non_finite_error(self):
         # An overflowed stage output lands here; the CLI maps this type to exit 2.
@@ -132,7 +129,7 @@ class TestForms:
     def test_addition_form_round_trip(self, rng):
         for _ in range(10):
             X = random_ragged(rng)
-            back = HyperVector.from_addition_form(X.to_addition_form(), X.dims)
+            back = HyperVector(X.to_addition_form(), X.dims)
             for a, b in zip(X.components, back.components):
                 np.testing.assert_array_equal(a, b)
 
@@ -143,7 +140,7 @@ class TestForms:
 
     def test_addition_form_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            HyperVector.from_addition_form(np.zeros(5), [2, 2])
+            HyperVector(np.zeros(5), [2, 2])
 
     def test_product_form_kronecker(self):
         X = HyperVector([[1, 2], [3, 4]])
@@ -194,30 +191,6 @@ class TestFactorProductForm:
             factor_product_form(np.zeros(4), [2, 2])
 
 
-class TestHyperAdd:
-    def test_equal_dims_is_matrix_sum(self, rng):
-        MX = rng.normal(size=(3, 4))
-        MY = rng.normal(size=(3, 4))
-        out = hyper_add(HyperVector.from_matrix(MX), HyperVector.from_matrix(MY), 4)
-        np.testing.assert_allclose(out, MX + MY, atol=1e-12)
-
-    def test_ragged_rows_match_componentwise_oracle(self, rng):
-        X = HyperVector([rng.normal(size=2), rng.normal(size=3)])
-        Y = HyperVector([rng.normal(size=3), rng.normal(size=2)])
-        out = hyper_add(X, Y, 2)
-        assert out.shape == (2, 2)
-        for i in range(2):
-            np.testing.assert_allclose(out[i], nominal_add(X[i], Y[i], 2), atol=1e-12)
-
-    def test_batch_replication(self, rng):
-        x = rng.normal(size=3)
-        Y = HyperVector([rng.normal(size=2), rng.normal(size=4)])
-        out = hyper_add(HyperVector([x]), Y, 3)
-        assert out.shape == (2, 3)
-        np.testing.assert_allclose(out[0], nominal_add(x, Y[0], 3), atol=1e-12)
-        np.testing.assert_allclose(out[1], nominal_add(x, Y[1], 3), atol=1e-12)
-
-
 class TestHyperAddListwise:
     def test_matching_dims_is_componentwise_sum(self, rng):
         X = HyperVector([rng.normal(size=2), rng.normal(size=3)])
@@ -234,10 +207,11 @@ class TestHyperAddListwise:
             np.testing.assert_allclose(o, [a.mean() + b.mean()], atol=1e-12)
 
     def test_constant_targets_match_hyper_add(self, rng):
+        # Rowwise hyper addition: row i is nominal_add of the paired components.
         X = HyperVector([rng.normal(size=2), rng.normal(size=3)])
         Y = HyperVector([rng.normal(size=4), rng.normal(size=2)])
         listwise = hyper_add_listwise(X, Y, [3, 3])
-        rowwise = hyper_add(X, Y, 3)
+        rowwise = np.stack([nominal_add(x, y, 3) for x, y in zip(X, Y)])
         np.testing.assert_allclose(listwise.to_matrix(), rowwise, atol=1e-15)
 
     def test_length_mismatch(self):
@@ -468,40 +442,15 @@ class TestDiamondGeneral:
     def test_rectangular_rows(self, rng):
         X = HyperVector([rng.normal(size=2), rng.normal(size=3)])
         A = rng.normal(size=(3, 2))
-        out = diamond_general(A, X, n0=3)
+        out = diamond(A, X, n0=3)
         assert out.dims == (2, 3, 2)  # input profile cycled to 3 rows
+        mixed = A @ np.stack([proj_matrix(len(x), 3) @ x for x in X])
+        for o, row in zip(out, mixed):
+            np.testing.assert_allclose(o, proj_matrix(3, len(o)) @ row, atol=1e-12)
 
     def test_explicit_output_profile(self, rng):
         X = HyperVector([rng.normal(size=2), rng.normal(size=3)])
         A = rng.normal(size=(1, 2))
-        out = diamond_general(A, X, n0=3, out_dims=[4])
+        out = diamond(A, X, n0=3, out_dims=[4])
         assert out.dims == (4,)
 
-
-class TestQkvVectorized:
-    def test_direct_product_identity(self, rng):
-        W = rng.normal(size=(2, 2))
-        M = rng.normal(size=(2, 3))
-        np.testing.assert_allclose(
-            qkv_vectorized(W, M), (W @ M).reshape(-1), atol=1e-12
-        )
-
-    def test_identity_leaves_stacking(self, rng):
-        M = rng.normal(size=(3, 5))
-        np.testing.assert_array_equal(qkv_vectorized(np.eye(3), M), M.reshape(-1))
-
-    def test_transposed_batch_convention(self, rng):
-        # Mapping each sequence of a stacked batch: stack(W X^T) = (W kron I_s) stack(X^T).
-        W = rng.normal(size=(4, 4))
-        X = rng.normal(size=(4, 5))
-        np.testing.assert_allclose(
-            qkv_vectorized(W, X), (W @ X).reshape(-1), atol=1e-12
-        )
-        Xt = rng.normal(size=(5, 4)).T  # 4 x 5 transposed view
-        np.testing.assert_allclose(
-            qkv_vectorized(W, Xt), (W @ Xt).reshape(-1), atol=1e-12
-        )
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            qkv_vectorized(rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))

@@ -21,7 +21,6 @@ from stpdft import (
     df_ffn,
     diamond,
     dv_attention,
-    dv_attention_general,
     dv_multi_head,
     encoder_block,
     encoder_stack,
@@ -34,12 +33,11 @@ from stpdft import (
     proj_pad_pipeline,
     project,
     qkv_nominal,
-    qkv_vectorized,
     softmax_rows,
     zero_pad_pipeline,
 )
 from stpdft import hypervector, projection
-from stpdft.transformer import _normalize, pe_apply, relu
+from stpdft.transformer import _normalize, relu
 from test_hypervector import cauchy_schwarz_scale, oracle_gram
 from test_projection import resample_profiles
 
@@ -58,10 +56,6 @@ class TestPositionalEncoding:
     def test_odd_dim_rejected(self):
         with pytest.raises(ShapeError):
             positional_encoding(3, 5)
-
-    def test_apply_adds(self, rng):
-        X = rng.normal(size=(3, 4))
-        np.testing.assert_allclose(pe_apply(X), X + positional_encoding(3, 4))
 
 
 class TestQkvNominal:
@@ -85,8 +79,9 @@ class TestQkvNominal:
         Wq = rng.normal(size=(4, 4))
         w = AttentionWeights(wq=Wq, wk=np.eye(4), wv=np.eye(4))
         Q, _, _ = qkv_nominal(X, w)
+        # Row-stacked Wq X^T is (Wq kron I_s) applied to row-stacked X^T.
         np.testing.assert_allclose(
-            qkv_vectorized(Wq, X.T), Q.T.reshape(-1), atol=1e-12
+            np.kron(Wq, np.eye(3)) @ X.T.reshape(-1), Q.T.reshape(-1), atol=1e-12
         )
 
     def test_shape_mismatch(self, rng):
@@ -247,7 +242,7 @@ class TestZeroPadPipeline:
         comps = [rng.normal(size=3), rng.normal(size=4), rng.normal(size=5),
                  rng.normal(size=3)]
         X = HyperVector(comps)
-        out = zero_pad_pipeline(X, W, X.dims, d=6)
+        out = zero_pad_pipeline(X, W, 6, X.dims)
         for c, o in zip(comps, out.components):
             n = len(c)
             np.testing.assert_allclose(o, W[:n, :n] @ c, atol=1e-12)
@@ -255,12 +250,12 @@ class TestZeroPadPipeline:
     def test_full_width_is_plain_multiply(self, rng):
         M = rng.normal(size=(3, 4))
         W = rng.normal(size=(4, 4))
-        out = zero_pad_pipeline(HyperVector.from_matrix(M), W, [4, 4, 4])
+        out = zero_pad_pipeline(HyperVector.from_matrix(M), W, 4, [4, 4, 4])
         np.testing.assert_allclose(out.to_matrix(), M @ W.T, atol=1e-12)
 
     def test_zero_in_zero_out(self):
         X = HyperVector([np.zeros(2), np.zeros(3)])
-        out = zero_pad_pipeline(X, np.ones((3, 3)), [2, 3])
+        out = zero_pad_pipeline(X, np.ones((3, 3)), 3, [2, 3])
         assert all(np.all(c == 0) for c in out.components)
 
 
@@ -362,15 +357,26 @@ class TestDvAttention:
             assert np.all(np.abs(A - expected) <= 2 * score_tol + 1e-15), scaling
 
 
+def repeat_tile_attention(Q, K, V, **kw):
+    """dv_attention written out for batch sizes p, q, r: softmax the scores,
+    repeat each column t/q times (kron with ones), tile V's component list
+    t/r times, t = lcm(q, r), and act through diamond."""
+    A = softmax_rows(hyper_inner_weighted(Q, K))
+    t = math.lcm(K.batch_size, V.batch_size)
+    A_rep = np.kron(A, np.ones((1, t // K.batch_size)))
+    V_rep = HyperVector(list(V.components) * (t // V.batch_size))
+    return diamond(A_rep, V_rep, **kw), A
+
+
 class TestDvAttentionGeneral:
     def test_equal_batches_reduce_to_square_case(self, rng):
         Q = HyperVector([rng.normal(size=2), rng.normal(size=3)])
         K = HyperVector([rng.normal(size=3), rng.normal(size=2)])
         V = HyperVector([rng.normal(size=4), rng.normal(size=2)])
         a = dv_attention(Q, K, V)
-        b = dv_attention_general(Q, K, V)
-        for x, y in zip(a.components, b.components):
-            np.testing.assert_array_equal(x, y)
+        b = diamond(softmax_rows(hyper_inner_weighted(Q, K)), V)
+        assert a.dims == V.dims
+        assert a.buffer.tobytes() == b.buffer.tobytes()
 
     def test_hand_unrolled_single_query(self, rng):
         # p = q = 1, r = 2: the score softmax is [[1]], its column is spread
@@ -379,7 +385,7 @@ class TestDvAttentionGeneral:
         Q = HyperVector([rng.normal(size=2)])
         K = HyperVector([rng.normal(size=3)])
         V = HyperVector([rng.normal(size=2), rng.normal(size=4)])
-        out = dv_attention_general(Q, K, V, out_dims=[3])
+        out = dv_attention(Q, K, V, out_dims=[3])
         n0 = 4
         padded_sum = project(V[0], n0) + project(V[1], n0)
         np.testing.assert_allclose(out[0], project(padded_sum, 3), atol=1e-12)
@@ -388,9 +394,9 @@ class TestDvAttentionGeneral:
         Q = HyperVector([rng.normal(size=2), rng.normal(size=3), rng.normal(size=2)])
         K = HyperVector([rng.normal(size=3), rng.normal(size=2)])
         V = HyperVector([rng.normal(size=2), rng.normal(size=3)])
-        out = dv_attention_general(Q, K, V)
+        out = dv_attention(Q, K, V)
         assert out.batch_size == 3
-        out2 = dv_attention_general(Q, K, V, out_dims=[5, 1, 2])
+        out2 = dv_attention(Q, K, V, out_dims=[5, 1, 2])
         assert out2.dims == (5, 1, 2)
 
     def test_mismatch_routed_from_square_entry_point(self, rng):
@@ -399,6 +405,22 @@ class TestDvAttentionGeneral:
         V = HyperVector([rng.normal(size=2), rng.normal(size=3)])
         out = dv_attention(Q, K, V)
         assert out.batch_size == 1
+
+    @pytest.mark.parametrize("p,q,r", [(2, 4, 2), (3, 2, 4), (2, 3, 5), (4, 2, 2),
+                                       (5, 5, 2), (1, 1, 2)])
+    def test_unequal_batches_match_repeat_tile_oracle(self, rng, p, q, r):
+        Q, K, V = (HyperVector([rng.normal(size=int(d)) for d in rng.integers(1, 7, b)])
+                   for b in (p, q, r))
+        out, A = dv_attention(Q, K, V, return_weights=True)
+        expected, expected_A = repeat_tile_attention(Q, K, V)
+        assert A.shape == (p, q)
+        assert A.tobytes() == expected_A.tobytes()
+        assert out.dims == tuple(V.dims[i % r] for i in range(p))
+        assert out.buffer.tobytes() == expected.buffer.tobytes()
+        dims = tuple(int(d) for d in rng.integers(1, 7, p))
+        out = dv_attention(Q, K, V, n0=5, out_dims=dims)
+        expected, _ = repeat_tile_attention(Q, K, V, n0=5, out_dims=dims)
+        assert out.buffer.tobytes() == expected.buffer.tobytes()
 
 
 class TestDvMultiHead:
@@ -510,7 +532,8 @@ class TestDfFfn:
         B2 = HyperVector([rng.normal(size=3), rng.normal(size=1)])
         out = df_ffn(X, W1, W2, B1, B2)
         from stpdft import hyper_add_listwise
-        H = hyper_add_listwise(diamond(W1, X), B1, X.dims).map(relu)
+        H = hyper_add_listwise(diamond(W1, X), B1, X.dims)
+        H = HyperVector(relu(H.buffer), H.dims)
         expected = hyper_add_listwise(diamond(W2, H), B2, X.dims)
         for o, e in zip(out.components, expected.components):
             np.testing.assert_allclose(o, e, atol=1e-12)
