@@ -95,22 +95,24 @@ def dk_stp(A, B) -> np.ndarray:
     """Dimension-keeping semi-tensor product: result is rows(A) x cols(B).
 
     Defined as (A kron ones_row(t/n)) @ (B kron ones_col(t/p)) with
-    t = lcm(n, p) and computed as A @ bridge_matrix(n, p) @ B, so nothing
+    t = lcm(n, p), computed blockwise as A @ bridge_matrix(n, p) @ B, so nothing
     lcm-sized is built; reduces to A @ B when the shapes conform.
     """
     return _bridged_product(A, B, bridge_matrix, "dk_stp")
 
 
 def _bridged_product(A, B, bridge, name) -> np.ndarray:
-    """A @ bridge(n, p) @ B for A m x n and B p x q, or A @ B when n == p;
-    the m x p intermediate passes the element budget first."""
+    """A @ bridge(n, p) @ B for A m x n, B p x q; A @ B when n == p.  The
+    bridge is I_g kron bridge(n/g, p/g), g = gcd(n, p), so A meets only that
+    block; the m x p intermediate passes the element budget first."""
     A = as_matrix(A, f"{name} left operand")
     B = as_matrix(B, f"{name} right operand")
     (m, n), p = A.shape, B.shape[0]
     if n == p:
         return A @ B
     _check_budget(m, p)
-    return A @ bridge(n, p) @ B
+    g = math.gcd(n, p)
+    return (A.reshape(m * g, n // g) @ bridge(n // g, p // g)).reshape(m, p) @ B
 
 
 def bridge_matrix(n: int, p: int) -> np.ndarray:
@@ -168,8 +170,7 @@ def bridge_band(n, p):
 
 def weighted_bridge_matrix(n: int, p: int) -> np.ndarray:
     """bridge_matrix(n, p) scaled by p/t; columns of the result sum to 1."""
-    t = lcm(n, p)
-    return bridge_matrix(n, p) / (t // p)
+    return bridge_matrix(n, p) / (n // math.gcd(n, p))
 
 
 def weighted_dk_stp(A, B) -> np.ndarray:

@@ -144,7 +144,8 @@ class TestDkStp:
     def test_matches_kronecker_oracle_on_floats(self, rng, op, oracle):
         # The bridge path sums in another order than the lcm-sized product,
         # so agreement is to roundoff of the sum of |terms|.
-        for n, p in [(2, 3), (5, 3), (7, 11), (12, 8), (29, 31), (64, 65), (1, 9)]:
+        for n, p in [(2, 3), (5, 3), (7, 11), (12, 8), (29, 31), (64, 65), (1, 9),
+                     (96, 64), (60, 90), (128, 8), (8, 128)]:
             A = rng.normal(size=(3, n))
             B = rng.normal(size=(p, 4))
             expected = oracle(A, B)
@@ -307,6 +308,22 @@ class TestSizeBudget:
             finally:
                 tracemalloc.stop()
             assert peak < 2**22
+
+    def test_large_gcd_builds_only_the_reduced_block(self):
+        # gcd(2**20, 2**10) = 2**10: the bridge is I_1024 kron ones_col(1024),
+        # so the product needs a 1024 x 1 block, not a 2**30-entry n x p matrix
+        # (the Kronecker form builds two 8 MiB factors).
+        A = np.ones((1, 2**20))
+        B = np.ones((2**10, 1))
+        for op, expected in ((dk_stp, 2.0**20), (weighted_dk_stp, 2.0**10)):
+            tracemalloc.start()
+            try:
+                out = op(A, B)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.tolist() == [[expected]]
+            assert peak < 2**20
 
     def test_stp_overflow_rejected(self):
         A = np.zeros((1, 2**17 - 1))
