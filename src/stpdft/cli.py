@@ -25,22 +25,27 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
 import time
+import typing
 from fractions import Fraction
 
 import numpy as np
 
 from . import worked_examples as wx
 from .algebra import SIZE_BUDGET
-from .errors import NonFiniteError, SchemaError, ShapeError, SizeBudgetError
+from .errors import DegenerateRowError, NonFiniteError, SchemaError, ShapeError, SizeBudgetError
 from .hypervector import HyperVector, diamond, diamond_vectorized
 from .prng import SplitMix64
 from .projection import proj_matrix_exact, project_batch
 from .transformer import (
+    MASK_MODES,
+    PADDING_MODES,
+    SCALING_MODES,
     AttentionWeights,
     ModelConfig,
     _prefix_mask,
@@ -294,8 +299,10 @@ def _parse_matrix(path, name, spec) -> np.ndarray:
     return np.array(data, dtype=float).reshape(r, c)
 
 
-CONFIG_KEYS = ("batch_size", "nominal_dim", "heads", "padding", "scaling", "mask",
-               "layers", "norm_mode", "eps")
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig))
+# The numeric config keys with their conversion, in field order.
+_NUMBER_FIELDS = tuple((key, t) for key, t in typing.get_type_hints(ModelConfig).items()
+                       if t in (int, float))
 
 
 def _parse_weights(path: str) -> tuple[dict, dict]:
@@ -409,38 +416,23 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
     s = X.batch_size
     dims = X.dims
 
-    config = {}
-    mats = {}
-    if weights_path is not None:
-        config, mats = _parse_weights(weights_path)
-
-    def number(key, default, convert=int):
-        try:
-            return convert(config.get(key, default))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"{weights_path}: field 'config.{key}': {exc}") from exc
-
-    if number("batch_size", s) != s:
-        raise ShapeError(
-            f"weights file declares batch size {config['batch_size']},"
-            f" but the batch has {s} sequences"
-        )
-    d = number("nominal_dim", max(dims))
-    heads = number("heads", 1)
-    layers = layers if layers is not None else number("layers", 1)
-    eps = number("eps", 1e-3, float)
+    config, mats = _parse_weights(weights_path) if weights_path is not None else ({}, {})
+    settings = {"batch_size": s, "nominal_dim": max(dims), **config}
+    flags = {"padding": padding, "scaling": scale, "mask": mask, "layers": layers}
+    settings.update((key, v) for key, v in flags.items() if v is not None)
+    for key, convert in _NUMBER_FIELDS:
+        if key in settings:
+            try:
+                settings[key] = convert(settings[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"{weights_path}: field 'config.{key}': {exc}") from exc
+        if key == "batch_size" and settings[key] != s:
+            raise ShapeError(
+                f"weights file declares batch size {config['batch_size']},"
+                f" but the batch has {s} sequences"
+            )
     try:
-        cfg = ModelConfig(
-            batch_size=s,
-            nominal_dim=d,
-            heads=heads,
-            padding=padding if padding is not None else config.get("padding", "projection"),
-            scaling=scale if scale is not None else config.get("scaling", "sqrt-n"),
-            mask=mask if mask is not None else config.get("mask", "none"),
-            layers=layers,
-            norm_mode=config.get("norm_mode", "vector-wise"),
-            eps=eps,
-        )
+        cfg = ModelConfig(**settings)
     except ShapeError:
         raise
     except ValueError as exc:
@@ -448,35 +440,24 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
         # message starts with the ModelConfig field, which is the config key.
         key = str(exc).split()[0]
         raise SchemaError(f"{weights_path}: field 'config.{key}': {exc}") from exc
+    d = cfg.nominal_dim
     if cfg.padding == "zero" and d < max(dims):
         raise ShapeError(
             f"nominal dim {d} is smaller than the longest sequence"
             f" ({max(dims)}); zero padding cannot shrink"
         )
     if mats:
-        w = _weights_from_file(mats, s, d, heads)
+        w = _weights_from_file(mats, s, d, cfg.heads)
     else:
-        w = random_weights(s, d, dims, SplitMix64(seed), heads)
+        w = random_weights(s, d, dims, SplitMix64(seed), cfg.heads)
     w.eps = cfg.eps
 
     # An overflow surfaces as a NonFiniteError from the stage that meets it.
     with np.errstate(over="ignore", invalid="ignore"):
         Y, atts = encoder_stack(X, [w], cfg, return_weights=True)
     doc = {
-        "config": {
-            "batch_size": s,
-            "dims": list(dims),
-            "nominal_dim": d,
-            "heads": heads,
-            "padding": cfg.padding,
-            "scaling": cfg.scaling,
-            "mask": cfg.mask,
-            "layers": cfg.layers,
-            "norm_mode": cfg.norm_mode,
-            "eps": cfg.eps,
-            "seed": seed,
-            "weights_source": "file" if mats else "seeded",
-        },
+        "config": {"batch_size": s, "dims": list(dims), **dataclasses.asdict(cfg),
+                   "seed": seed, "weights_source": "file" if mats else "seeded"},
         "output": {"sequences": [_jsonable(c) for c in Y.components]},
         "attention": [[_jsonable(A) for A in layer] for layer in atts],
     }
@@ -560,6 +541,10 @@ def cmd_compare_padding(batches, dim_range, seed, out, batch_size, nominal) -> i
     if batch_size * nominal > SIZE_BUDGET:
         raise SizeBudgetError(f"--batch-size {batch_size} x --nominal-dim {nominal} padded"
                               f" entries exceed the element budget {SIZE_BUDGET}")
+    draws = batches * batch_size * (hi + 1)  # a length and up to hi entries per sequence
+    if draws > SIZE_BUDGET:  # checked before any draw: drawing runs at Python speed
+        raise SizeBudgetError(f"--batches {batches} x --batch-size {batch_size} x (--dim-range"
+                              f" HI {hi} + 1) draws exceed the element budget {SIZE_BUDGET}")
     rows = compare_padding_rows(batches, lo, hi, seed, batch_size, nominal)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -589,14 +574,14 @@ def build_parser() -> argparse.ArgumentParser:
     fw.add_argument("batch", help="ragged batch JSON file")
     fw.add_argument("--weights", default=None,
                     help="weights JSON file (omit to generate from --seed)")
-    fw.add_argument("--padding", choices=["zero", "projection"], default=None,
-                    help="Q/K/V padding scheme (default: projection)")
-    fw.add_argument("--scale", choices=["sqrt-n", "sqrt-s", "n"], default=None,
-                    help="attention scaling convention (default: sqrt-n)")
-    fw.add_argument("--mask", choices=["none", "causal"], default=None,
-                    help="additive attention mask (default: none)")
+    fw.add_argument("--padding", choices=PADDING_MODES, default=None,
+                    help=f"Q/K/V padding scheme (default: {ModelConfig.padding})")
+    fw.add_argument("--scale", choices=SCALING_MODES, default=None,
+                    help=f"attention scaling convention (default: {ModelConfig.scaling})")
+    fw.add_argument("--mask", choices=MASK_MODES, default=None,
+                    help=f"additive attention mask (default: {ModelConfig.mask})")
     fw.add_argument("--layers", type=int, default=None,
-                    help="number of encoder blocks (default: 1)")
+                    help=f"number of encoder blocks (default: {ModelConfig.layers})")
     fw.add_argument("--seed", type=int, default=0,
                     help="seed for generated weights (default 0)")
     fw.add_argument("--out", default="-", help="output path ('-' for stdout)")
@@ -633,7 +618,8 @@ def main(argv=None) -> int:
     except ShapeError as exc:
         print(f"stpdft: shape error: {exc}", file=sys.stderr)
         return 3
-    except NonFiniteError as exc:
+    except (NonFiniteError, DegenerateRowError) as exc:
+        # No CLI mask empties a row, so an all -inf score row is an overflow.
         print(f"stpdft: input error: float64 overflow (inputs or weights too large): {exc}",
               file=sys.stderr)
         return 2

@@ -53,18 +53,15 @@ def relu(x):
 class ModelConfig:
     """Shapes and mode switches for a forward pass.
 
-    q_dims / k_dims / v_dims are the per-sequence lengths of the three
-    projections (None means: keep the input profile).  padding selects the
-    Q/K/V pipeline, scaling the attention denominator, mask the additive
-    pattern, norm_mode how add-norm pools statistics.
+    Q, K, V and the block output keep the input profile.  padding selects
+    the Q/K/V pipeline, scaling the attention denominator, mask the additive
+    pattern, norm_mode how add-norm pools statistics.  The fields are the
+    `stpdft forward` config keys, with these defaults and allowed values.
     """
 
     batch_size: int
     nominal_dim: int
     heads: int = 1
-    q_dims: tuple | None = None
-    k_dims: tuple | None = None
-    v_dims: tuple | None = None
     padding: str = "projection"
     scaling: str = "sqrt-n"
     mask: str = "none"
@@ -81,18 +78,6 @@ class ModelConfig:
             raise ShapeError(f"heads must be positive, got {self.heads}")
         if self.layers < 0:
             raise ShapeError(f"layers must be nonnegative, got {self.layers}")
-        for name in ("q_dims", "k_dims", "v_dims"):
-            dims = getattr(self, name)
-            if dims is None:
-                continue
-            dims = tuple(int(d) for d in dims)
-            if len(dims) != self.batch_size:
-                raise ShapeError(
-                    f"{name} has {len(dims)} entries for batch size {self.batch_size}"
-                )
-            if any(d < 1 for d in dims):
-                raise ShapeError(f"{name} entries must be positive, got {dims}")
-            setattr(self, name, dims)
         # Messages start with the field name: the CLI reports it as the config key.
         for name, modes in (("padding", PADDING_MODES), ("scaling", SCALING_MODES),
                             ("mask", MASK_MODES), ("norm_mode", NORM_MODES)):
@@ -122,7 +107,6 @@ class AttentionWeights:
     head_k: tuple | None = None
     head_v: tuple | None = None
     out_map: np.ndarray | None = None
-    head_weights: tuple | None = None
     out_maps: tuple | None = None
     ffn_w1: np.ndarray | None = None
     ffn_w2: np.ndarray | None = None
@@ -524,7 +508,7 @@ def df_add_norm(X: HyperVector, F: HyperVector, mode: str = "vector-wise",
     raise ValueError(f"norm mode must be one of {NORM_MODES}, got {mode!r}")
 
 
-def df_ffn(X: HyperVector, w1, w2, b1=None, b2=None, n0: int | None = None) -> HyperVector:
+def df_ffn(X: HyperVector, w1, w2, b1=None, b2=None) -> HyperVector:
     """Ragged feed-forward: w2 <> relu(w1 <> X + b1) + b2.
 
     w1 and w2 are batch-mixing (s x s) maps applied through diamond; the
@@ -540,11 +524,11 @@ def df_ffn(X: HyperVector, w1, w2, b1=None, b2=None, n0: int | None = None) -> H
                 f"ffn {name} is {W.shape[0]} x {W.shape[1]}, expected {s} x {s}"
             )
     dims = X.dims
-    H = diamond(w1, X, n0=n0)
+    H = diamond(w1, X)
     if b1 is not None:
         H = hyper_add_listwise(H, _as_hyper(b1, s), dims)
     H = HyperVector(relu(H.buffer), H.dims)
-    out = diamond(w2, H, n0=n0)
+    out = diamond(w2, H)
     if b2 is not None:
         out = hyper_add_listwise(out, _as_hyper(b2, s), dims)
     return out
@@ -563,14 +547,8 @@ def _as_hyper(b, s: int) -> HyperVector:
 
 
 def _qkv_hyper(X: HyperVector, w: AttentionWeights, cfg: ModelConfig):
-    m = cfg.q_dims or X.dims
-    a = cfg.k_dims or X.dims
-    b = cfg.v_dims or X.dims
     pipeline = proj_pad_pipeline if cfg.padding == "projection" else zero_pad_pipeline
-    Q = pipeline(X, w.wq, cfg.nominal_dim, m)
-    K = pipeline(X, w.wk, cfg.nominal_dim, a)
-    V = pipeline(X, w.wv, cfg.nominal_dim, b)
-    return Q, K, V
+    return tuple(pipeline(X, W, cfg.nominal_dim, X.dims) for W in (w.wq, w.wk, w.wv))
 
 
 def _block_mask(cfg: ModelConfig):
@@ -582,8 +560,8 @@ def _block_mask(cfg: ModelConfig):
 def encoder_block(X: HyperVector, w: AttentionWeights, cfg: ModelConfig,
                   return_weights: bool = False):
     """One ragged encoder block: Q/K/V pipelines, (multi-head) attention,
-    add-norm, feed-forward, add-norm.  The output keeps the configured
-    profile, which defaults to the input profile."""
+    add-norm, feed-forward, add-norm.  Q, K, V, the combined heads and the
+    output keep the input profile."""
     if X.batch_size != cfg.batch_size:
         raise ShapeError(
             f"input has {X.batch_size} components, config says {cfg.batch_size}"
@@ -612,8 +590,7 @@ def encoder_block(X: HyperVector, w: AttentionWeights, cfg: ModelConfig,
                               return_weights=True)
         head_outs.append(out)
         att_mats.append(A)
-    combined = dv_multi_head(head_outs, target_dims=cfg.v_dims or X.dims,
-                             weights=w.head_weights, out_maps=w.out_maps)
+    combined = dv_multi_head(head_outs, target_dims=X.dims, out_maps=w.out_maps)
 
     Z = df_add_norm(X, combined, mode=cfg.norm_mode, gamma=w.gamma, beta=w.beta,
                     eps=w.eps)

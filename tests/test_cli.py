@@ -1,14 +1,22 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stpdft import HyperVector, ModelConfig, SplitMix64, encoder_stack
-from stpdft.cli import main, padding_batch_stats, random_weights
+from stpdft.cli import CONFIG_KEYS, build_parser, main, padding_batch_stats, random_weights
+from stpdft.transformer import MASK_MODES, NORM_MODES, PADDING_MODES, SCALING_MODES
 
 
 def run_cli(*args, timeout=None):
@@ -325,6 +333,98 @@ class TestForwardCommand:
         assert run_cli("forward", batch, "--weights", str(weights),
                        "--padding", "projection", "--out", str(out))[0] == 0
 
+    def test_every_setting_round_trips(self, tmp_path):
+        # Every ModelConfig field but batch_size, each at a valid non-default value.
+        chosen = {"nominal_dim": 6, "heads": 2, "padding": "zero", "scaling": "sqrt-s",
+                  "mask": "causal", "layers": 2, "norm_mode": "layer-wise", "eps": 0.01}
+        assert set(chosen) == set(CONFIG_KEYS) - {"batch_size"}
+        for f in dataclasses.fields(ModelConfig):
+            assert f.name not in chosen or chosen[f.name] != f.default
+        batch = write_batch(tmp_path / "batch.json", RAGGED)  # nominal_dim default is 4
+        docs = {}
+        for name, config in (("all", chosen), ("no_eps", {k: v for k, v in chosen.items()
+                                                          if k != "eps"})):
+            weights, out = tmp_path / f"{name}_w.json", tmp_path / f"{name}_o.json"
+            weights.write_text(json.dumps({"config": config}))
+            assert main(["forward", batch, "--weights", str(weights), "--seed", "2",
+                         "--out", str(out)]) == 0
+            docs[name] = json.loads(out.read_text())
+        echoed = docs["all"]["config"]
+        assert echoed["batch_size"] == 4
+        assert {k: echoed[k] for k in chosen} == chosen
+        assert len(docs["all"]["attention"]) == 2 and len(docs["all"]["attention"][0]) == 2
+        assert docs["all"]["output"] != docs["no_eps"]["output"]
+
+    def test_scores_overflowing_to_minus_inf_exit_2(self, tmp_path, capsys):
+        # With seed 0 the one score of a one-sequence batch overflows to -inf,
+        # which softmax would otherwise read as a fully masked row.
+        batch = write_batch(tmp_path / "big.json", [[1e200]])
+        out = tmp_path / "o.json"
+        assert main(["forward", batch, "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "overflow" in err and "internal error" not in err
+        assert not out.exists()
+
+
+def _matrix(d):
+    return {"rows": d, "cols": d, "data": np.eye(d).reshape(-1).tolist()}
+
+
+# Config values of every JSON type, valid and invalid, with numbers kept small
+# so that seeded weights and forward passes stay cheap.
+CONFIG_VALUES = st.one_of(
+    st.integers(-2, 8), st.floats(-2, 8), st.booleans(), st.none(), st.just([1]),
+    st.sampled_from([0.01, 1e-300, float("nan"), float("inf"), "3", "x", *PADDING_MODES,
+                     *SCALING_MODES, *MASK_MODES, *NORM_MODES]),
+)
+FLAG_PAIRS = st.one_of(
+    st.tuples(st.just("--padding"), st.sampled_from(PADDING_MODES)),
+    st.tuples(st.just("--scale"), st.sampled_from(SCALING_MODES)),
+    st.tuples(st.just("--mask"), st.sampled_from(MASK_MODES)),
+    st.tuples(st.just("--layers"), st.integers(-1, 3).map(str)),
+    st.tuples(st.just("--seed"), st.integers(0, 2**64 - 1).map(str)),
+)
+FORWARD_CASES = st.fixed_dictionaries({
+    "sequences": st.lists(st.lists(st.floats(-4, 4), min_size=1, max_size=5),
+                          min_size=1, max_size=4),
+    "config": st.none() | st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES,
+                                          max_size=4),
+    "matrices": st.none() | st.integers(1, 6).map(
+        lambda d: {name: _matrix(d) for name in ("Wq", "Wk", "Wv")}),
+    "flags": st.lists(FLAG_PAIRS, max_size=4),
+})
+
+
+def run_forward_case(case, directory):
+    """main's exit code on one FORWARD_CASES case, with its files under
+    directory; a case with neither config nor matrices runs without --weights."""
+    root = Path(directory)
+    argv = ["forward", write_batch(root / "batch.json", case["sequences"]),
+            "--out", str(root / "out.json")]
+    if case["config"] is not None or case["matrices"] is not None:
+        weights = {"config": case["config"] or {}, "matrices": case["matrices"] or {}}
+        (root / "weights.json").write_text(json.dumps(weights))
+        argv += ["--weights", str(root / "weights.json")]
+    return main(argv + [v for pair in case["flags"] for v in pair])
+
+
+class TestForwardFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(FORWARD_CASES)
+    @example({"sequences": [[0.5, -1.0], [2.0], [0.1, 0.2, 0.3]], "config":
+              {"norm_mode": "layer-wise", "scaling": "sqrt-s"}, "matrices": None,
+              "flags": [("--mask", "causal"), ("--layers", "2")]})
+    @example({"sequences": [[1.0, 2.0, 3.0], [4.0]], "config": None, "matrices": None,
+              "flags": [("--scale", "n"), ("--padding", "zero")]})
+    def test_exit_code_is_0_2_or_3(self, case):
+        with tempfile.TemporaryDirectory() as directory:
+            code = run_forward_case(case, directory)
+            assert code in (0, 2, 3)
+            if code == 0:
+                doc = json.loads((Path(directory) / "out.json").read_text())
+                assert [len(v) for v in doc["output"]["sequences"]] == [
+                    len(v) for v in case["sequences"]]
+
 
 class TestComparePaddingCommand:
     def test_csv_has_header_plus_one_row_per_batch(self, tmp_path):
@@ -358,6 +458,18 @@ class TestComparePaddingCommand:
         assert code == 2, err
         assert "--nominal-dim" in err and "budget" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--batches", "100", "--batch-size", "4", "--dim-range", "10000000:10000000"),
+        ("--batches", "1000000000000", "--dim-range", "2:6"),
+    ])
+    def test_draws_over_budget_exit_2(self, flags):
+        # Both pass the padded-size check; the draw count is checked before
+        # the first draw, so the command fails at once.
+        code, _, err = run_cli("compare-padding", *flags, timeout=15)
+        assert code == 2, err
+        for name in ("--batches", "--batch-size", "--dim-range", "budget"):
+            assert name in err
+
     def test_bad_dim_range_exit_2(self):
         assert run_cli("compare-padding", "--dim-range", "oops")[0] == 2
 
@@ -381,3 +493,19 @@ class TestHelp:
             assert code == 0
             for flag in flags:
                 assert flag in out
+
+    def test_forward_modes_and_keys_match_readme_and_parser(self):
+        expected = {"--padding": PADDING_MODES, "--scale": SCALING_MODES,
+                    "--mask": MASK_MODES}
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        usage = re.search(r"stpdft forward BATCH\.json.*?```", readme, re.S).group(0)
+        listed = re.findall(r"\[(--[a-z]+) ([a-z-]+(?:\|[a-z-]+)+)\]", usage)
+        assert {flag: tuple(modes.split("|")) for flag, modes in listed} == expected
+        keys = re.search(r"`config` takes the fields of `stpdft\.ModelConfig`\s*\((.*?)\)",
+                         readme, re.S).group(1)
+        assert tuple(re.findall(r"`(\w+)`", keys)) == CONFIG_KEYS
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = {a.option_strings[0]: tuple(a.choices)
+                   for a in sub.choices["forward"]._actions if a.choices}
+        assert choices == expected
