@@ -13,15 +13,14 @@ of the mismatched dimensions) via Kronecker expansion:
 All of them reduce to the ordinary product/sum when the shapes already
 conform.  ``bridge_matrix(n, p)`` is the fixed middle factor that turns
 dk_stp into an ordinary triple product: dk_stp(A, B) == A @ bridge @ B.
-It is defined by lcm-sized Kronecker factors but built from interval
-overlaps at its own n x p size, and every other bridge or projection matrix
-rescales it; dk_stp and weighted_dk_stp are computed through it.  Only stp
-and sta, whose results are lcm-sized by definition, expand to the lcm.
-``bridge_band(n, p)`` lists the at most n+p-1 nonzeros of the same matrix
-for many length pairs at once; the cross-length inner products of
-``projection`` and ``hypervector`` and the batched resample
-``projection.project_batch`` sum over it instead of replicating or
-building dense matrices.
+It is defined by lcm-sized Kronecker factors, but its entries are interval
+overlaps, and ``bridge_band(n, p)`` is the one kernel that computes them: it
+lists the at most n+p-1 nonzeros for many length pairs at once.
+bridge_matrix scatters the band into n x p zeros, every other bridge or
+projection matrix rescales it, and dk_stp and weighted_dk_stp go through it.
+The inner products of ``projection`` and ``hypervector`` and the resamples
+``projection.project_batch`` and ``project`` sum over the band instead.
+Only stp and sta, whose results are lcm-sized by definition, expand to the lcm.
 
 Matrices are plain 2-D float ndarrays, vectors 1-D.  Every function is pure;
 nothing here mutates its inputs.
@@ -120,18 +119,17 @@ def bridge_matrix(n: int, p: int) -> np.ndarray:
 
     Equals (I_n kron ones_row(t/n)) @ (I_p kron ones_col(t/p)), t = lcm(n, p),
     whose entry (i, j) counts the k < t with k // (t/n) == i and
-    k // (t/p) == j: the overlap of [i t/n, (i+1) t/n) and [j t/p, (j+1) t/p),
-    computed here without any t-sized factor.  Entries are nonnegative
-    integers, bridge(n, n) = I_n.
+    k // (t/p) == j: the overlap of [i t/n, (i+1) t/n) and [j t/p, (j+1) t/p).
+    Built by scattering bridge_band(n, p) into zeros, without any t-sized
+    factor.  Entries are nonnegative integers, bridge(n, n) = I_n.
     """
     if n < 1 or p < 1:
         raise ShapeError(f"bridge_matrix dims must be positive, got ({n}, {p})")
     _check_budget(n, p)
-    t = lcm(n, p)
-    rows = np.arange(n)[:, None] * (t // n)
-    cols = np.arange(p)[None, :] * (t // p)
-    overlap = np.minimum(rows + t // n, cols + t // p) - np.maximum(rows, cols)
-    return np.maximum(overlap, 0).astype(float)
+    _, i, j, w = bridge_band(n, p)
+    out = np.zeros((n, p))
+    out[i, j] = w // math.gcd(n, p)
+    return out
 
 
 def bridge_band(n, p):

@@ -10,8 +10,8 @@ Three subcommands:
     stpdft compare-padding   zero-padding vs projection-padding on random
                              ragged batches, CSV output
 
-Exit codes: 0 success, 2 input error (schema, float64 overflow or a size over
-the element budget), 3 shape inconsistency, 4 internal invariant violation.
+Exit codes: 0 success, 2 input error (schema, float64 overflow, over the element
+budget or out of memory), 3 shape inconsistency, 4 internal invariant violation.
 
 File formats (JSON):
     ragged batch    {"sequences": [[number, ...], ...]}
@@ -58,21 +58,15 @@ MATRIX_KEYS = ("Wq", "Wk", "Wv", "W1", "W2", "B1", "B2", "M_W", "gamma", "beta")
 HEAD_KEY_PREFIXES = ("Tq", "Tk", "Tv", "OM")
 
 
-def _jsonable(x):
-    """Recursively convert numpy containers to plain Python for json.dumps."""
+def _json_default(x):
+    """json.dumps fallback for ndarrays, numpy scalars and Fractions."""
     if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()] if x.ndim > 1 else [float(v) for v in x]
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
+        return x.tolist()
+    if isinstance(x, np.generic):
+        return x.item()
     if isinstance(x, Fraction):
         return {"numerator": x.numerator, "denominator": x.denominator}
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _write_text(path: str | None, text: str):
@@ -84,7 +78,7 @@ def _write_text(path: str | None, text: str):
 
 
 def _dump_report(items, path):
-    _write_text(path, json.dumps({"items": [_jsonable(i) for i in items]}, indent=2) + "\n")
+    _write_text(path, json.dumps({"items": items}, indent=2, default=_json_default) + "\n")
 
 
 # --- examples ----------------------------------------------------------------
@@ -151,15 +145,15 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
     items.append(_item(
         "walkthrough_a_diamond_vs_published",
         "pass" if agree else "paper-mismatch",
-        [_jsonable(p) for p in published],
-        [_jsonable(c) for c in algo.components],
+        published,
+        algo.components,
     ))
     vec = diamond_vectorized(W2, X, 3)
     items.append(_item(
         "walkthrough_a_diamond_dual_path",
         "pass" if _close(vec, algo.to_addition_form()) else "fail",
-        _jsonable(algo.to_addition_form()),
-        _jsonable(vec),
+        algo.to_addition_form(),
+        vec,
     ))
 
     # Walkthrough B: seeded W and batch, both padding branches.
@@ -174,8 +168,8 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
     items.append(_item(
         "walkthrough_b_zero_padding_vs_published",
         "pass" if agree else "paper-mismatch",
-        [_jsonable(p) for p in zp_pub],
-        [_jsonable(c) for c in zp.components],
+        zp_pub,
+        zp.components,
     ))
 
     pp = proj_pad_pipeline(XB, W6, 6, dims)
@@ -184,7 +178,7 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
         name = f"walkthrough_b_projection_q{idx + 1}_vs_published"
         ok = _close(pp[idx], pp_pub[idx])
         items.append(_item(name, "pass" if ok else "paper-mismatch",
-                           _jsonable(pp_pub[idx]), _jsonable(pp[idx])))
+                           pp_pub[idx], pp[idx]))
 
     # Component 3 (the eta table): recompute the coefficients and flag any
     # published cells that disagree; the pipeline is checked against the
@@ -195,8 +189,8 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
     items.append(_item(
         "walkthrough_b_projection_q3_vs_recomputed",
         "pass" if _close(pp[2], q3_rec) else "fail",
-        _jsonable(q3_rec),
-        _jsonable(pp[2]),
+        q3_rec,
+        pp[2],
     ))
     flagged = []
     for i in range(5):
@@ -224,8 +218,8 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
         items.append(_item(
             f"walkthrough_b_{name}_table_vs_recomputed",
             "pass" if _close(pub, rec, 1e-9) else "paper-mismatch",
-            _jsonable(pub),
-            _jsonable(rec),
+            pub,
+            rec,
         ))
 
     _dump_report(items, out)
@@ -458,10 +452,10 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
     doc = {
         "config": {"batch_size": s, "dims": list(dims), **dataclasses.asdict(cfg),
                    "seed": seed, "weights_source": "file" if mats else "seeded"},
-        "output": {"sequences": [_jsonable(c) for c in Y.components]},
-        "attention": [[_jsonable(A) for A in layer] for layer in atts],
+        "output": {"sequences": Y.components},
+        "attention": atts,
     }
-    _write_text(out, json.dumps(doc, indent=2) + "\n")
+    _write_text(out, json.dumps(doc, indent=2, default=_json_default) + "\n")
     return 0
 
 
@@ -622,6 +616,9 @@ def main(argv=None) -> int:
         # No CLI mask empties a row, so an all -inf score row is an overflow.
         print(f"stpdft: input error: float64 overflow (inputs or weights too large): {exc}",
               file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an allocation within the element budget
+        print(f"stpdft: input error: the allocation did not fit in memory: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit 4
         print(f"stpdft: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Exception types shared across the library and the CLI.
 
 The CLI maps these onto process exit codes: schema violations, arithmetic
-overflow and sizes over the element budget exit 2, shape inconsistencies
-exit 3, anything else that trips an internal invariant exits 4.
+overflow, sizes over the element budget and a MemoryError from an allocation
+within it exit 2, shape inconsistencies exit 3, anything else that trips an
+internal invariant exits 4.
 """
 
 

@@ -18,8 +18,8 @@ replicated vectors are constant on the pieces of [0, t) where one entry of
 x meets one entry of y, and those pieces are the nonzeros of
 ``algebra.bridge_band(m, n)``, at most m + n - 1 of them, so vinner and
 vdist sum over the band instead.  ``project_batch`` resamples every
-component of an addition form at once over the same band; single-vector
-``project`` keeps the dense matrix, which is cheaper for one small pair.
+component of an addition form at once over the same band, and ``project``
+is its one-component case.
 
 A forward pass resamples the same profiles at every stage, so the index
 plan of a resample depends only on the (input, output) profile pair and is
@@ -99,11 +99,10 @@ def proj_matrix_exact(m: int, n: int) -> np.ndarray:
 
 
 def project(x, n: int) -> np.ndarray:
-    """Closest vector in R^n to x under vdist: proj_matrix(len(x), n) @ x."""
+    """Closest vector in R^n to x under vdist: proj_matrix(len(x), n) @ x,
+    computed as project_batch of the one component, so no dense matrix is built."""
     x = as_vector(x)
-    if n == len(x):
-        return x.copy()
-    return proj_matrix(len(x), n) @ x
+    return project_batch(x, (len(x),), (n,))
 
 
 def project_batch(P, dims_in, dims_out) -> np.ndarray:
@@ -114,16 +113,18 @@ def project_batch(P, dims_in, dims_out) -> np.ndarray:
     (k, i, j, w) of bridge_band(dims_out, dims_in), m_k = dims_in[k]; w / m
     is proj_matrix(m, n)[i, j] (n/t times the bridge entry w/gcd), so no
     dense matrix is built and the whole batch is one np.bincount, equal to
-    per-component project up to roundoff.  Components whose length does not
+    proj_matrix(m, n) @ x_k up to roundoff.  Components whose length does not
     change are copied bit for bit, and an unchanged profile is a plain copy.
     The gather and scatter indices come from _resample_plan, built once per
     profile pair.
     """
     P = as_vector(P, "addition form")
-    m = np.asarray(dims_in, dtype=np.int64)
-    n = np.asarray(dims_out, dtype=np.int64)
+    m = np.asarray(dims_in)
+    n = np.asarray(dims_out)
     if m.ndim != 1 or m.shape != n.shape or len(m) < 1:
         raise ShapeError(f"profiles of {m.size} and {n.size} components do not pair up")
+    if m.dtype.kind not in "iu" or n.dtype.kind not in "iu":  # never truncate a length
+        raise TypeError(f"projection dims must be integers, got {m.dtype} and {n.dtype}")
     m, n = tuple(m.tolist()), tuple(n.tolist())
     if min(m) < 1 or min(n) < 1:
         raise ShapeError("projection dims must be positive")

@@ -1,9 +1,9 @@
 """Softmax and stochasticity predicates.
 
-softmax accepts -inf entries as mask sentinels (they map to exact zeros);
-every other operation in the library rejects non-finite input.  Rows that
-are entirely masked have no well-defined distribution and raise
-DegenerateRowError rather than returning NaNs.
+softmax_rows is the one masked softmax and softmax its one-row case; -inf
+entries are mask sentinels that map to exact zeros, while every other
+operation in the library rejects non-finite input.  An entirely masked row
+has no distribution and raises DegenerateRowError rather than giving NaNs.
 """
 
 from __future__ import annotations
@@ -15,20 +15,11 @@ from .errors import DegenerateRowError, NonFiniteError
 
 
 def softmax(x) -> np.ndarray:
-    """Stable softmax of a vector; -inf entries become exact zeros."""
+    """Stable softmax of a vector: softmax_rows of the one-row matrix."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) < 1:
         raise ValueError(f"softmax expects a nonempty 1-D vector, got shape {x.shape}")
-    if np.any(np.isnan(x)) or np.any(x == np.inf):
-        raise ValueError("softmax entries must be finite or -inf")
-    finite = x > -np.inf
-    if not finite.any():
-        raise DegenerateRowError("softmax of an all -inf row is undefined")
-    out = np.zeros_like(x)
-    shifted = x[finite] - x[finite].max()  # max-subtraction for stability
-    e = np.exp(shifted)
-    out[finite] = e / e.sum()
-    return out
+    return softmax_rows(x[None, :])[0]
 
 
 def softmax_rows(E) -> np.ndarray:

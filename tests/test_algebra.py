@@ -192,9 +192,21 @@ class TestBridgeMatrix:
         dense = np.zeros(int(np.sum(n * p)))
         np.add.at(dense, offsets[k] + i * p[k] + j, w)
         for q in range(len(n)):
-            expected = bridge_matrix(n[q], p[q]) * math.gcd(n[q], p[q])
+            expected = kron_bridge(n[q], p[q]) * math.gcd(n[q], p[q])
             got = dense[offsets[q] : offsets[q] + n[q] * p[q]].reshape(n[q], p[q])
             np.testing.assert_array_equal(got, expected, err_msg=f"{(n[q], p[q])}")
+
+    def test_coprime_bridge_allocates_little_beyond_its_result(self):
+        # The 1023 x 1024 result takes 8 MiB; the bound leaves no room for a
+        # second array of its size.
+        tracemalloc.start()
+        try:
+            B = bridge_matrix(1023, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert B.shape == (1023, 1024) and B.sum() == lcm(1023, 1024)
+        assert peak < 10 * 2**20
 
     def test_band_rejects_bad_dims(self):
         with pytest.raises(ShapeError):

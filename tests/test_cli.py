@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -469,6 +470,22 @@ class TestComparePaddingCommand:
         assert code == 2, err
         for name in ("--batches", "--batch-size", "--dim-range", "budget"):
             assert name in err
+
+    def test_allocation_beyond_memory_exit_2(self):
+        # 4 x 500,000,000 padded entries pass the element budget, but the
+        # padding needs 3.73 GiB at once: under a 3 GiB address-space limit
+        # the allocation fails, and that is an input error, not an internal one.
+        resource = pytest.importorskip("resource")
+        limit = 3 * 2**30
+        proc = subprocess.run(
+            [sys.executable, "-m", "stpdft", "compare-padding", "--batches", "1",
+             "--batch-size", "4", "--nominal-dim", "500000000"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "did not fit in memory" in proc.stderr
 
     def test_bad_dim_range_exit_2(self):
         assert run_cli("compare-padding", "--dim-range", "oops")[0] == 2

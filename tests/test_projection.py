@@ -181,6 +181,24 @@ class TestProject:
         assert y.shape == (1024,)
         assert np.mean(y) == pytest.approx(np.mean(x), abs=1e-12)
 
+    def test_non_integer_length_rejected(self):
+        with pytest.raises(TypeError):
+            project(np.ones(3), 2.5)
+        with pytest.raises(TypeError):
+            project_batch(np.ones(5), (2, 3), (2.0, 3))
+
+    def test_large_coprime_pair_builds_no_dense_matrix(self):
+        # proj_matrix(50_000, 50_001) has 2.5e9 entries, over the element
+        # budget; the band of the pair has 100,000.
+        tracemalloc.start()
+        try:
+            y = project(np.ones(50_000), 50_001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(y, np.ones(50_001), rtol=0, atol=1e-12)
+        assert peak < 16 * 2**20
+
     def test_beats_random_candidates_and_matches_least_squares(self, rng):
         x = rng.normal(size=5)
         best = project(x, 3)
