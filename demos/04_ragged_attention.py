@@ -30,9 +30,7 @@ print("=" * 64)
 X = HyperVector([rng.normal(size=3), rng.normal(size=5), rng.normal(size=2)])
 d = 4
 Wq, Wk, Wv = (rng.normal(size=(d, d)) for _ in range(3))
-Q = proj_pad_pipeline(X, Wq, d, X.dims)
-K = proj_pad_pipeline(X, Wk, d, X.dims)
-V = proj_pad_pipeline(X, Wv, d, X.dims)
+Q, K, V = proj_pad_pipeline(X, (Wq, Wk, Wv), d, X.dims)  # one resample of X to d
 out, A = dv_attention(Q, K, V, return_weights=True)
 print("input profile: ", X.dims)
 print("output profile:", out.dims, "(preserved)")

@@ -247,6 +247,23 @@ def _finite_number(v) -> bool:
         return False
 
 
+def _number_array(values: list, path: str, field: str) -> np.ndarray:
+    """values as a float64 array when every one is a finite JSON number;
+    otherwise SchemaError naming field[k] of path for the first bad index k.  The
+    common case is one type scan and one np.isfinite over the array; only a
+    bad list is scanned entry by entry to name the culprit."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            arr = np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond the float64 range
+            pass
+        else:
+            if np.isfinite(arr).all():
+                return arr
+    k = next(k for k, v in enumerate(values) if not _finite_number(v))
+    raise SchemaError(f"{path}: field '{field}[{k}]' must be a finite number")
+
+
 def _parse_batch(path: str) -> HyperVector:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "sequences" not in doc:
@@ -258,12 +275,7 @@ def _parse_batch(path: str) -> HyperVector:
     for i, seq in enumerate(seqs):
         if not isinstance(seq, list) or not seq:
             raise SchemaError(f"{path}: field 'sequences[{i}]' must be a nonempty list")
-        for j, v in enumerate(seq):
-            if not _finite_number(v):
-                raise SchemaError(
-                    f"{path}: field 'sequences[{i}][{j}]' must be a finite number"
-                )
-        comps.append(np.array(seq, dtype=float))
+        comps.append(_number_array(seq, path, f"sequences[{i}]"))
     if "dims" in doc:  # optional metadata; must agree with the data when given
         dims = doc["dims"]
         if not isinstance(dims, list) or dims != [len(s) for s in seqs]:
@@ -287,10 +299,7 @@ def _parse_matrix(path, name, spec) -> np.ndarray:
         raise SchemaError(
             f"{path}: field 'matrices.{name}.data' must hold exactly rows*cols = {r * c} numbers"
         )
-    for k, v in enumerate(data):
-        if not _finite_number(v):
-            raise SchemaError(f"{path}: field 'matrices.{name}.data[{k}]' must be a finite number")
-    return np.array(data, dtype=float).reshape(r, c)
+    return _number_array(data, path, f"matrices.{name}.data").reshape(r, c)
 
 
 CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig))

@@ -24,6 +24,11 @@ fixed for a forward pass, so they are kept the way project_batch keeps its
 resample plans: in a small least-recently-used cache keyed by the profile
 pair, as read-only arrays with int32 indices.  Plans longer than
 ``_BAND_CHUNK`` entries are not kept; they are built and applied in runs.
+When both operands share one profile, as Q and K do in an encoder block, a
+plan lists only the pairs a <= b and is read a second time as the pairs
+(b, a), with the operands' roles swapped.  That halves the plan and keeps
+every bit, because the band of (b, a) is the band of (a, b) with rows and
+columns swapped, in the same order (see _gram_pairs).
 ``diamond_vectorized`` is diamond with a square matrix written as one
 explicit matrix on the addition form, from the block-diagonal pad/unpad maps
 of ``DiamondPlan``; it is kept as the independent oracle of the stepwise
@@ -209,11 +214,11 @@ def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
     )
 
 
-# A Gram plan lists one entry per band entry of every pair.  Plans of at most
-# this many entries are memoised; longer ones are built and applied in runs of
-# whole pairs of at most this many entries (a longer pair forms a run of its
-# own), so the band's working set stays near 10 MiB however many long pairs
-# there are.
+# A Gram plan lists one entry per band entry of every listed pair.  Plans of
+# at most this many entries are memoised; longer ones are built and applied in
+# runs of whole pairs of at most this many entries (a longer pair forms a run
+# of its own), so the band's working set stays near 10 MiB however many long
+# pairs there are.
 _BAND_CHUNK = 1 << 16
 
 
@@ -226,35 +231,58 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
     one product.  Otherwise every pair, equal lengths included, sums
     x_i y_j bridge_matrix(m, n)[i, j] over its bridge band
     (algebra.bridge_band) and divides by T: one gather and one np.bincount
-    per Gram plan (_gram_plan).
+    per Gram plan (_gram_plan), and when X and Y share their profile, a
+    second one that reads the plan's pairs (a, b) as the pairs (b, a).
     """
     s, t = X.batch_size, Y.batch_size
     _check_budget(s, t)
     d = X.dims[0]
     if X.dims == (d,) * s and Y.dims == (d,) * t:
         return X.buffer.reshape(s, d) @ Y.buffer.reshape(t, d).T / d
+    rows, cols = _gram_pairs(X.dims, Y.dims)
     plan = _gram_plan(X.dims, Y.dims)
     if plan is None:
-        parts = ((lo, hi, _gram_entries(X.dims, Y.dims, lo, hi))
+        parts = ((lo, hi, _gram_entries(X.dims, Y.dims, rows[lo:hi], cols[lo:hi]))
                  for lo, hi in _gram_runs(X.dims, Y.dims))
     else:
-        parts = [(0, s * t, plan)]
+        parts = [(0, len(rows), plan)]
     P, Q = X.buffer, Y.buffer
-    G = np.empty(s * t)
+    mirrored = X.dims == Y.dims
+    G = np.empty((s, t))
     for lo, hi, (src_x, src_y, pair, coef) in parts:
-        G[lo:hi] = np.bincount(pair, weights=P[src_x] * Q[src_y] * coef, minlength=hi - lo)
-    return G.reshape(s, t) / np.lcm.outer(X.dims, Y.dims)
+        r, c = rows[lo:hi], cols[lo:hi]
+        G[r, c] = np.bincount(pair, weights=P[src_x] * Q[src_y] * coef, minlength=hi - lo)
+        if mirrored:
+            G[c, r] = np.bincount(pair, weights=P[src_y] * Q[src_x] * coef, minlength=hi - lo)
+    return G / np.lcm.outer(X.dims, Y.dims)
+
+
+def _gram_pairs(dims_x, dims_y):
+    """Rows and columns of the pairs a Gram plan lists, row-major: all s t
+    pairs, or only the pairs a <= b when the two profiles are equal.
+
+    A listed pair (a, b) then also gives the pair (b, a):
+    bridge_band(p, n) is bridge_band(n, p) with i and j swapped, in the same
+    order, because both list the pieces of [0, n p) from left to right.  So
+    Gram entry (b, a) sums P[src_y] * Q[src_x] * coef over the entries of
+    (a, b): the same products as its own band, added by np.bincount in the
+    same order, hence the same bits.  On the diagonal both readings coincide.
+    """
+    if dims_x == dims_y:
+        return np.triu_indices(len(dims_x))
+    return np.divmod(np.arange(len(dims_x) * len(dims_y)), len(dims_y))
 
 
 def _band_ends(dims_x, dims_y):
-    """Running band sizes n + p - gcd(n, p) over the s t pairs, row-major."""
-    n, p = np.repeat(dims_x, len(dims_y)), np.tile(dims_y, len(dims_x))
+    """Running band sizes n + p - gcd(n, p) over the listed pairs."""
+    rows, cols = _gram_pairs(dims_x, dims_y)
+    n, p = np.asarray(dims_x)[rows], np.asarray(dims_y)[cols]
     return np.cumsum(n + p - np.gcd(n, p))
 
 
 def _gram_runs(dims_x, dims_y):
-    """Pair ranges [lo, hi) of at most _BAND_CHUNK band entries each (a longer
-    pair alone), over the s t pairs in row-major order."""
+    """Listed-pair ranges [lo, hi) of at most _BAND_CHUNK band entries each
+    (a longer pair alone)."""
     ends = _band_ends(dims_x, dims_y)
     runs, lo = [], 0
     while lo < len(ends):
@@ -265,19 +293,18 @@ def _gram_runs(dims_x, dims_y):
     return runs
 
 
-def _gram_entries(dims_x, dims_y, lo, hi):
-    """Read-only (src_x, src_y, pair, coef) of the pairs lo..hi-1 (row-major):
-    band entry e adds P[src_x[e]] * Q[src_y[e]] * coef[e] to Gram entry
-    lo + pair[e] before the division by the lcm; coef = w / gcd(m, n) is the
+def _gram_entries(dims_x, dims_y, rows, cols):
+    """Read-only (src_x, src_y, pair, coef) of the pairs (rows[e], cols[e]):
+    band entry e adds P[src_x[e]] * Q[src_y[e]] * coef[e] to the Gram entry
+    of pair[e] before the division by the lcm; coef = w / gcd(m, n) is the
     integer bridge entry.  Indices stay below the element budget, so int32
     holds them."""
-    dx, dy = np.array(dims_x), np.array(dims_y)
-    a, b = np.divmod(np.arange(lo, hi), len(dy))
-    n, p = dx[a], dy[b]
+    dx, dy = np.asarray(dims_x), np.asarray(dims_y)
+    n, p = dx[rows], dy[cols]
     k, i, j, w = bridge_band(n, p)
     plan = (
-        ((np.cumsum(dx) - dx)[a][k] + i).astype(np.int32),
-        ((np.cumsum(dy) - dy)[b][k] + j).astype(np.int32),
+        ((np.cumsum(dx) - dx)[rows][k] + i).astype(np.int32),
+        ((np.cumsum(dy) - dy)[cols][k] + j).astype(np.int32),
         k.astype(np.int32),
         (w // np.gcd(n, p)[k]).astype(float),
     )
@@ -288,12 +315,12 @@ def _gram_entries(dims_x, dims_y, lo, hi):
 
 @functools.lru_cache(maxsize=1)
 def _gram_plan(dims_x: tuple, dims_y: tuple):
-    """_gram_entries of all pairs of two profiles, memoised; None when the
-    plan would hold more than _BAND_CHUNK entries, so no long plan is kept
-    (hyper_inner then builds and applies it run by run)."""
+    """_gram_entries of all listed pairs of two profiles (_gram_pairs),
+    memoised; None when the plan would hold more than _BAND_CHUNK entries, so
+    no long plan is kept (hyper_inner then builds and applies it run by run)."""
     if _band_ends(dims_x, dims_y)[-1] > _BAND_CHUNK:
         return None
-    return _gram_entries(dims_x, dims_y, 0, len(dims_x) * len(dims_y))
+    return _gram_entries(dims_x, dims_y, *_gram_pairs(dims_x, dims_y))
 
 
 def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:

@@ -8,6 +8,8 @@ everywhere.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -34,7 +36,15 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(n)])
+        """n uniform() draws at once.  The k-th state is the start plus k
+        times the increment mod 2**64, so uint64 arrays (which wrap without
+        warning) give the same words, and the state ends where n draws leave it."""
+        n = max(operator.index(n), 0)
+        z = np.uint64(self.state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        self.state = (self.state + n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        return ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0**-53
 
     def matrix(self, rows: int, cols: int, low: float = -1.0, high: float = 1.0) -> np.ndarray:
         """rows x cols matrix of uniforms mapped to [low, high)."""

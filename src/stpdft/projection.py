@@ -25,8 +25,11 @@ A forward pass resamples the same profiles at every stage, so the index
 plan of a resample depends only on the (input, output) profile pair and is
 built once per pair: a bounded least-recently-used cache of a few plans,
 keyed by the two profiles, holds read-only arrays (int32 indices, float64
-coefficients) that every call only reads.  A profile whose band exceeds the
-element budget raises before anything is cached.
+coefficients) that every call only reads.  A plan and its reverse, such as
+the pad to a nominal length and the unpad back, list the same band with
+rows and columns swapped, so both are read from one band, kept in a
+two-entry cache keyed by the profile pair in sorted order.  A profile whose
+band exceeds the element budget raises before anything is cached.
 ``nominal_add`` adds two vectors of any lengths inside a chosen R^r by
 projecting both there first.
 """
@@ -145,21 +148,46 @@ def _resample_plan(dims_in: tuple, dims_out: tuple):
     """Read-only (src, dst, coef, keep_in, keep_out) of project_batch for
     one pair of profiles: band entry e adds P[src[e]] * coef[e] to output
     entry dst[e] of every component whose length changes, and the masks
-    pick the components copied unchanged.  The band size passes the budget
-    first, so a profile that raises is never cached; indices below the
-    budget fit in int32.
+    pick the components copied unchanged.  All five are arrays of
+    _resample_band, which the reverse plan shares.
     """
-    m, n = np.array(dims_in), np.array(dims_out)
-    _check_budget(int((m + n).sum()))  # a pair's band has at most m + n entries
-    same = m == n
+    if dims_in <= dims_out:
+        src, dst, coef, _, keep_in, keep_out = _resample_band(dims_in, dims_out)
+    else:
+        dst, src, _, coef, keep_out, keep_in = _resample_band(dims_out, dims_in)
+    return src, dst, coef, keep_in, keep_out
+
+
+@functools.lru_cache(maxsize=2)
+def _resample_band(dims_a: tuple, dims_b: tuple):
+    """Read-only (idx_a, idx_b, coef_ab, coef_ba, keep_a, keep_b) of the band
+    between two profiles, over the components k whose length differs: entry
+    e of bridge_band(b_k, a_k), (k, i, j, w), joins entry j of component k in
+    an addition form of profile a (index idx_a[e]) and entry i in one of
+    profile b (idx_b[e]).  Resampling a to b adds coef_ab[e] = w / a_k of
+    the first to the second, b to a coef_ba[e] = w / b_k of the second to
+    the first; keep_a and keep_b mask the components of equal length.
+    bridge_band(a_k, b_k) lists the same entries in the same order with i
+    and j swapped, so the one band gives both plans bit for bit.  The band
+    size passes the budget first, so a profile that raises is never cached;
+    indices below the budget fit in int32.
+    """
+    a, b = np.array(dims_a), np.array(dims_b)
+    _check_budget(int((a + b).sum()))  # a pair's band has at most a + b entries
+    same = a == b
     u = np.flatnonzero(~same)
-    k, i, j, w = bridge_band(n[u], m[u])
-    src = ((np.cumsum(m) - m)[u][k] + j).astype(np.int32)
-    dst = ((np.cumsum(n) - n)[u][k] + i).astype(np.int32)
-    plan = (src, dst, w / m[u][k], np.repeat(same, m), np.repeat(same, n))
-    for a in plan:
-        a.flags.writeable = False
-    return plan
+    k, i, j, w = bridge_band(b[u], a[u])
+    band = (
+        ((np.cumsum(a) - a)[u][k] + j).astype(np.int32),
+        ((np.cumsum(b) - b)[u][k] + i).astype(np.int32),
+        w / a[u][k],
+        w / b[u][k],
+        np.repeat(same, a),
+        np.repeat(same, b),
+    )
+    for arr in band:
+        arr.flags.writeable = False
+    return band
 
 
 def nominal_add(x, y, r: int) -> np.ndarray:

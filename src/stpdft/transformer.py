@@ -329,23 +329,26 @@ def assembled_attention_qk(X, wqk, wv) -> np.ndarray:
 # --- ragged (dimension-free) stages -----------------------------------------
 
 
-def zero_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector:
+def zero_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector | tuple:
     """Baseline ragged linear map: zero-pad, transform, truncate.
 
     Every component is padded with zeros to length d, which must be at least
     the largest input and output length, mapped by W (d x d), and the i-th
     result is cut back to dims_out[i].  Padding scatters the addition form
     into an s x d matrix and truncation gathers it back, so the map is one
-    product for the whole batch.
+    product for the whole batch.  W may also be a tuple of d x d transforms:
+    X is then padded once and a tuple of one hypervector per transform
+    comes back.
     """
-    W, dims_out = _pipeline_args(X, W, d, dims_out)
+    Ws, dims_out = _pipeline_args(X, W, d, dims_out)
     d_min = max(max(X.dims), max(dims_out))
     if d < d_min:
         raise ShapeError(f"zero padding cannot shrink: d={d} < required {d_min}")
     padded = np.zeros((X.batch_size, d))
     padded[_prefix_mask(X.dims, d)] = X.buffer
-    mixed = padded @ W.T
-    return HyperVector(mixed[_prefix_mask(dims_out, d)], dims_out)
+    keep = _prefix_mask(dims_out, d)
+    outs = tuple(HyperVector((padded @ Wk.T)[keep], dims_out) for Wk in Ws)
+    return outs if isinstance(W, tuple) else outs[0]
 
 
 def _prefix_mask(dims, d: int) -> np.ndarray:
@@ -355,24 +358,28 @@ def _prefix_mask(dims, d: int) -> np.ndarray:
     return np.arange(d) < np.array(dims)[:, None]
 
 
-def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector:
+def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector | tuple:
     """Projection-based ragged linear map: resample, transform, resample.
 
     Components are projected to the preassigned length d (which may be
     smaller than some inputs), mapped by W (d x d), and projected out to
     dims_out.  No zeros are injected and every source entry keeps weight.
     Each resample is one project_batch on the addition form, with one
-    product between them.
+    product between them.  W may also be a tuple of d x d transforms: X is
+    then resampled to d once and a tuple of one hypervector per transform
+    comes back.
     """
-    W, dims_out = _pipeline_args(X, W, d, dims_out)
+    Ws, dims_out = _pipeline_args(X, W, d, dims_out)
     s = X.batch_size
     padded = project_batch(X.buffer, X.dims, (d,) * s).reshape(s, d)
-    mixed = padded @ W.T
-    return HyperVector(project_batch(mixed.reshape(-1), (d,) * s, dims_out), dims_out)
+    outs = tuple(HyperVector(project_batch((padded @ Wk.T).reshape(-1), (d,) * s, dims_out),
+                             dims_out) for Wk in Ws)
+    return outs if isinstance(W, tuple) else outs[0]
 
 
 def _pipeline_args(X: HyperVector, W, d: int, dims_out):
-    """Checked (W, dims_out) of a ragged linear map at nominal length d."""
+    """Checked ([W], dims_out) of a ragged linear map at nominal length d;
+    a tuple W gives the list of its checked transforms."""
     dims_out = tuple(int(v) for v in dims_out)
     if len(dims_out) != X.batch_size:
         raise ShapeError(
@@ -382,10 +389,11 @@ def _pipeline_args(X: HyperVector, W, d: int, dims_out):
         raise ShapeError(f"output dims must be positive, got {dims_out}")
     if d < 1:
         raise ShapeError(f"nominal dim must be positive, got {d}")
-    W = as_matrix(W, "transform")
-    if W.shape != (d, d):
-        raise ShapeError(f"transform is {W.shape[0]} x {W.shape[1]}, expected {d} x {d}")
-    return W, dims_out
+    Ws = [as_matrix(Wk, "transform") for Wk in (W if isinstance(W, tuple) else (W,))]
+    for Wk in Ws:
+        if Wk.shape != (d, d):
+            raise ShapeError(f"transform is {Wk.shape[0]} x {Wk.shape[1]}, expected {d} x {d}")
+    return Ws, dims_out
 
 
 def _dv_scores(Q: HyperVector, K: HyperVector, scaling: str) -> np.ndarray:
@@ -547,8 +555,11 @@ def _as_hyper(b, s: int) -> HyperVector:
 
 
 def _qkv_hyper(X: HyperVector, w: AttentionWeights, cfg: ModelConfig):
+    """Q, K and V in the input profile: one pipeline call pads X to the
+    nominal length once and applies Wq, Wk and Wv to the one padded matrix
+    (three products, three unpads)."""
     pipeline = proj_pad_pipeline if cfg.padding == "projection" else zero_pad_pipeline
-    return tuple(pipeline(X, W, cfg.nominal_dim, X.dims) for W in (w.wq, w.wk, w.wv))
+    return pipeline(X, (w.wq, w.wk, w.wv), cfg.nominal_dim, X.dims)
 
 
 def _block_mask(cfg: ModelConfig):

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -90,6 +91,29 @@ class TestForwardCommand:
         assert code == 0, err
         assert run_cli("forward", batch, "--seed", "42", "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    # SHA-256 of `stpdft forward --seed 42` on the acceptance-11 batch.  A
+    # speed-up must keep every output byte, so an edit that moves a float sum
+    # (association, summation order, a fused GEMM) fails here.  The digests
+    # depend on the environment (numpy and its BLAS, the CPU): these were
+    # recorded with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31 on
+    # x86-64; elsewhere, record them again from an unchanged checkout.
+    PINNED_DIGESTS = {
+        (): "837308b3e3366bcab310c555e56afd76e33add2101197ebafb41fb7ac31b8c23",
+        ("--mask", "causal", "--layers", "3"):
+            "d1b713417c157e5b46e5b0f2c3cf15eb6fafe30390b6bbfcac9d2e1ef0d80e07",
+        ("--padding", "zero", "--layers", "2"):
+            "ad55e40d0634796ce4e5dff157c8af0f61533023572b6e80f2df9a86956cbd58",
+    }
+
+    @pytest.mark.parametrize("flags", list(PINNED_DIGESTS), ids=" ".join)
+    def test_seeded_output_digest_is_pinned(self, tmp_path, flags):
+        batch = write_batch(tmp_path / "batch.json",
+                            [[0.1, -0.3, 0.5], [0.2, 0.4, -0.1, 0.7], [1.0, -1.0]])
+        out = tmp_path / "o.json"
+        assert main(["forward", batch, "--seed", "42", "--out", str(out), *flags]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.PINNED_DIGESTS[flags]
 
     def test_homogeneous_padding_modes_agree(self, tmp_path):
         batch = write_batch(tmp_path / "batch.json", HOMOG)

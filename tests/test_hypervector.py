@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpdft import (
@@ -23,6 +23,7 @@ from stpdft import (
     proj_matrix,
     vinner,
 )
+from stpdft.algebra import bridge_band
 from stpdft.hypervector import _BAND_CHUNK, _gram_plan
 from test_projection import repeat_vinner
 
@@ -43,6 +44,26 @@ def cauchy_schwarz_scale(X, Y, weighted=False):
     ny = np.array([math.sqrt(np.mean(y * y)) for y in Y.components])
     scale = np.outer(nx, ny)
     return scale * np.sqrt(np.lcm.outer(X.dims, Y.dims)) if weighted else scale
+
+
+def rowmajor_gram(X, Y):
+    """hyper_inner over one row-major listing of all s t pair bands, each
+    pair from its own band: one gather and one np.bincount, no pair read
+    as its mirror.  Homogeneous operands of one length d take hyper_inner's
+    single product instead (on the buffers themselves: numpy multiplies a
+    matrix by its own transpose differently)."""
+    dx, dy = np.array(X.dims), np.array(Y.dims)
+    if len(set(X.dims + Y.dims)) == 1:
+        d = X.dims[0]
+        return X.buffer.reshape(-1, d) @ Y.buffer.reshape(-1, d).T / d
+    a, b = np.divmod(np.arange(len(dx) * len(dy)), len(dy))
+    n, p = dx[a], dy[b]
+    k, i, j, w = bridge_band(n, p)
+    src_x = (np.cumsum(dx) - dx)[a][k] + i
+    src_y = (np.cumsum(dy) - dy)[b][k] + j
+    coef = (w // np.gcd(n, p)[k]).astype(float)
+    G = np.bincount(k, weights=X.buffer[src_x] * Y.buffer[src_y] * coef, minlength=len(a))
+    return G.reshape(len(dx), len(dy)) / np.lcm.outer(dx, dy)
 
 
 @st.composite
@@ -258,6 +279,35 @@ class TestHyperInner:
         for weighted, fn in ((False, hyper_inner), (True, hyper_inner_weighted)):
             err = np.abs(fn(X, Y) - oracle_gram(X, Y, weighted))
             assert np.all(err <= 1e-12 * cauchy_schwarz_scale(X, Y, weighted))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([1, 2, 3, 4, 6, 9, 12, 17, 18, 36, 40]),
+                    min_size=1, max_size=7),
+           st.integers(0, 2**32 - 1))
+    @example([5], 0)  # s = 1
+    @example([4, 4, 4], 1)  # one length
+    @example([4, 6, 4, 4], 1)  # pairs of equal lengths in a ragged profile
+    @example([12, 18, 8, 12], 2)  # gcd > 1 pairs and a repeated length
+    def test_equal_profiles_match_rowmajor_listing_bit_for_bit(self, dims, seed):
+        # Equal profiles list only the pairs a <= b and read them again as
+        # (b, a); every entry must keep the bits of the full listing.
+        rng = np.random.default_rng(seed)
+        X = HyperVector(rng.normal(size=sum(dims)), dims)
+        Y = HyperVector(rng.normal(size=sum(dims)), dims)
+        for A, B in ((X, X), (X, Y), (Y, X)):
+            want = rowmajor_gram(A, B)
+            assert hyper_inner(A, B).tobytes() == want.tobytes()
+            weighted = want * np.sqrt(np.lcm.outer(A.dims, B.dims))
+            assert hyper_inner_weighted(A, B).tobytes() == weighted.tobytes()
+
+    def test_long_equal_profile_matches_rowmajor_listing_bit_for_bit(self, rng):
+        # Over _BAND_CHUNK entries the plan is applied run by run.
+        dims = (40_000, 30_001, 7, 40_000, 12)
+        assert _gram_plan(dims, dims) is None
+        X = HyperVector(rng.normal(size=sum(dims)), dims)
+        Y = HyperVector(rng.normal(size=sum(dims)), dims)
+        assert hyper_inner(X, Y).tobytes() == rowmajor_gram(X, Y).tobytes()
+        assert hyper_inner(X, X).tobytes() == rowmajor_gram(X, X).tobytes()
 
     def test_long_ragged_profile_memory_bounded(self, rng):
         # Unchunked, the band of these 4032 unequal pairs takes about 700 MiB.

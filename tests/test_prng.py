@@ -49,3 +49,15 @@ def test_matrix_and_randint_helpers():
     assert np.all(M >= -2.0) and np.all(M < 2.0)
     draws = {gen.randint(2, 5) for _ in range(200)}
     assert draws == {2, 3, 4, 5}
+
+
+def test_uniforms_equal_scalar_draws_and_leave_the_same_state():
+    for seed in (0, 42, 2**64 - 1, 0xDEADBEEF):
+        for n in (0, 1, 2, 1000):
+            batch, scalar = SplitMix64(seed), SplitMix64(seed)
+            u = batch.uniforms(n)
+            want = [scalar.uniform() for _ in range(n)]
+            assert u.dtype == np.float64 and u.shape == (n,)
+            assert u.tolist() == want
+            assert batch.state == scalar.state
+            assert batch.next_u64() == scalar.next_u64()

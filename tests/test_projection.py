@@ -23,7 +23,8 @@ from stpdft import (
     vinner,
     vnorm,
 )
-from stpdft.projection import _resample_plan
+from stpdft.algebra import bridge_band
+from stpdft.projection import _resample_band, _resample_plan
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
 from test_algebra import assert_fractions_equal, kron_bridge, kron_bridge_exact
 
@@ -298,6 +299,30 @@ class TestProjectBatch:
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             coef[0] = 0.0
+
+    @staticmethod
+    def fresh_plan(dims_in, dims_out):
+        """_resample_plan built from its own band, bridge_band(dims_out, dims_in)."""
+        m, n = np.array(dims_in), np.array(dims_out)
+        same = m == n
+        u = np.flatnonzero(~same)
+        k, i, j, w = bridge_band(n[u], m[u])
+        return (((np.cumsum(m) - m)[u][k] + j).astype(np.int32),
+                ((np.cumsum(n) - n)[u][k] + i).astype(np.int32),
+                w / m[u][k], np.repeat(same, m), np.repeat(same, n))
+
+    @pytest.mark.parametrize("a, b", [((7, 3, 5, 11), (11, 3, 4, 2)),
+                                      ((61, 17, 60, 29), (61,) * 4),
+                                      ((1, 9), (9, 1))])
+    def test_reverse_plan_shares_the_band_and_equals_a_fresh_one(self, a, b):
+        _resample_plan.cache_clear()
+        _resample_band.cache_clear()
+        forward, reverse = _resample_plan(a, b), _resample_plan(b, a)
+        assert _resample_band.cache_info().misses == 1  # the unpad reused the pad's band
+        assert forward[0] is reverse[1] and forward[1] is reverse[0]
+        for got, want in ((forward, self.fresh_plan(a, b)), (reverse, self.fresh_plan(b, a))):
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_over_budget_profile_raises_on_every_call(self):
         dims_in, dims_out = (2**30, 2**30), (2**30 + 1, 3)

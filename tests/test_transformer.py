@@ -36,8 +36,8 @@ from stpdft import (
     softmax_rows,
     zero_pad_pipeline,
 )
-from stpdft import hypervector, projection
-from stpdft.transformer import _normalize, relu
+from stpdft import hypervector, projection, transformer
+from stpdft.transformer import _normalize, _qkv_hyper, relu
 from test_hypervector import cauchy_schwarz_scale, oracle_gram
 from test_projection import resample_profiles
 
@@ -669,7 +669,7 @@ class TestPlanReuse:
         projection._resample_plan.cache_clear()
         hypervector._gram_plan.cache_clear()
 
-    def test_two_layer_ragged_stack_lists_three_bands(self, rng, monkeypatch):
+    def test_two_layer_ragged_stack_lists_two_bands(self, rng, monkeypatch):
         X, w, cfg = self._stack(rng, [61, *rng.integers(17, 61, 15)], 61)
         calls, band = [], projection.bridge_band
 
@@ -681,8 +681,29 @@ class TestPlanReuse:
         monkeypatch.setattr(hypervector, "bridge_band", counting_band)
         self._clear_plans()
         encoder_stack(X, [w], cfg)
-        # Pad to n0, unpad to the profile, and the Q x K Gram plan.
-        assert len(calls) <= 3
+        # One band for the pad to n0 and the unpad back, one for the Q x K
+        # Gram plan.
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("padding", ["projection", "zero"])
+    def test_qkv_pads_once_and_keeps_the_bytes(self, rng, monkeypatch, padding):
+        lengths = [61, *rng.integers(17, 61, 15)]
+        X, w, cfg = self._stack(rng, lengths, 61)
+        cfg.padding = padding
+        pipeline = proj_pad_pipeline if padding == "projection" else zero_pad_pipeline
+        want = [pipeline(X, W, 61, X.dims) for W in (w.wq, w.wk, w.wv)]
+        resamples, resample = [], transformer.project_batch
+
+        def counting_resample(P, dims_in, dims_out):
+            resamples.append(dims_in)
+            return resample(P, dims_in, dims_out)
+
+        monkeypatch.setattr(transformer, "project_batch", counting_resample)
+        got = _qkv_hyper(X, w, cfg)
+        for g, v in zip(got, want, strict=True):
+            assert g.dims == v.dims and g.buffer.tobytes() == v.buffer.tobytes()
+        # One pad of X, then one unpad per product.
+        assert resamples == ([X.dims] + [(61,) * 16] * 3 if padding == "projection" else [])
 
     def test_plans_retain_little_memory(self, rng):
         X, w, cfg = self._stack(rng, rng.integers(17, 62, 16), 61)
