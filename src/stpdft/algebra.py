@@ -24,11 +24,17 @@ Only stp and sta, whose results are lcm-sized by definition, expand to the lcm.
 
 Matrices are plain 2-D float ndarrays, vectors 1-D.  Every function is pure;
 nothing here mutates its inputs.
+
+Lengths are never truncated: every length profile (the per-component
+lengths of a ragged batch) and nominal length passes ``as_lengths``, which
+rejects a non-integer length, a float such as 2.0 included, with TypeError,
+and an empty profile, a wrong count or a length below 1 with ShapeError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +51,7 @@ lcm = math.lcm
 def _check_budget(*counts):
     total = 1
     for c in counts:
-        total *= int(c)
+        total *= operator.index(c)  # a Python int: exact, and never truncated
     if total > SIZE_BUDGET:
         raise SizeBudgetError(
             f"intermediate size {total} exceeds the element budget {SIZE_BUDGET}"
@@ -65,6 +71,24 @@ def as_vector(x, name="vector") -> np.ndarray:
     if x.ndim != 1 or x.shape[0] < 1:
         raise ShapeError(f"{name} must be 1-D with positive length, got shape {x.shape}")
     return x
+
+
+def as_lengths(dims, name="dims", count=None) -> tuple:
+    """The profile dims as a tuple of positive Python ints, each converted by
+    operator.index: a non-integer length raises TypeError; an empty profile,
+    one of other than count lengths, or a length below 1 raises ShapeError."""
+    try:
+        lengths = tuple(map(operator.index, dims))
+    except TypeError as exc:
+        raise TypeError(f"{name} must be integer lengths ({exc})") from None
+    if not lengths:
+        raise ShapeError(f"{name} must hold at least one length")
+    if count is not None and len(lengths) != count:
+        raise ShapeError(f"{name} has {len(lengths)} lengths, expected {count}")
+    if min(lengths) < 1:
+        k = next(k for k, d in enumerate(lengths) if d < 1)
+        raise ShapeError(f"{name}: length {k + 1} must be positive, got {lengths[k]}")
+    return lengths
 
 
 def stp(A, B) -> np.ndarray:
@@ -144,8 +168,10 @@ def bridge_band(n, p):
     They are listed pair by pair in the order they cover [0, n p), and
     nothing lcm-sized is built.
     """
-    n = np.atleast_1d(np.asarray(n, dtype=np.int64))
-    p = np.atleast_1d(np.asarray(p, dtype=np.int64))
+    n, p = np.atleast_1d(n), np.atleast_1d(p)
+    if n.dtype.kind not in "iu" or p.dtype.kind not in "iu":  # never truncate a length
+        raise TypeError(f"bridge_band lengths must be integers, got {n.dtype} and {p.dtype}")
+    n, p = n.astype(np.int64, copy=False), p.astype(np.int64, copy=False)
     if n.shape != p.shape or n.ndim != 1:
         raise ShapeError(f"bridge_band needs two equal-length 1-D arrays, got {n.shape}, {p.shape}")
     if np.any(n < 1) or np.any(p < 1):

@@ -345,7 +345,7 @@ def _require_shape(name, M, shape):
 def random_weights(s: int, d: int, dims, rng: SplitMix64, heads: int = 1) -> AttentionWeights:
     """Deterministic weight set for a batch of s sequences at nominal dim d."""
     draws = 3 * d * d + (2 + (3 * heads if heads > 1 else 0)) * s * s
-    if draws > SIZE_BUDGET:  # checked before any draw: drawing runs at Python speed
+    if draws > SIZE_BUDGET:  # checked before any draw, which holds 8 bytes
         raise SizeBudgetError(f"seeded weights for nominal_dim {d}, batch size {s} and heads"
                               f" {heads} need {draws} draws, over the budget {SIZE_BUDGET}")
     w = AttentionWeights(
@@ -545,7 +545,7 @@ def cmd_compare_padding(batches, dim_range, seed, out, batch_size, nominal) -> i
         raise SizeBudgetError(f"--batch-size {batch_size} x --nominal-dim {nominal} padded"
                               f" entries exceed the element budget {SIZE_BUDGET}")
     draws = batches * batch_size * (hi + 1)  # a length and up to hi entries per sequence
-    if draws > SIZE_BUDGET:  # checked before any draw: drawing runs at Python speed
+    if draws > SIZE_BUDGET:  # checked before any draw, which holds 8 bytes
         raise SizeBudgetError(f"--batches {batches} x --batch-size {batch_size} x (--dim-range"
                               f" HI {hi} + 1) draws exceed the element budget {SIZE_BUDGET}")
     rows = compare_padding_rows(batches, lo, hi, seed, batch_size, nominal)

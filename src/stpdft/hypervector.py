@@ -19,16 +19,9 @@ its component's original length).  Each projection step is one
 ``projection.project_batch`` over the whole buffer.
 
 ``hyper_inner`` scores ragged operands over the bridge bands of all their
-length pairs.  Those index plans depend only on the two profiles, which stay
-fixed for a forward pass, so they are kept the way project_batch keeps its
-resample plans: in a small least-recently-used cache keyed by the profile
-pair, as read-only arrays with int32 indices.  Plans longer than
-``_BAND_CHUNK`` entries are not kept; they are built and applied in runs.
-When both operands share one profile, as Q and K do in an encoder block, a
-plan lists only the pairs a <= b and is read a second time as the pairs
-(b, a), with the operands' roles swapped.  That halves the plan and keeps
-every bit, because the band of (b, a) is the band of (a, b) with rows and
-columns swapped, in the same order (see _gram_pairs).
+length pairs, from a Gram plan cached as the ``projection`` module describes.
+Plans longer than ``_BAND_CHUNK`` entries are not kept; they are built and
+applied in runs.
 ``diamond_vectorized`` is diamond with a square matrix written as one
 explicit matrix on the addition form, from the block-diagonal pad/unpad maps
 of ``DiamondPlan``; it is kept as the independent oracle of the stepwise
@@ -43,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SIZE_BUDGET, _check_budget, as_matrix, as_vector, bridge_band
+from .algebra import SIZE_BUDGET, _check_budget, as_lengths, as_matrix, as_vector
 from .errors import NonFactorizableError, NonFiniteError, ShapeError, SizeBudgetError
-from .projection import proj_matrix, project_batch
+from .projection import pair_band, proj_matrix, project_batch
 
 
 class HyperVector:
@@ -73,12 +66,7 @@ class HyperVector:
             buf = np.concatenate(comps) if comps else np.empty(0)
         else:
             buf = np.array(components, dtype=float)
-        dims = tuple(map(int, dims))
-        if not dims:
-            raise ShapeError("a hypervector needs at least one component")
-        if min(dims) < 1:
-            k = next(i for i, d in enumerate(dims) if d < 1)
-            raise ShapeError(f"component {k + 1} must be nonempty, got length {dims[k]}")
+        dims = as_lengths(dims, "component lengths")
         if buf.ndim != 1 or len(buf) != sum(dims):
             raise ShapeError(
                 f"addition form of shape {buf.shape} cannot split into dims {dims}"
@@ -161,12 +149,10 @@ def factor_product_form(x, dims, rtol: float = 1e-6) -> HyperVector:
     raises NonFactorizableError.
     """
     x = as_vector(x)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ShapeError(f"factor dims must be positive, got {tuple(dims)}")
+    dims = as_lengths(dims, "factor dims")
     if math.prod(dims) != len(x):
         raise ShapeError(
-            f"vector of length {len(x)} cannot factor into dims {tuple(dims)}"
+            f"vector of length {len(x)} cannot factor into dims {dims}"
             f" (product {math.prod(dims)})"
         )
     norm_x = np.linalg.norm(x)
@@ -203,7 +189,7 @@ def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
     """Componentwise nominal addition with a per-component target length r_i:
     component i is nominal_add(X[i], Y[i], r[i]), computed for the whole
     batch as project_batch of X plus project_batch of Y."""
-    r = tuple(int(v) for v in r)
+    r = as_lengths(r, "target lengths")
     if not (X.batch_size == Y.batch_size == len(r)):
         raise ShapeError(
             f"batch sizes and target list must agree: {X.batch_size} components,"
@@ -228,17 +214,21 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
     Entry (i, j) is vinner(X[i], Y[j]) = <repeat(x, T/m), repeat(y, T/n)> / T
     with T = lcm(m, n), but nothing is replicated.  When every component of
     both operands has length d this is X.to_matrix() @ Y.to_matrix().T / d,
-    one product.  Otherwise every pair, equal lengths included, sums
-    x_i y_j bridge_matrix(m, n)[i, j] over its bridge band
-    (algebra.bridge_band) and divides by T: one gather and one np.bincount
-    per Gram plan (_gram_plan), and when X and Y share their profile, a
-    second one that reads the plan's pairs (a, b) as the pairs (b, a).
+    one product, with the same bits for X and for a copy of X.  Otherwise
+    every pair, equal lengths included, sums x_i y_j bridge_matrix(m, n)[i, j]
+    over its bridge band (projection.pair_band) and divides by T: one gather
+    and one np.bincount per Gram plan (_gram_plan), and when X and Y share
+    their profile, a second one that reads the plan's pairs (a, b) as the
+    pairs (b, a).
     """
     s, t = X.batch_size, Y.batch_size
     _check_budget(s, t)
     d = X.dims[0]
     if X.dims == (d,) * s and Y.dims == (d,) * t:
-        return X.buffer.reshape(s, d) @ Y.buffer.reshape(t, d).T / d
+        # numpy multiplies one buffer by its own transpose with a symmetric
+        # product that rounds differently, so X is Y takes a copy.
+        Q = Y.buffer.copy() if X is Y else Y.buffer
+        return X.buffer.reshape(s, d) @ Q.reshape(t, d).T / d
     rows, cols = _gram_pairs(X.dims, Y.dims)
     plan = _gram_plan(X.dims, Y.dims)
     if plan is None:
@@ -261,12 +251,11 @@ def _gram_pairs(dims_x, dims_y):
     """Rows and columns of the pairs a Gram plan lists, row-major: all s t
     pairs, or only the pairs a <= b when the two profiles are equal.
 
-    A listed pair (a, b) then also gives the pair (b, a):
-    bridge_band(p, n) is bridge_band(n, p) with i and j swapped, in the same
-    order, because both list the pieces of [0, n p) from left to right.  So
-    Gram entry (b, a) sums P[src_y] * Q[src_x] * coef over the entries of
-    (a, b): the same products as its own band, added by np.bincount in the
-    same order, hence the same bits.  On the diagonal both readings coincide.
+    A listed pair (a, b) then also gives the pair (b, a): by pair_band's
+    swap rule, Gram entry (b, a) sums P[src_y] * Q[src_x] * coef over the
+    entries of (a, b), the same products as its own band, added by
+    np.bincount in the same order, hence the same bits.  On the diagonal
+    both readings coincide.
     """
     if dims_x == dims_y:
         return np.triu_indices(len(dims_x))
@@ -295,22 +284,14 @@ def _gram_runs(dims_x, dims_y):
 
 def _gram_entries(dims_x, dims_y, rows, cols):
     """Read-only (src_x, src_y, pair, coef) of the pairs (rows[e], cols[e]):
-    band entry e adds P[src_x[e]] * Q[src_y[e]] * coef[e] to the Gram entry
-    of pair[e] before the division by the lcm; coef = w / gcd(m, n) is the
-    integer bridge entry.  Indices stay below the element budget, so int32
-    holds them."""
-    dx, dy = np.asarray(dims_x), np.asarray(dims_y)
-    n, p = dx[rows], dy[cols]
-    k, i, j, w = bridge_band(n, p)
-    plan = (
-        ((np.cumsum(dx) - dx)[rows][k] + i).astype(np.int32),
-        ((np.cumsum(dy) - dy)[cols][k] + j).astype(np.int32),
-        k.astype(np.int32),
-        (w // np.gcd(n, p)[k]).astype(float),
-    )
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
+    band entry e of pair_band adds P[src_x[e]] * Q[src_y[e]] * coef[e] to the
+    Gram entry of pair[e] before the division by the lcm; coef = w / gcd(m, n)
+    is the integer bridge entry."""
+    src_x, src_y, pair, w = pair_band(dims_x, dims_y, rows, cols)
+    g = np.gcd(np.asarray(dims_x)[rows], np.asarray(dims_y)[cols])
+    coef = (w // g[pair]).astype(float)
+    coef.flags.writeable = False
+    return src_x, src_y, pair, coef
 
 
 @functools.lru_cache(maxsize=1)
@@ -354,14 +335,8 @@ class DiamondPlan:
 
     @classmethod
     def build(cls, dims, n0: int | None = None) -> "DiamondPlan":
-        dims = tuple(int(d) for d in dims)
-        if any(d < 1 for d in dims):
-            raise ShapeError(f"component dims must be positive, got {dims}")
-        if n0 is None:
-            n0 = max(dims)
-        n0 = int(n0)
-        if n0 < 1:
-            raise ShapeError(f"nominal dim must be positive, got {n0}")
+        dims = as_lengths(dims, "component dims")
+        n0 = max(dims) if n0 is None else as_lengths((n0,), "nominal dim")[0]
         s, total = len(dims), sum(dims)
         _check_budget(s * n0, total)
         pad = np.zeros((s * n0, total))
@@ -392,15 +367,11 @@ def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVec
             f"matrix with {s} columns cannot act on a {X.batch_size}-component hypervector"
         )
     dims = X.dims
-    n0 = max(dims) if n0 is None else int(n0)
+    n0 = max(dims) if n0 is None else as_lengths((n0,), "nominal dim")[0]
     if out_dims is None:
         out_dims = tuple(dims[i % s] for i in range(p))
     else:
-        out_dims = tuple(int(d) for d in out_dims)
-        if len(out_dims) != p:
-            raise ShapeError(
-                f"output profile has {len(out_dims)} dims but the matrix produces {p} rows"
-            )
+        out_dims = as_lengths(out_dims, "output profile", count=p)
     padded = project_batch(X.buffer, dims, (n0,) * s).reshape(s, n0)
     mixed = A @ padded
     return HyperVector(project_batch(mixed.reshape(-1), (n0,) * p, out_dims), out_dims)
@@ -420,7 +391,7 @@ def diamond_vectorized(A, X: HyperVector, n0: int | None = None) -> np.ndarray:
             f"diamond needs a {s} x {s} matrix for a {s}-component hypervector,"
             f" got {A.shape[0]} x {A.shape[1]}"
         )
-    n0 = max(X.dims) if n0 is None else int(n0)
+    n0 = max(X.dims) if n0 is None else as_lengths((n0,), "nominal dim")[0]
     _check_budget(s * n0, s * n0)
     plan = DiamondPlan.build(X.dims, n0)
     op = plan.unpad @ np.kron(A, np.eye(plan.n0)) @ plan.pad

@@ -21,15 +21,15 @@ vdist sum over the band instead.  ``project_batch`` resamples every
 component of an addition form at once over the same band, and ``project``
 is its one-component case.
 
-A forward pass resamples the same profiles at every stage, so the index
-plan of a resample depends only on the (input, output) profile pair and is
-built once per pair: a bounded least-recently-used cache of a few plans,
-keyed by the two profiles, holds read-only arrays (int32 indices, float64
-coefficients) that every call only reads.  A plan and its reverse, such as
-the pad to a nominal length and the unpad back, list the same band with
-rows and columns swapped, so both are read from one band, kept in a
-two-entry cache keyed by the profile pair in sorted order.  A profile whose
-band exceeds the element budget raises before anything is cached.
+A forward pass resamples and scores the same profiles at every stage, so
+the index plans of a resample and of a Gram matrix (``hypervector.hyper_inner``)
+are built once per profile pair by ``pair_band`` and kept as read-only int32
+arrays in small least-recently-used caches keyed by the two profiles.  A
+pair's band read the other way round is the same listing with the roles
+swapped, so a resample and its reverse (a pad to a nominal length and the
+unpad back) share one cached band, and a Gram plan of two equal profiles
+lists each unordered pair once.  A profile whose band exceeds the element
+budget raises before anything is cached.
 ``nominal_add`` adds two vectors of any lengths inside a chosen R^r by
 projecting both there first.
 """
@@ -42,7 +42,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import _check_budget, as_vector, bridge_band, bridge_matrix, bridge_matrix_exact, lcm
+from .algebra import (_check_budget, as_lengths, as_vector, bridge_band, bridge_matrix,
+                      bridge_matrix_exact, lcm)
 from .errors import ShapeError
 
 
@@ -118,73 +119,70 @@ def project_batch(P, dims_in, dims_out) -> np.ndarray:
     dense matrix is built and the whole batch is one np.bincount, equal to
     proj_matrix(m, n) @ x_k up to roundoff.  Components whose length does not
     change are copied bit for bit, and an unchanged profile is a plain copy.
-    The gather and scatter indices come from _resample_plan, built once per
-    profile pair.
+    The gather and scatter indices are read from _resample_band, built once
+    per profile pair in either orientation.
     """
     P = as_vector(P, "addition form")
-    m = np.asarray(dims_in)
-    n = np.asarray(dims_out)
-    if m.ndim != 1 or m.shape != n.shape or len(m) < 1:
-        raise ShapeError(f"profiles of {m.size} and {n.size} components do not pair up")
-    if m.dtype.kind not in "iu" or n.dtype.kind not in "iu":  # never truncate a length
-        raise TypeError(f"projection dims must be integers, got {m.dtype} and {n.dtype}")
-    m, n = tuple(m.tolist()), tuple(n.tolist())
-    if min(m) < 1 or min(n) < 1:
-        raise ShapeError("projection dims must be positive")
+    m = as_lengths(dims_in, "input profile")
+    n = as_lengths(dims_out, "output profile", count=len(m))
     if len(P) != sum(m):
         raise ShapeError(
             f"addition form of length {len(P)} does not match dims summing to {sum(m)}"
         )
     if m == n:
         return P.copy()
-    src, dst, coef, keep_in, keep_out = _resample_plan(m, n)
+    if m < n:
+        src, dst, coef, _, keep_in, keep_out = _resample_band(m, n)
+    else:
+        dst, src, _, coef, keep_out, keep_in = _resample_band(n, m)
     out = np.bincount(dst, weights=P[src] * coef, minlength=len(keep_out))
     out[keep_out] = P[keep_in]
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _resample_plan(dims_in: tuple, dims_out: tuple):
-    """Read-only (src, dst, coef, keep_in, keep_out) of project_batch for
-    one pair of profiles: band entry e adds P[src[e]] * coef[e] to output
-    entry dst[e] of every component whose length changes, and the masks
-    pick the components copied unchanged.  All five are arrays of
-    _resample_band, which the reverse plan shares.
+def pair_band(dims_x, dims_y, rows, cols):
+    """Read-only (idx_x, idx_y, pair, w) of the bridge bands of the component
+    pairs (rows[e], cols[e]) of two profiles: entry (k, i, j, w) of
+    bridge_band(dims_x[rows], dims_y[cols]) gives pair = k, the overlap w and
+    the indices idx_x = off_x[rows[k]] + i and idx_y = off_y[cols[k]] + j
+    into addition forms of the two profiles.
+
+    Swapping the roles swaps the indices and nothing else:
+    pair_band(dims_y, dims_x, cols, rows) is (idx_y, idx_x, pair, w) bit for
+    bit, because bridge_band(p, n) lists the entries of bridge_band(n, p) with
+    i and j swapped, in the same order (both list the pieces of [0, n p) from
+    left to right).  Callers keep the addition forms below the element
+    budget, so the indices fit in int32.
     """
-    if dims_in <= dims_out:
-        src, dst, coef, _, keep_in, keep_out = _resample_band(dims_in, dims_out)
-    else:
-        dst, src, _, coef, keep_out, keep_in = _resample_band(dims_out, dims_in)
-    return src, dst, coef, keep_in, keep_out
+    dx, dy = np.asarray(dims_x), np.asarray(dims_y)
+    k, i, j, w = bridge_band(dx[rows], dy[cols])
+    band = (
+        ((np.cumsum(dx) - dx)[rows][k] + i).astype(np.int32),
+        ((np.cumsum(dy) - dy)[cols][k] + j).astype(np.int32),
+        k.astype(np.int32),
+        w,
+    )
+    for arr in band:
+        arr.flags.writeable = False
+    return band
 
 
 @functools.lru_cache(maxsize=2)
 def _resample_band(dims_a: tuple, dims_b: tuple):
-    """Read-only (idx_a, idx_b, coef_ab, coef_ba, keep_a, keep_b) of the band
-    between two profiles, over the components k whose length differs: entry
-    e of bridge_band(b_k, a_k), (k, i, j, w), joins entry j of component k in
-    an addition form of profile a (index idx_a[e]) and entry i in one of
-    profile b (idx_b[e]).  Resampling a to b adds coef_ab[e] = w / a_k of
-    the first to the second, b to a coef_ba[e] = w / b_k of the second to
-    the first; keep_a and keep_b mask the components of equal length.
-    bridge_band(a_k, b_k) lists the same entries in the same order with i
-    and j swapped, so the one band gives both plans bit for bit.  The band
-    size passes the budget first, so a profile that raises is never cached;
-    indices below the budget fit in int32.
+    """Read-only (idx_a, idx_b, coef_ab, coef_ba, keep_a, keep_b) of the
+    resamples between two profiles, dims_a < dims_b, over the pair_band of
+    the components k whose length differs: resampling a to b adds
+    coef_ab[e] = w / a_k times entry idx_a[e] to entry idx_b[e], and b to a
+    adds coef_ba[e] = w / b_k times entry idx_b[e] to entry idx_a[e]; keep_a
+    and keep_b mask the components of equal length.  The band size passes
+    the budget first, so a profile that raises is never cached.
     """
     a, b = np.array(dims_a), np.array(dims_b)
-    _check_budget(int((a + b).sum()))  # a pair's band has at most a + b entries
+    _check_budget((a + b).sum())  # a pair's band has at most a + b entries
     same = a == b
     u = np.flatnonzero(~same)
-    k, i, j, w = bridge_band(b[u], a[u])
-    band = (
-        ((np.cumsum(a) - a)[u][k] + j).astype(np.int32),
-        ((np.cumsum(b) - b)[u][k] + i).astype(np.int32),
-        w / a[u][k],
-        w / b[u][k],
-        np.repeat(same, a),
-        np.repeat(same, b),
-    )
+    idx_a, idx_b, pair, w = pair_band(dims_a, dims_b, u, u)
+    band = (idx_a, idx_b, w / a[u][pair], w / b[u][pair], np.repeat(same, a), np.repeat(same, b))
     for arr in band:
         arr.flags.writeable = False
     return band

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import SIZE_BUDGET, as_matrix, as_vector, lcm
+from .algebra import SIZE_BUDGET, as_lengths, as_matrix, as_vector, lcm
 from .errors import ShapeError, SizeBudgetError
 from .hypervector import (
     HyperVector,
@@ -340,7 +340,7 @@ def zero_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector | tupl
     X is then padded once and a tuple of one hypervector per transform
     comes back.
     """
-    Ws, dims_out = _pipeline_args(X, W, d, dims_out)
+    Ws, d, dims_out = _pipeline_args(X, W, d, dims_out)
     d_min = max(max(X.dims), max(dims_out))
     if d < d_min:
         raise ShapeError(f"zero padding cannot shrink: d={d} < required {d_min}")
@@ -369,7 +369,7 @@ def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector | tupl
     then resampled to d once and a tuple of one hypervector per transform
     comes back.
     """
-    Ws, dims_out = _pipeline_args(X, W, d, dims_out)
+    Ws, d, dims_out = _pipeline_args(X, W, d, dims_out)
     s = X.batch_size
     padded = project_batch(X.buffer, X.dims, (d,) * s).reshape(s, d)
     outs = tuple(HyperVector(project_batch((padded @ Wk.T).reshape(-1), (d,) * s, dims_out),
@@ -378,22 +378,15 @@ def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector | tupl
 
 
 def _pipeline_args(X: HyperVector, W, d: int, dims_out):
-    """Checked ([W], dims_out) of a ragged linear map at nominal length d;
+    """Checked ([W], d, dims_out) of a ragged linear map at nominal length d;
     a tuple W gives the list of its checked transforms."""
-    dims_out = tuple(int(v) for v in dims_out)
-    if len(dims_out) != X.batch_size:
-        raise ShapeError(
-            f"{len(dims_out)} output dims for a {X.batch_size}-component hypervector"
-        )
-    if any(v < 1 for v in dims_out):
-        raise ShapeError(f"output dims must be positive, got {dims_out}")
-    if d < 1:
-        raise ShapeError(f"nominal dim must be positive, got {d}")
+    dims_out = as_lengths(dims_out, "output dims", count=X.batch_size)
+    d = as_lengths((d,), "nominal dim")[0]
     Ws = [as_matrix(Wk, "transform") for Wk in (W if isinstance(W, tuple) else (W,))]
     for Wk in Ws:
         if Wk.shape != (d, d):
             raise ShapeError(f"transform is {Wk.shape[0]} x {Wk.shape[1]}, expected {d} x {d}")
-    return Ws, dims_out
+    return Ws, d, dims_out
 
 
 def _dv_scores(Q: HyperVector, K: HyperVector, scaling: str) -> np.ndarray:
@@ -457,9 +450,7 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
             raise ShapeError(
                 f"head {i + 1} has batch size {h.batch_size}, expected {s}"
             )
-    target_dims = tuple(int(v) for v in target_dims)
-    if len(target_dims) != s:
-        raise ShapeError(f"{len(target_dims)} target dims for batch size {s}")
+    target_dims = as_lengths(target_dims, "target dims", count=s)
     if weights is None:
         weights = [1.0] * len(heads)
     weights = [float(v) for v in weights]

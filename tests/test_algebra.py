@@ -20,6 +20,7 @@ from stpdft import (
     weighted_bridge_matrix,
     weighted_dk_stp,
 )
+from stpdft.algebra import as_lengths
 from stpdft.stochastic import is_stochastic_matrix, is_stochastic_vector
 
 
@@ -214,6 +215,12 @@ class TestBridgeMatrix:
         with pytest.raises(ShapeError):
             bridge_band([3, 4], [2])
 
+    def test_band_rejects_non_integer_lengths(self):
+        with pytest.raises(TypeError):
+            bridge_band(2.5, 3)
+        with pytest.raises(TypeError):
+            bridge_band([3, 4], np.array([2.0, 3.0]))
+
     def test_large_coprime_column_sums(self):
         n, p = 1023, 1024
         psi = bridge_matrix(n, p)
@@ -287,6 +294,26 @@ class TestSta:
             np.testing.assert_allclose(
                 sta(sta(x, y), z), sta(x, sta(y, z)), atol=1e-12
             )
+
+
+class TestAsLengths:
+    def test_returns_python_ints(self):
+        got = as_lengths(np.array([3, 1, 4], dtype=np.int32), "dims", count=3)
+        assert got == (3, 1, 4) and all(type(d) is int for d in got)
+
+    @pytest.mark.parametrize("dims", [(2.5, 3), (2.0, 3), np.array([2.0, 3.0]), 4])
+    def test_non_integer_length_raises_type_error(self, dims):
+        with pytest.raises(TypeError, match="dims"):
+            as_lengths(dims, "dims")
+
+    @pytest.mark.parametrize("dims, count, message", [
+        ((), None, "at least one"),
+        ((2, 3), 3, "has 2 lengths, expected 3"),
+        ((2, 0, -1), None, "length 2 must be positive, got 0"),
+    ])
+    def test_bad_profile_raises_shape_error(self, dims, count, message):
+        with pytest.raises(ShapeError, match=message):
+            as_lengths(dims, "dims", count)
 
 
 class TestSizeBudget:

@@ -50,12 +50,12 @@ def rowmajor_gram(X, Y):
     """hyper_inner over one row-major listing of all s t pair bands, each
     pair from its own band: one gather and one np.bincount, no pair read
     as its mirror.  Homogeneous operands of one length d take hyper_inner's
-    single product instead (on the buffers themselves: numpy multiplies a
-    matrix by its own transpose differently)."""
+    single product instead, on a copy of Y's buffer, so that X and Y never
+    share one (numpy multiplies a matrix by its own transpose differently)."""
     dx, dy = np.array(X.dims), np.array(Y.dims)
     if len(set(X.dims + Y.dims)) == 1:
         d = X.dims[0]
-        return X.buffer.reshape(-1, d) @ Y.buffer.reshape(-1, d).T / d
+        return X.buffer.reshape(-1, d) @ Y.buffer.copy().reshape(-1, d).T / d
     a, b = np.divmod(np.arange(len(dx) * len(dy)), len(dy))
     n, p = dx[a], dy[b]
     k, i, j, w = bridge_band(n, p)

@@ -24,7 +24,7 @@ from stpdft import (
     vnorm,
 )
 from stpdft.algebra import bridge_band
-from stpdft.projection import _resample_band, _resample_plan
+from stpdft.projection import _resample_band
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
 from test_algebra import assert_fractions_equal, kron_bridge, kron_bridge_exact
 
@@ -284,25 +284,27 @@ class TestProjectBatch:
     def test_memoised_plan_gives_the_same_bytes(self, rng):
         dims_in, dims_out = (7, 3, 5, 11), (11, 3, 4, 2)
         v = rng.normal(size=sum(dims_in))
-        _resample_plan.cache_clear()
+        _resample_band.cache_clear()
         cold = project_batch(v, dims_in, dims_out)
         warm = project_batch(v, list(dims_in), np.array(dims_out))
-        assert _resample_plan.cache_info().hits == 1
-        _resample_plan.cache_clear()
+        assert _resample_band.cache_info().hits == 1
+        _resample_band.cache_clear()
         again = project_batch(v, dims_in, dims_out)
         assert cold.tobytes() == warm.tobytes() == again.tobytes()
 
     def test_plan_is_read_only_with_int32_indices(self):
-        src, dst, coef, keep_in, keep_out = plan = _resample_plan((7, 3, 5), (11, 3, 4))
-        assert src.dtype == dst.dtype == np.int32
-        for a in plan:
+        idx_a, idx_b, coef_ab, coef_ba, keep_a, keep_b = band = _resample_band((7, 3, 5),
+                                                                               (11, 3, 4))
+        assert idx_a.dtype == idx_b.dtype == np.int32
+        for a in band:
             assert not a.flags.writeable
         with pytest.raises(ValueError):
-            coef[0] = 0.0
+            coef_ab[0] = 0.0
 
     @staticmethod
     def fresh_plan(dims_in, dims_out):
-        """_resample_plan built from its own band, bridge_band(dims_out, dims_in)."""
+        """(src, dst, coef, keep_in, keep_out) of the resample dims_in ->
+        dims_out, built from its own band, bridge_band(dims_out, dims_in)."""
         m, n = np.array(dims_in), np.array(dims_out)
         same = m == n
         u = np.flatnonzero(~same)
@@ -314,30 +316,33 @@ class TestProjectBatch:
     @pytest.mark.parametrize("a, b", [((7, 3, 5, 11), (11, 3, 4, 2)),
                                       ((61, 17, 60, 29), (61,) * 4),
                                       ((1, 9), (9, 1))])
-    def test_reverse_plan_shares_the_band_and_equals_a_fresh_one(self, a, b):
-        _resample_plan.cache_clear()
+    def test_reverse_plan_shares_the_band_and_equals_a_fresh_one(self, rng, a, b):
         _resample_band.cache_clear()
-        forward, reverse = _resample_plan(a, b), _resample_plan(b, a)
+        padded = project_batch(rng.normal(size=sum(a)), a, b)
+        project_batch(padded, b, a)
         assert _resample_band.cache_info().misses == 1  # the unpad reused the pad's band
-        assert forward[0] is reverse[1] and forward[1] is reverse[0]
-        for got, want in ((forward, self.fresh_plan(a, b)), (reverse, self.fresh_plan(b, a))):
-            for x, y in zip(got, want):
+        lo, hi = sorted((a, b))
+        idx_lo, idx_hi, coef_up, coef_down, keep_lo, keep_hi = _resample_band(lo, hi)
+        forward = (idx_lo, idx_hi, coef_up, keep_lo, keep_hi)
+        reverse = (idx_hi, idx_lo, coef_down, keep_hi, keep_lo)
+        for got, want in ((forward, self.fresh_plan(lo, hi)), (reverse, self.fresh_plan(hi, lo))):
+            for x, y in zip(got, want, strict=True):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
     def test_over_budget_profile_raises_on_every_call(self):
         dims_in, dims_out = (2**30, 2**30), (2**30 + 1, 3)
         P = np.broadcast_to(1.0, (2**31,))
-        _resample_plan.cache_clear()
+        _resample_band.cache_clear()
         for _ in range(2):
             with pytest.raises(SizeBudgetError):
                 project_batch(P, dims_in, dims_out)
-        assert _resample_plan.cache_info().currsize == 0
+        assert _resample_band.cache_info().currsize == 0
 
     def test_cache_stays_bounded(self, rng):
-        info = _resample_plan.cache_info()
+        info = _resample_band.cache_info()
         for n in range(2, 52):
             project_batch(rng.normal(size=n + 3), (n, 3), (n + 1, 3))
-            assert _resample_plan.cache_info().currsize <= info.maxsize
+            assert _resample_band.cache_info().currsize <= info.maxsize
 
 
 class TestNominalAdd:

@@ -11,6 +11,7 @@ from stpdft import (
     AttentionWeights,
     HyperVector,
     ModelConfig,
+    DiamondPlan,
     ShapeError,
     add_norm,
     assembled_attention,
@@ -20,11 +21,15 @@ from stpdft import (
     df_add_norm,
     df_ffn,
     diamond,
+    diamond_vectorized,
     dv_attention,
     dv_multi_head,
     encoder_block,
     encoder_stack,
+    factor_product_form,
     ffn_nominal,
+    hyper_add_listwise,
+    hyper_inner,
     hyper_inner_weighted,
     multi_head_nominal,
     nominal_add,
@@ -32,6 +37,7 @@ from stpdft import (
     proj_matrix,
     proj_pad_pipeline,
     project,
+    project_batch,
     qkv_nominal,
     softmax_rows,
     zero_pad_pipeline,
@@ -333,6 +339,13 @@ class TestDvAttention:
         Q = HyperVector([rng.normal(size=2), rng.normal(size=5), rng.normal(size=1)])
         V = HyperVector([rng.normal(size=3), rng.normal(size=2), rng.normal(size=4)])
         assert dv_attention(Q, Q, V).dims == V.dims
+
+    def test_one_operand_twice_gives_the_bytes_of_a_copy(self, rng):
+        # On one buffer numpy would take A @ A.T by its symmetric product.
+        X = HyperVector.from_matrix(rng.normal(size=(36, 36)))
+        C = HyperVector(X.buffer, X.dims)
+        assert hyper_inner(X, X).tobytes() == hyper_inner(X, C).tobytes()
+        assert dv_attention(X, X, X).buffer.tobytes() == dv_attention(X, C, X).buffer.tobytes()
 
 
     @settings(max_examples=40, deadline=None)
@@ -666,7 +679,7 @@ class TestPlanReuse:
 
     @staticmethod
     def _clear_plans():
-        projection._resample_plan.cache_clear()
+        projection._resample_band.cache_clear()
         hypervector._gram_plan.cache_clear()
 
     def test_two_layer_ragged_stack_lists_two_bands(self, rng, monkeypatch):
@@ -677,8 +690,10 @@ class TestPlanReuse:
             calls.append((n, p))
             return band(n, p)
 
+        # pair_band is the only code that lists bands for the forward pass,
+        # so its module holds the one binding to count.
+        assert not hasattr(hypervector, "bridge_band")
         monkeypatch.setattr(projection, "bridge_band", counting_band)
-        monkeypatch.setattr(hypervector, "bridge_band", counting_band)
         self._clear_plans()
         encoder_stack(X, [w], cfg)
         # One band for the pad to n0 and the unpad back, one for the Q x K
@@ -718,6 +733,51 @@ class TestPlanReuse:
         finally:
             tracemalloc.stop()
         assert retained < 2 * 2**20
+
+
+def _length_cases():
+    """(call, bad value, expected error) for every argument that takes a
+    length profile or a nominal length; each call is valid for the profile
+    (2, 3) and the nominal length 4."""
+    X = HyperVector([np.ones(2), np.ones(3)])
+    I2, I4 = np.eye(2), np.eye(4)
+    profiles = {  # name: (call, whether the count is fixed)
+        "HyperVector": (lambda v: HyperVector(np.ones(5), v), False),
+        "project_batch-in": (lambda v: project_batch(np.ones(5), v, (4, 4)), True),
+        "project_batch-out": (lambda v: project_batch(np.ones(5), (2, 3), v), True),
+        "diamond-out_dims": (lambda v: diamond(I2, X, out_dims=v), True),
+        "DiamondPlan.build": (lambda v: DiamondPlan.build(v, 4), False),
+        "hyper_add_listwise": (lambda v: hyper_add_listwise(X, X, v), True),
+        "factor_product_form": (lambda v: factor_product_form(np.full(6, 1 / 6), v), False),
+        "proj_pad_pipeline-dims_out": (lambda v: proj_pad_pipeline(X, I4, 4, v), True),
+        "zero_pad_pipeline-dims_out": (lambda v: zero_pad_pipeline(X, I4, 4, v), True),
+        "dv_multi_head": (lambda v: dv_multi_head([X], v), True),
+    }
+    nominals = {
+        "diamond-n0": lambda v: diamond(I2, X, n0=v),
+        "diamond_vectorized-n0": lambda v: diamond_vectorized(I2, X, n0=v),
+        "DiamondPlan.build-n0": lambda v: DiamondPlan.build((2, 3), v),
+        "proj_pad_pipeline-d": lambda v: proj_pad_pipeline(X, I4, v, X.dims),
+        "zero_pad_pipeline-d": lambda v: zero_pad_pipeline(X, I4, v, X.dims),
+    }
+    for name, (call, counted) in profiles.items():
+        yield pytest.param(call, (2.5, 3), TypeError, id=f"{name}-float")
+        yield pytest.param(call, (2, 0), ShapeError, id=f"{name}-zero")
+        if counted:
+            yield pytest.param(call, (2, 3, 4), ShapeError, id=f"{name}-count")
+    for name, call in nominals.items():
+        yield pytest.param(call, 4.5, TypeError, id=f"{name}-float")
+        yield pytest.param(call, 0, ShapeError, id=f"{name}-zero")
+
+
+class TestLengthProfiles:
+    """No stage truncates a length: every profile and nominal length passes
+    algebra.as_lengths."""
+
+    @pytest.mark.parametrize("call, bad, error", _length_cases())
+    def test_bad_length_rejected(self, call, bad, error):
+        with pytest.raises(error):
+            call(bad)
 
 
 class TestNominalCoincidence:
