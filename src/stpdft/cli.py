@@ -10,8 +10,9 @@ Three subcommands:
     stpdft compare-padding   zero-padding vs projection-padding on random
                              ragged batches, CSV output
 
-Exit codes: 0 success, 2 input error (schema, float64 overflow, over the element
-budget or out of memory), 3 shape inconsistency, 4 internal invariant violation.
+Exit codes: 0 success, 2 input error (schema, an unreadable input file or an
+unwritable --out, float64 overflow, over the element budget or out of memory),
+3 shape inconsistency, 4 internal invariant violation.
 
 File formats (JSON):
     ragged batch    {"sequences": [[number, ...], ...]}
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -72,9 +74,12 @@ def _json_default(x):
 def _write_text(path: str | None, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
 def _dump_report(items, path):
@@ -229,12 +234,23 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
 # --- forward -----------------------------------------------------------------
 
 
-def _load_json(path: str) -> object:
+def _read_bytes(path: str) -> bytes:
+    """The bytes of an input file; SchemaError naming path if it cannot be read."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            return fh.read()
     except FileNotFoundError:
         raise SchemaError(f"{path}: no such file")
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+
+
+def _load_json(path: str, data: bytes) -> object:
+    """The JSON document that the bytes data of path hold, as UTF-8 text."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: byte {exc.start} is not valid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
 
@@ -265,7 +281,7 @@ def _number_array(values: list, path: str, field: str) -> np.ndarray:
 
 
 def _parse_batch(path: str) -> HyperVector:
-    doc = _load_json(path)
+    doc = _load_json(path, _read_bytes(path))
     if not isinstance(doc, dict) or "sequences" not in doc:
         raise SchemaError(f"{path}: top level must be an object with a 'sequences' field")
     seqs = doc["sequences"]
@@ -299,7 +315,9 @@ def _parse_matrix(path, name, spec) -> np.ndarray:
         raise SchemaError(
             f"{path}: field 'matrices.{name}.data' must hold exactly rows*cols = {r * c} numbers"
         )
-    return _number_array(data, path, f"matrices.{name}.data").reshape(r, c)
+    M = _number_array(data, path, f"matrices.{name}.data")
+    M.flags.writeable = False  # shared through _decode_weights' cache
+    return M.reshape(r, c)
 
 
 CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig))
@@ -309,7 +327,19 @@ _NUMBER_FIELDS = tuple((key, t) for key, t in typing.get_type_hints(ModelConfig)
 
 
 def _parse_weights(path: str) -> tuple[dict, dict]:
-    doc = _load_json(path)
+    """The config and the matrices of the weights file at path, as fresh dicts.
+
+    The file is read on every call, but decoded only when (path, bytes)
+    differs from the last decode, so a rewritten file is never served stale,
+    whatever its mtime.  The matrices are shared with that cache, so they are
+    read-only."""
+    config, matrices = _decode_weights(path, _read_bytes(path))
+    return dict(config), dict(matrices)
+
+
+@functools.lru_cache(maxsize=1)
+def _decode_weights(path: str, data: bytes) -> tuple[dict, dict]:
+    doc = _load_json(path, data)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     config = doc.get("config", {})
@@ -560,6 +590,7 @@ def cmd_compare_padding(batches, dim_range, seed, out, batch_size, nominal) -> i
 # --- entry point ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="stpdft",

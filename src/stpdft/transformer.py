@@ -563,7 +563,13 @@ def encoder_block(X: HyperVector, w: AttentionWeights, cfg: ModelConfig,
                   return_weights: bool = False):
     """One ragged encoder block: Q/K/V pipelines, (multi-head) attention,
     add-norm, feed-forward, add-norm.  Q, K, V, the combined heads and the
-    output keep the input profile."""
+    output keep the input profile.
+
+    mask="causal" masks the attention weights only.  Token i's output is
+    free of later tokens only if, besides, W1, W2 and the head maps are
+    lower triangular, norm_mode is "vector-wise" ("layer-wise" pools every
+    token) and the diamond length does not depend on later tokens, which it
+    does today: every diamond pads to n0 = max(X.dims) over the batch."""
     if X.batch_size != cfg.batch_size:
         raise ShapeError(
             f"input has {X.batch_size} components, config says {cfg.batch_size}"

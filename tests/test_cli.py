@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -17,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpdft import HyperVector, ModelConfig, SplitMix64, encoder_stack
-from stpdft.cli import CONFIG_KEYS, build_parser, main, padding_batch_stats, random_weights
+from stpdft.cli import (CONFIG_KEYS, _parse_weights, build_parser, main, padding_batch_stats,
+                        random_weights)
 from stpdft.transformer import MASK_MODES, NORM_MODES, PADDING_MODES, SCALING_MODES
 
 
@@ -32,6 +34,14 @@ def run_cli(*args, timeout=None):
 def write_batch(path, sequences):
     path.write_text(json.dumps({"sequences": sequences}))
     return str(path)
+
+
+def _environment() -> str:
+    """The Python, numpy and BLAS versions and the machine this process runs on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"Python {platform.python_version()}, numpy {np.__version__} and"
+            f" {blas.get('name')} {blas.get('version')} on {platform.machine()}"
+            f" ({platform.platform()})")
 
 
 RAGGED = [[0.1, -0.3, 0.5], [0.2, 0.4, -0.1, 0.7], [1.0, -1.0], [0.0, 0.5, 0.25]]
@@ -95,9 +105,9 @@ class TestForwardCommand:
     # SHA-256 of `stpdft forward --seed 42` on the acceptance-11 batch.  A
     # speed-up must keep every output byte, so an edit that moves a float sum
     # (association, summation order, a fused GEMM) fails here.  The digests
-    # depend on the environment (numpy and its BLAS, the CPU): these were
-    # recorded with Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31 on
-    # x86-64; elsewhere, record them again from an unchanged checkout.
+    # depend on the environment (numpy and its BLAS, the CPU); elsewhere than
+    # RECORDED_UNDER, record them again from an unchanged checkout.
+    RECORDED_UNDER = "Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31 on x86_64"
     PINNED_DIGESTS = {
         (): "837308b3e3366bcab310c555e56afd76e33add2101197ebafb41fb7ac31b8c23",
         ("--mask", "causal", "--layers", "3"):
@@ -113,7 +123,8 @@ class TestForwardCommand:
         out = tmp_path / "o.json"
         assert main(["forward", batch, "--seed", "42", "--out", str(out), *flags]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == self.PINNED_DIGESTS[flags]
+        assert digest == self.PINNED_DIGESTS[flags], (
+            f"digests recorded under {self.RECORDED_UNDER}; this run: {_environment()}")
 
     def test_homogeneous_padding_modes_agree(self, tmp_path):
         batch = write_batch(tmp_path / "batch.json", HOMOG)
@@ -389,6 +400,100 @@ class TestForwardCommand:
         err = capsys.readouterr().err
         assert "overflow" in err and "internal error" not in err
         assert not out.exists()
+
+
+def _eye_weights(path, diagonal=1):
+    """A weights file for HOMOG whose Wq, Wk, Wv, W1 and W2 are all diagonal * I_3."""
+    eye3 = {"rows": 3, "cols": 3, "data": [diagonal if i % 4 == 0 else 0 for i in range(9)]}
+    path.write_text(json.dumps({
+        "config": {"nominal_dim": 3},
+        "matrices": {"Wq": eye3, "Wk": eye3, "Wv": eye3, "W1": eye3, "W2": eye3},
+    }))
+    return str(path)
+
+
+class TestInProcessReuse:
+    """Repeated in-process calls share one parser and the last weights decode,
+    and still behave like fresh processes."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_match_a_fresh_process(self, tmp_path):
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        weights = _eye_weights(tmp_path / "w.json")
+        outs = [tmp_path / f"o{k}.json" for k in range(4)]
+        for out in outs:
+            assert main(["forward", batch, "--weights", weights, "--out", str(out)]) == 0
+        fresh = tmp_path / "fresh.json"
+        code, _, err = run_cli("forward", batch, "--weights", weights, "--out", str(fresh))
+        assert code == 0, err
+        assert {out.read_bytes() for out in outs} == {fresh.read_bytes()}
+
+    def test_rewritten_weights_file_is_decoded_again(self, tmp_path):
+        # Same path, same length, same mtime: only the bytes tell the files apart.
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        path = tmp_path / "w.json"
+        weights = _eye_weights(path, diagonal=1)
+        first, second, fresh = (tmp_path / f"{name}.json" for name in ("a", "b", "fresh"))
+        assert main(["forward", batch, "--weights", weights, "--out", str(first)]) == 0
+        before, size = os.stat(weights), path.stat().st_size
+        _eye_weights(path, diagonal=2)
+        os.utime(weights, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == size and os.stat(weights).st_mtime_ns == before.st_mtime_ns
+        assert main(["forward", batch, "--weights", weights, "--out", str(second)]) == 0
+        assert run_cli("forward", batch, "--weights", weights, "--out", str(fresh))[0] == 0
+        assert second.read_bytes() == fresh.read_bytes() != first.read_bytes()
+
+    def test_cached_matrices_are_read_only_and_dicts_fresh(self, tmp_path):
+        weights = _eye_weights(tmp_path / "w.json")
+        config, mats = _parse_weights(weights)
+        with pytest.raises(ValueError):
+            mats["Wq"][0, 0] = 5.0
+        config["nominal_dim"] = 7
+        del mats["Wq"]
+        again_config, again = _parse_weights(weights)
+        assert again_config == {"nominal_dim": 3}
+        assert again["Wq"][0, 0] == 1.0
+
+
+class TestUnreadableFiles:
+    """A file that cannot be read or written is an input error naming the path."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        return {"batch": write_batch(tmp_path / "batch.json", HOMOG),
+                "weights": _eye_weights(tmp_path / "w.json"),
+                "out": str(tmp_path / "o.json")}
+
+    @staticmethod
+    def _argv(files):
+        return ["forward", files["batch"], "--weights", files["weights"], "--out", files["out"]]
+
+    def _assert_input_error(self, files, capsys, path):
+        assert main(self._argv(files)) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and path in err and "internal error" not in err
+
+    @pytest.mark.parametrize("role", ["batch", "weights"])
+    def test_input_that_is_a_directory(self, tmp_path, capsys, files, role):
+        files[role] = str(tmp_path)
+        self._assert_input_error(files, capsys, str(tmp_path))
+
+    @pytest.mark.parametrize("role", ["batch", "weights"])
+    def test_input_that_is_not_utf8(self, tmp_path, capsys, files, role):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"sequences": [[1.0]], "note": "caf\u00e9"}'.encode("latin-1"))
+        files[role] = str(bad)
+        self._assert_input_error(files, capsys, str(bad))
+
+    def test_out_that_is_a_directory(self, tmp_path, capsys, files):
+        files["out"] = str(tmp_path)
+        self._assert_input_error(files, capsys, str(tmp_path))
+
+    def test_out_in_a_missing_folder(self, tmp_path, capsys, files):
+        files["out"] = str(tmp_path / "missing" / "o.json")
+        self._assert_input_error(files, capsys, files["out"])
 
 
 def _matrix(d):

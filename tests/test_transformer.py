@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -43,7 +44,7 @@ from stpdft import (
     zero_pad_pipeline,
 )
 from stpdft import hypervector, projection, transformer
-from stpdft.transformer import _normalize, _qkv_hyper, relu
+from stpdft.transformer import PADDING_MODES, _normalize, _qkv_hyper, relu
 from test_hypervector import cauchy_schwarz_scale, oracle_gram
 from test_projection import resample_profiles
 
@@ -660,6 +661,60 @@ class TestEncoder:
         A = atts[0]
         assert A[0, 1] == 0.0 and A[0, 2] == 0.0
         np.testing.assert_allclose(A.sum(axis=1), np.ones(3), atol=1e-12)
+
+    def _stack_case(self, rng, padding, heads):
+        """A ragged batch, its weights and a two-layer config; with two heads
+        the weights carry batch-mixing head maps."""
+        s = int(rng.integers(2, 6))
+        dims = tuple(int(n) for n in rng.integers(1, 7, s))
+        X = HyperVector([rng.normal(size=n) for n in dims])
+        d = max(dims) + int(rng.integers(0, 2))
+        w = self._weights(rng, s, d, dims)
+        if heads > 1:
+            w.head_q, w.head_k, w.head_v = (
+                tuple(rng.normal(size=(s, s)) for _ in range(heads)) for _ in range(3))
+        return X, w, ModelConfig(batch_size=s, nominal_dim=d, heads=heads,
+                                 padding=padding, layers=2)
+
+    @pytest.mark.parametrize("padding", PADDING_MODES)
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_causal_rows_ignore_later_columns(self, rng, padding, heads):
+        for _ in range(5):
+            X, w, cfg = self._stack_case(rng, padding, heads)
+            cfg.mask = "causal"
+            _, atts = encoder_stack(X, [w], cfg, return_weights=True)
+            assert len(atts) == 2 and all(len(layer) == heads for layer in atts)
+            for A in (A for layer in atts for A in layer):
+                assert np.all(np.triu(A, 1) == 0.0)
+
+    @pytest.mark.parametrize("padding", PADDING_MODES)
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_token_permutation_equivariance(self, rng, padding, heads):
+        # Permuting the tokens, with P W P^T on every batch-mixing map and
+        # the biases permuted alike, permutes the output: no stage of the
+        # unmasked block may depend on the order of the tokens.
+        for _ in range(10):
+            X, w, cfg = self._stack_case(rng, padding, heads)
+            perm = rng.permutation(cfg.batch_size)
+
+            def mix(W):
+                return W[np.ix_(perm, perm)]
+
+            def reorder(H):
+                return HyperVector([H.components[k] for k in perm])
+
+            wp = dataclasses.replace(
+                w, ffn_w1=mix(w.ffn_w1), ffn_w2=mix(w.ffn_w2),
+                ffn_b1=reorder(w.ffn_b1), ffn_b2=reorder(w.ffn_b2))
+            if heads > 1:
+                wp.head_q, wp.head_k, wp.head_v = (
+                    tuple(map(mix, maps)) for maps in (w.head_q, w.head_k, w.head_v))
+            Y = encoder_stack(X, [w], cfg)
+            Yp = encoder_stack(reorder(X), [wp], cfg)
+            want = reorder(Y)
+            assert Yp.dims == want.dims
+            scale = max(1.0, float(np.max(np.abs(Y.buffer))))
+            assert np.max(np.abs(Yp.buffer - want.buffer)) <= 1e-12 * scale
 
 
 class TestPlanReuse:
