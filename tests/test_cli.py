@@ -437,10 +437,11 @@ class TestInProcessReuse:
         weights = _eye_weights(path, diagonal=1)
         first, second, fresh = (tmp_path / f"{name}.json" for name in ("a", "b", "fresh"))
         assert main(["forward", batch, "--weights", weights, "--out", str(first)]) == 0
-        before, size = os.stat(weights), path.stat().st_size
+        before = path.stat()
         _eye_weights(path, diagonal=2)
         os.utime(weights, ns=(before.st_atime_ns, before.st_mtime_ns))
-        assert path.stat().st_size == size and os.stat(weights).st_mtime_ns == before.st_mtime_ns
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
         assert main(["forward", batch, "--weights", weights, "--out", str(second)]) == 0
         assert run_cli("forward", batch, "--weights", weights, "--out", str(fresh))[0] == 0
         assert second.read_bytes() == fresh.read_bytes() != first.read_bytes()
@@ -467,11 +468,9 @@ class TestUnreadableFiles:
                 "out": str(tmp_path / "o.json")}
 
     @staticmethod
-    def _argv(files):
-        return ["forward", files["batch"], "--weights", files["weights"], "--out", files["out"]]
-
-    def _assert_input_error(self, files, capsys, path):
-        assert main(self._argv(files)) == 2
+    def _assert_input_error(files, capsys, path):
+        assert main(["forward", files["batch"], "--weights", files["weights"],
+                     "--out", files["out"]]) == 2
         err = capsys.readouterr().err
         assert "input error" in err and path in err and "internal error" not in err
 
