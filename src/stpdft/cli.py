@@ -394,10 +394,10 @@ def random_weights(s: int, d: int, dims, rng: SplitMix64, heads: int = 1) -> Att
     return w
 
 
-def _weights_from_file(mats, s, d, heads) -> AttentionWeights:
+def _weights_from_file(path, mats, s, d, heads) -> AttentionWeights:
     for name in ("Wq", "Wk", "Wv"):
         if name not in mats:
-            raise SchemaError(f"weights file: field 'matrices.{name}' is missing")
+            raise SchemaError(f"{path}: field 'matrices.{name}' is missing")
         _require_shape(name, mats[name], (d, d))
     w = AttentionWeights(wq=mats["Wq"], wk=mats["Wk"], wv=mats["Wv"])
     for name, attr in (("W1", "ffn_w1"), ("W2", "ffn_w2")):
@@ -423,9 +423,7 @@ def _weights_from_file(mats, s, d, heads) -> AttentionWeights:
         for i in range(1, heads + 1):
             keys = (f"Tq{i}", f"Tk{i}", f"Tv{i}")
             if not all(k in mats for k in keys):
-                raise SchemaError(
-                    f"weights file: head {i} needs matrices {', '.join(keys)}"
-                )
+                raise SchemaError(f"{path}: head {i} needs matrices {', '.join(keys)}")
             for k in keys:
                 _require_shape(k, mats[k], (s, s))
             triples.append(tuple(mats[k] for k in keys))
@@ -480,7 +478,7 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
             f" ({max(dims)}); zero padding cannot shrink"
         )
     if mats:
-        w = _weights_from_file(mats, s, d, cfg.heads)
+        w = _weights_from_file(weights_path, mats, s, d, cfg.heads)
     else:
         w = random_weights(s, d, dims, SplitMix64(seed), cfg.heads)
     w.eps = cfg.eps

@@ -16,7 +16,8 @@ on an s-component hypervector by projecting every component to a common
 nominal length, multiplying the resulting ordinary matrix by A, and
 projecting each of the p output rows to its own length (for a square A,
 its component's original length).  Each projection step is one
-``projection.project_batch`` over the whole buffer.
+``projection.project_batch`` over the whole buffer, skipped when it is the
+identity.
 
 ``hyper_inner`` scores ragged operands over the bridge bands of all their
 length pairs, from a Gram plan cached as the ``projection`` module describes.
@@ -38,7 +39,7 @@ import numpy as np
 
 from .algebra import SIZE_BUDGET, _check_budget, as_lengths, as_matrix, as_vector
 from .errors import NonFactorizableError, NonFiniteError, ShapeError, SizeBudgetError
-from .projection import pair_band, proj_matrix, project_batch
+from .projection import _resample, pair_band, proj_matrix
 
 
 class HyperVector:
@@ -195,9 +196,7 @@ def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
             f"batch sizes and target list must agree: {X.batch_size} components,"
             f" {Y.batch_size} components, {len(r)} targets"
         )
-    return HyperVector(
-        project_batch(X.buffer, X.dims, r) + project_batch(Y.buffer, Y.dims, r), r
-    )
+    return HyperVector(_resample(X.buffer, X.dims, r) + _resample(Y.buffer, Y.dims, r), r)
 
 
 # A Gram plan lists one entry per band entry of every listed pair.  Plans of
@@ -206,6 +205,12 @@ def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
 # of its own), so the band's working set stays near 10 MiB however many long
 # pairs there are.
 _BAND_CHUNK = 1 << 16
+
+
+def _shared_length(X: HyperVector, Y: HyperVector):
+    """d when every component of X and of Y has length d, else None."""
+    d = X.dims[0]
+    return d if X.dims == (d,) * X.batch_size and Y.dims == (d,) * Y.batch_size else None
 
 
 def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
@@ -219,12 +224,12 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
     over its bridge band (projection.pair_band) and divides by T: one gather
     and one np.bincount per Gram plan (_gram_plan), and when X and Y share
     their profile, a second one that reads the plan's pairs (a, b) as the
-    pairs (b, a).
+    pairs (b, a) by pair_band's swap rule.
     """
     s, t = X.batch_size, Y.batch_size
     _check_budget(s, t)
-    d = X.dims[0]
-    if X.dims == (d,) * s and Y.dims == (d,) * t:
+    d = _shared_length(X, Y)
+    if d is not None:
         # numpy multiplies one buffer by its own transpose with a symmetric
         # product that rounds differently, so X is Y takes a copy.
         Q = Y.buffer.copy() if X is Y else Y.buffer
@@ -249,13 +254,9 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
 
 def _gram_pairs(dims_x, dims_y):
     """Rows and columns of the pairs a Gram plan lists, row-major: all s t
-    pairs, or only the pairs a <= b when the two profiles are equal.
-
-    A listed pair (a, b) then also gives the pair (b, a): by pair_band's
-    swap rule, Gram entry (b, a) sums P[src_y] * Q[src_x] * coef over the
-    entries of (a, b), the same products as its own band, added by
-    np.bincount in the same order, hence the same bits.  On the diagonal
-    both readings coincide.
+    pairs, or only the pairs a <= b when the two profiles are equal, where a
+    listed pair (a, b) also gives Gram entry (b, a) with the same bits by
+    pair_band's swap rule.
     """
     if dims_x == dims_y:
         return np.triu_indices(len(dims_x))
@@ -311,9 +312,12 @@ def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:
     inherits hyper_inner's grouped-product and band construction.  In the
     uniform-length case (all lengths d) the result is
     X.to_matrix() @ Y.to_matrix().T / sqrt(d), the familiar scaled-dot-product
-    score matrix.
+    score matrix, and the scale is the scalar math.sqrt(d): both square roots
+    are correctly rounded, so the bits are those of the lcm matrix.
     """
-    return hyper_inner(X, Y) * np.sqrt(np.lcm.outer(X.dims, Y.dims))
+    G = hyper_inner(X, Y)  # checks the s x t budget before the scale is built
+    d = _shared_length(X, Y)
+    return G * (np.sqrt(np.lcm.outer(X.dims, Y.dims)) if d is None else math.sqrt(d))
 
 
 @dataclass(frozen=True)
@@ -357,8 +361,9 @@ def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVec
     project output row i to out_dims[i] (default: the input profile cycled
     to length p, so a square A keeps the input profile).  Pad and unpad are
     one project_batch each on the addition form, with one product A @ padded
-    between them.  When the input is already homogeneous of length n0 and
-    A is square this is exactly A @ X.to_matrix().
+    between them; a pad or unpad that changes no length is skipped, since
+    it is the identity.  When the input is already homogeneous of length n0
+    and A is square this is exactly A @ X.to_matrix(), with no resample.
     """
     A = as_matrix(A, "diamond matrix")
     p, s = A.shape
@@ -369,12 +374,12 @@ def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVec
     dims = X.dims
     n0 = max(dims) if n0 is None else as_lengths((n0,), "nominal dim")[0]
     if out_dims is None:
-        out_dims = tuple(dims[i % s] for i in range(p))
+        out_dims = dims if p == s else tuple(dims[i % s] for i in range(p))
     else:
         out_dims = as_lengths(out_dims, "output profile", count=p)
-    padded = project_batch(X.buffer, dims, (n0,) * s).reshape(s, n0)
+    padded = _resample(X.buffer, dims, (n0,) * s).reshape(s, n0)
     mixed = A @ padded
-    return HyperVector(project_batch(mixed.reshape(-1), (n0,) * p, out_dims), out_dims)
+    return HyperVector(_resample(mixed.reshape(-1), (n0,) * p, out_dims), out_dims)
 
 
 def diamond_vectorized(A, X: HyperVector, n0: int | None = None) -> np.ndarray:

@@ -24,12 +24,12 @@ is its one-component case.
 A forward pass resamples and scores the same profiles at every stage, so
 the index plans of a resample and of a Gram matrix (``hypervector.hyper_inner``)
 are built once per profile pair by ``pair_band`` and kept as read-only int32
-arrays in small least-recently-used caches keyed by the two profiles.  A
-pair's band read the other way round is the same listing with the roles
-swapped, so a resample and its reverse (a pad to a nominal length and the
-unpad back) share one cached band, and a Gram plan of two equal profiles
-lists each unordered pair once.  A profile whose band exceeds the element
-budget raises before anything is cached.
+arrays in small least-recently-used caches keyed by the two profiles.  By
+pair_band's swap rule a resample and its reverse (a pad to a nominal length
+and the unpad back) share one cached band, and a Gram plan of two equal
+profiles lists each unordered pair once.  A profile whose band exceeds the
+element budget raises before anything is cached.  On the fixed-length path
+every resample is the identity, and the stages skip it (``_resample``).
 ``nominal_add`` adds two vectors of any lengths inside a chosen R^r by
 projecting both there first.
 """
@@ -147,12 +147,14 @@ def pair_band(dims_x, dims_y, rows, cols):
     the indices idx_x = off_x[rows[k]] + i and idx_y = off_y[cols[k]] + j
     into addition forms of the two profiles.
 
-    Swapping the roles swaps the indices and nothing else:
+    Swap rule: swapping the roles swaps the indices and nothing else,
     pair_band(dims_y, dims_x, cols, rows) is (idx_y, idx_x, pair, w) bit for
     bit, because bridge_band(p, n) lists the entries of bridge_band(n, p) with
     i and j swapped, in the same order (both list the pieces of [0, n p) from
-    left to right).  Callers keep the addition forms below the element
-    budget, so the indices fit in int32.
+    left to right).  So a sum over the band of pair (b, a), computed from the
+    band of (a, b) with the operands swapped, adds the same products in the
+    same order and has the same bits.  Callers keep the addition forms below
+    the element budget, so the indices fit in int32.
     """
     dx, dy = np.asarray(dims_x), np.asarray(dims_y)
     k, i, j, w = bridge_band(dx[rows], dy[cols])
@@ -186,6 +188,14 @@ def _resample_band(dims_a: tuple, dims_b: tuple):
     for arr in band:
         arr.flags.writeable = False
     return band
+
+
+def _resample(P, dims_in, dims_out) -> np.ndarray:
+    """project_batch(P, dims_in, dims_out) for profiles the caller has
+    checked, except that an unchanged profile returns P itself: the identity
+    resample proj_matrix(n, n) = I of the fixed-length path costs no copy.
+    The result may be P, so callers only read it."""
+    return P if dims_in == dims_out else project_batch(P, dims_in, dims_out)
 
 
 def nominal_add(x, y, r: int) -> np.ndarray:

@@ -26,22 +26,24 @@ def softmax_rows(E) -> np.ndarray:
     """softmax applied to each row of a matrix; rows come out stochastic.
 
     One masked exp over the whole matrix: each row is shifted by its own
-    max, so -inf entries become exact zeros.  The first bad row decides the
-    error, as a row-by-row softmax would: NaN or +inf raises NonFiniteError
-    (a ValueError), an all -inf row raises DegenerateRowError naming it
-    (1-based).
+    max, so -inf entries become exact zeros.  The row max is also the check,
+    since it is NaN when the row holds a NaN, +inf when it holds +inf and no
+    NaN, and -inf only when the row is entirely -inf.  The first bad row
+    decides the error, as a row-by-row softmax would: NaN or +inf raises
+    NonFiniteError (a ValueError), an all -inf row raises DegenerateRowError
+    naming it (1-based).
     """
     E = np.asarray(E, dtype=float)
     if E.ndim != 2 or E.size == 0:
         raise ValueError(f"softmax_rows expects a nonempty 2-D matrix, got shape {E.shape}")
-    invalid = (np.isnan(E) | (E == np.inf)).any(axis=1)
-    dead = ~(E > -np.inf).any(axis=1)
-    if invalid.any() or dead.any():
-        first = int(np.argmax(invalid | dead))
-        if invalid[first]:
-            raise NonFiniteError(f"row {first + 1}: softmax entries must be finite or -inf")
-        raise DegenerateRowError(f"row {first + 1} is entirely masked (-inf)")
-    e = np.exp(E - E.max(axis=1, keepdims=True))
+    top = E.max(axis=1, keepdims=True)
+    bad = ~np.isfinite(top[:, 0])
+    if bad.any():
+        first = int(np.argmax(bad))
+        if top[first, 0] == -np.inf:
+            raise DegenerateRowError(f"row {first + 1} is entirely masked (-inf)")
+        raise NonFiniteError(f"row {first + 1}: softmax entries must be finite or -inf")
+    e = np.exp(E - top)
     return e / e.sum(axis=1, keepdims=True)
 
 

@@ -36,7 +36,7 @@ from .hypervector import (
     hyper_inner,
     hyper_inner_weighted,
 )
-from .projection import project, project_batch
+from .projection import _resample, project
 from .stochastic import softmax_rows
 
 SCALING_MODES = ("sqrt-n", "sqrt-s", "n")
@@ -365,14 +365,15 @@ def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector | tupl
     smaller than some inputs), mapped by W (d x d), and projected out to
     dims_out.  No zeros are injected and every source entry keeps weight.
     Each resample is one project_batch on the addition form, with one
-    product between them.  W may also be a tuple of d x d transforms: X is
-    then resampled to d once and a tuple of one hypervector per transform
-    comes back.
+    product between them; a resample that changes no length is the identity
+    and is skipped.  W may also be a tuple of d x d transforms: X is then
+    resampled to d once and a tuple of one hypervector per transform comes
+    back.
     """
     Ws, d, dims_out = _pipeline_args(X, W, d, dims_out)
     s = X.batch_size
-    padded = project_batch(X.buffer, X.dims, (d,) * s).reshape(s, d)
-    outs = tuple(HyperVector(project_batch((padded @ Wk.T).reshape(-1), (d,) * s, dims_out),
+    padded = _resample(X.buffer, X.dims, (d,) * s).reshape(s, d)
+    outs = tuple(HyperVector(_resample((padded @ Wk.T).reshape(-1), (d,) * s, dims_out),
                              dims_out) for Wk in Ws)
     return outs if isinstance(W, tuple) else outs[0]
 
@@ -439,7 +440,8 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
 
     Component k of the result is sum_i weights[i] * project(head_i[k],
     target_dims[k]) (weights default to all ones), one project_batch per
-    head, optionally followed by a per-component linear map out_maps[k].
+    head whose profile differs from target_dims, optionally followed by a
+    per-component linear map out_maps[k].
     """
     heads = list(heads)
     if not heads:
@@ -460,7 +462,7 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
         raise ValueError("head weights must be nonnegative")
     acc = np.zeros(sum(target_dims))
     for wgt, h in zip(weights, heads):
-        acc = acc + wgt * project_batch(h.buffer, h.dims, target_dims)
+        acc = acc + wgt * _resample(h.buffer, h.dims, target_dims)
     if out_maps is None:
         return HyperVector(acc, target_dims)
     if len(out_maps) != s:
@@ -487,15 +489,16 @@ def df_add_norm(X: HyperVector, F: HyperVector, mode: str = "vector-wise",
     pooled over every entry).
 
     Everything runs on the addition form: one project_batch moves the skip
-    input onto the branch profile.  Vector-wise mode applies _normalize's
-    formula to every component at once, taking the per-component sums with
+    input onto the branch profile, or none when the profiles are equal, as
+    in encoder_block.  Vector-wise mode applies _normalize's formula to
+    every component at once, taking the per-component sums with
     np.add.reduceat; layer-wise mode applies _normalize to the whole buffer.
     """
     if X.batch_size != F.batch_size:
         raise ShapeError(
             f"batch sizes differ: {X.batch_size} skip vs {F.batch_size} branch"
         )
-    Z = relu(project_batch(X.buffer, X.dims, F.dims) + F.buffer)
+    Z = relu(_resample(X.buffer, X.dims, F.dims) + F.buffer)
     if mode == "vector-wise":
         n = np.array(F.dims)
         starts = np.cumsum(n) - n
@@ -560,10 +563,11 @@ def _block_mask(cfg: ModelConfig):
 
 
 def encoder_block(X: HyperVector, w: AttentionWeights, cfg: ModelConfig,
-                  return_weights: bool = False):
+                  return_weights: bool = False, mask=None):
     """One ragged encoder block: Q/K/V pipelines, (multi-head) attention,
     add-norm, feed-forward, add-norm.  Q, K, V, the combined heads and the
-    output keep the input profile.
+    output keep the input profile.  mask is the additive attention mask,
+    added to the scores; None builds the one cfg.mask names.
 
     mask="causal" masks the attention weights only.  Token i's output is
     free of later tokens only if, besides, W1, W2 and the head maps are
@@ -575,7 +579,8 @@ def encoder_block(X: HyperVector, w: AttentionWeights, cfg: ModelConfig,
             f"input has {X.batch_size} components, config says {cfg.batch_size}"
         )
     Q, K, V = _qkv_hyper(X, w, cfg)
-    mask = _block_mask(cfg)
+    if mask is None:
+        mask = _block_mask(cfg)
 
     if w.head_q is None:
         if cfg.heads != 1:
@@ -614,7 +619,8 @@ def encoder_stack(X: HyperVector, w_list, cfg: ModelConfig,
                   return_weights: bool = False):
     """cfg.layers encoder blocks in sequence; a single weight set is reused
     for every block, otherwise w_list must provide one per block.  Zero
-    layers is the identity."""
+    layers is the identity.  The attention mask of cfg.mask is built once
+    and added in every block."""
     w_list = list(w_list)
     n = cfg.layers
     if n == 0:
@@ -623,10 +629,10 @@ def encoder_stack(X: HyperVector, w_list, cfg: ModelConfig,
         w_list = w_list * n
     if len(w_list) != n:
         raise ShapeError(f"{len(w_list)} weight sets for {n} blocks")
-    atts = []
+    atts, mask = [], _block_mask(cfg)
     for k, w in enumerate(w_list):
         try:
-            X, A = encoder_block(X, w, cfg, return_weights=True)
+            X, A = encoder_block(X, w, cfg, return_weights=True, mask=mask)
         except (ShapeError, ValueError) as exc:
             raise type(exc)(f"block {k + 1}: {exc}") from exc
         atts.append(A)

@@ -335,7 +335,20 @@ class TestForwardCommand:
             "config": {"nominal_dim": 3, "heads": 2},
             "matrices": {"Wq": eye3, "Wk": eye3, "Wv": eye3},
         }))
-        assert run_cli("forward", batch, "--weights", str(weights))[0] == 2
+        code, _, err = run_cli("forward", batch, "--weights", str(weights))
+        assert code == 2
+        assert f"input error: {weights}: head 1 needs matrices Tq1, Tk1, Tv1" in err
+
+    def test_missing_wq_names_the_weights_file(self, tmp_path, capsys):
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        eye3 = {"rows": 3, "cols": 3, "data": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({
+            "config": {"nominal_dim": 3}, "matrices": {"Wk": eye3, "Wv": eye3},
+        }))
+        assert main(["forward", batch, "--weights", str(weights)]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {weights}: field 'matrices.Wq' is missing" in err
 
     def test_scale_and_mask_flags_change_attention(self, tmp_path):
         batch = write_batch(tmp_path / "batch.json", RAGGED)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,33 @@ def masked_softmax_oracle(row):
     e = np.exp(row[finite] - row[finite].max())
     out[finite] = e / e.sum()
     return out
+
+
+def three_mask_softmax_rows(E):
+    """softmax_rows with its checks written as three masks over E (NaN, +inf,
+    no entry above -inf): the error type and 1-based row of the first bad
+    row, or the softmax itself."""
+    invalid = (np.isnan(E) | (E == np.inf)).any(axis=1)
+    dead = ~(E > -np.inf).any(axis=1)
+    if invalid.any() or dead.any():
+        first = int(np.argmax(invalid | dead))
+        return (NonFiniteError if invalid[first] else DegenerateRowError), first + 1
+    e = np.exp(E - E.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def scores_with_specials(draw):
+    """Score matrices mixing finite, NaN, +inf and -inf entries, some rows
+    entirely -inf."""
+    shape = draw(st.tuples(st.integers(1, 8), st.integers(1, 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    E = rng.normal(scale=10.0, size=shape)
+    E[rng.random(shape) < draw(st.sampled_from([0.0, 0.3]))] = -np.inf
+    special = rng.random(shape) < draw(st.sampled_from([0.0, 0.02, 0.2]))
+    E[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
+    E[rng.random(shape[0]) < draw(st.sampled_from([0.0, 0.25]))] = -np.inf
+    return E
 
 
 class TestSoftmax:
@@ -116,6 +144,19 @@ class TestSoftmaxRows:
         assert np.all(A[masked] == 0.0)
         expected = np.stack([masked_softmax_oracle(row) for row in E])
         np.testing.assert_allclose(A, expected, rtol=0, atol=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scores_with_specials())
+    def test_row_max_check_matches_three_masks(self, E):
+        want = three_mask_softmax_rows(E)
+        if isinstance(want, tuple):
+            kind, row = want
+            with pytest.raises((NonFiniteError, DegenerateRowError)) as info:
+                softmax_rows(E)
+            assert type(info.value) is kind
+            assert re.match(rf"row {row}\b", str(info.value))
+        else:
+            assert softmax_rows(E).tobytes() == want.tobytes()
 
 
 class TestPredicates:

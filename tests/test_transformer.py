@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import gc
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -762,13 +764,15 @@ class TestPlanReuse:
         cfg.padding = padding
         pipeline = proj_pad_pipeline if padding == "projection" else zero_pad_pipeline
         want = [pipeline(X, W, 61, X.dims) for W in (w.wq, w.wk, w.wv)]
-        resamples, resample = [], transformer.project_batch
+        resamples, resample = [], projection.project_batch
 
         def counting_resample(P, dims_in, dims_out):
             resamples.append(dims_in)
             return resample(P, dims_in, dims_out)
 
-        monkeypatch.setattr(transformer, "project_batch", counting_resample)
+        # The pipelines resample through projection._resample, which calls
+        # the binding in its own module.
+        monkeypatch.setattr(projection, "project_batch", counting_resample)
         got = _qkv_hyper(X, w, cfg)
         for g, v in zip(got, want, strict=True):
             assert g.dims == v.dims and g.buffer.tobytes() == v.buffer.tobytes()
@@ -789,6 +793,151 @@ class TestPlanReuse:
             tracemalloc.stop()
         assert retained < 2 * 2**20
 
+
+def lcm_weighted(X, Y):
+    """hyper_inner_weighted with the lcm scale matrix for every profile."""
+    return hyper_inner(X, Y) * np.sqrt(np.lcm.outer(X.dims, Y.dims))
+
+
+@contextlib.contextmanager
+def always_resampled():
+    """Run the stages the long way: every resample goes through
+    project_batch, the identity ones included, and every score matrix is
+    scaled by lcm_weighted.  Yields the list of resamples made."""
+    calls = []
+
+    def resample(P, dims_in, dims_out):
+        calls.append(dims_in)
+        return project_batch(P, dims_in, dims_out)
+
+    with mock.patch.object(hypervector, "_resample", resample), \
+            mock.patch.object(transformer, "_resample", resample), \
+            mock.patch.object(transformer, "hyper_inner_weighted", lcm_weighted):
+        yield calls
+
+
+@st.composite
+def stage_profiles(draw):
+    """A homogeneous or a ragged profile of 1 to 6 lengths in [1, 9], and a seed."""
+    s = draw(st.integers(1, 6))
+    ragged = st.lists(st.integers(1, 9), min_size=s, max_size=s)
+    dims = draw(st.one_of(st.integers(1, 9).map(lambda d: [d] * s), ragged))
+    return tuple(dims), draw(st.integers(0, 2**32 - 1))
+
+
+def same_bytes(X, Y):
+    return X.dims == Y.dims and X.buffer.tobytes() == Y.buffer.tobytes()
+
+
+def two_head_weights(rng, s, d, b2_len):
+    """Random weights of a two-head block: Q/K/V maps, head maps, FFN maps,
+    a length-d b1 and a length-b2_len b2."""
+    maps = [tuple(rng.normal(size=(s, s)) for _ in range(2)) for _ in range(3)]
+    return AttentionWeights(
+        wq=rng.normal(size=(d, d)), wk=rng.normal(size=(d, d)), wv=rng.normal(size=(d, d)),
+        head_q=maps[0], head_k=maps[1], head_v=maps[2],
+        ffn_w1=rng.normal(size=(s, s)), ffn_w2=rng.normal(size=(s, s)),
+        ffn_b1=rng.normal(size=d), ffn_b2=rng.normal(size=b2_len),
+    )
+
+
+class TestSkippedResamples:
+    """Skipping identity resamples and scaling homogeneous scores by one
+    scalar keep every bit of the long way (always_resampled)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stage_profiles(), st.integers(-2, 2), st.integers(0, 2), st.integers(0, 2))
+    def test_diamond(self, case, dp, n0_kind, out_kind):
+        dims, seed = case
+        rng = np.random.default_rng(seed)
+        s = len(dims)
+        p = max(1, s + dp)
+        X = HyperVector(rng.normal(size=sum(dims)), dims)
+        A = rng.normal(size=(p, s))
+        n0 = (None, max(dims), max(dims) + 1)[n0_kind]
+        out_dims = (None, (n0 or max(dims),) * p, tuple(rng.integers(1, 10, p)))[out_kind]
+        got = diamond(A, X, n0, out_dims)
+        with always_resampled() as calls:
+            want = diamond(A, X, n0, out_dims)
+        assert len(calls) == 2 and same_bytes(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stage_profiles(), st.integers(0, 1), st.integers(0, 2), st.integers(1, 3))
+    def test_proj_pad_pipeline(self, case, d_kind, out_kind, transforms):
+        dims, seed = case
+        rng = np.random.default_rng(seed)
+        s = len(dims)
+        X = HyperVector(rng.normal(size=sum(dims)), dims)
+        d = (max(dims), int(rng.integers(1, 10)))[d_kind]
+        dims_out = (dims, (d,) * s, tuple(rng.integers(1, 10, s)))[out_kind]
+        W = tuple(rng.normal(size=(d, d)) for _ in range(transforms))
+        got = proj_pad_pipeline(X, W, d, dims_out)
+        with always_resampled() as calls:
+            want = proj_pad_pipeline(X, W, d, dims_out)
+        assert len(calls) == 1 + transforms
+        assert all(same_bytes(g, v) for g, v in zip(got, want, strict=True))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stage_profiles(), st.booleans(), st.sampled_from(["vector-wise", "layer-wise"]))
+    def test_df_add_norm(self, case, same_profile, mode):
+        dims, seed = case
+        rng = np.random.default_rng(seed)
+        X = HyperVector(rng.normal(size=sum(dims)), dims)
+        f_dims = dims if same_profile else tuple(rng.integers(1, 10, len(dims)))
+        F = HyperVector(rng.normal(size=sum(f_dims)), f_dims)
+        got = df_add_norm(X, F, mode)
+        with always_resampled() as calls:
+            want = df_add_norm(X, F, mode)
+        assert len(calls) == 1 and same_bytes(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stage_profiles(), st.integers(0, 2))
+    def test_hyper_inner_weighted(self, case, y_kind):
+        dims, seed = case
+        rng = np.random.default_rng(seed)
+        X = HyperVector(rng.normal(size=sum(dims)), dims)
+        t = int(rng.integers(1, 7))
+        y_dims = ((dims[0],) * t, tuple(rng.integers(1, 10, t)))[y_kind % 2]
+        Y = X if y_kind == 2 else HyperVector(rng.normal(size=sum(y_dims)), y_dims)
+        assert hyper_inner_weighted(X, Y).tobytes() == lcm_weighted(X, Y).tobytes()
+
+    @pytest.mark.parametrize("padding", PADDING_MODES)
+    @pytest.mark.parametrize("dims", [(5,) * 6, (5, 3, 4, 5, 2, 1)])
+    def test_encoder_stack(self, rng, padding, dims):
+        s, d = len(dims), max(dims)
+        X = HyperVector(rng.normal(size=sum(dims)), dims)
+        w = two_head_weights(rng, s, d, d - 1)
+        cfg = ModelConfig(batch_size=s, nominal_dim=d, heads=2, padding=padding,
+                          mask="causal", layers=2)
+        got, got_att = encoder_stack(X, [w], cfg, return_weights=True)
+        with always_resampled() as calls:
+            want, want_att = encoder_stack(X, [w], cfg, return_weights=True)
+        assert calls and same_bytes(got, want)
+        assert np.array(got_att).tobytes() == np.array(want_att).tobytes()
+
+    def test_homogeneous_causal_stack_resamples_nothing(self, rng, monkeypatch):
+        s, d = 6, 5
+        X = HyperVector.from_matrix(rng.normal(size=(s, d)))
+        w = two_head_weights(rng, s, d, d)
+        cfg = ModelConfig(batch_size=s, nominal_dim=d, heads=2, mask="causal", layers=3)
+        resamples, masks = [], []
+        resample, mask = projection.project_batch, transformer.causal_mask
+
+        def counting_resample(*args):
+            resamples.append(args[1:])
+            return resample(*args)
+
+        def counting_mask(*args):
+            masks.append(args)
+            return mask(*args)
+
+        # projection holds the only binding of project_batch the stages reach.
+        assert not hasattr(hypervector, "project_batch")
+        assert not hasattr(transformer, "project_batch")
+        monkeypatch.setattr(projection, "project_batch", counting_resample)
+        monkeypatch.setattr(transformer, "causal_mask", counting_mask)
+        encoder_stack(X, [w], cfg)
+        assert resamples == [] and masks == [(s,)]
 
 def _length_cases():
     """(call, bad value, expected error) for every argument that takes a
