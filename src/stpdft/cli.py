@@ -31,6 +31,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 import time
 import typing
@@ -56,9 +57,6 @@ from .transformer import (
     zero_pad_pipeline,
 )
 
-MATRIX_KEYS = ("Wq", "Wk", "Wv", "W1", "W2", "B1", "B2", "M_W", "gamma", "beta")
-HEAD_KEY_PREFIXES = ("Tq", "Tk", "Tv", "OM")
-
 
 def _json_default(x):
     """json.dumps fallback for ndarrays, numpy scalars and Fractions."""
@@ -82,10 +80,6 @@ def _write_text(path: str | None, text: str):
         raise SchemaError(f"{path}: cannot write: {exc.strerror or exc}") from exc
 
 
-def _dump_report(items, path):
-    _write_text(path, json.dumps({"items": items}, indent=2, default=_json_default) + "\n")
-
-
 # --- examples ----------------------------------------------------------------
 
 
@@ -102,10 +96,6 @@ def _rational_encoding(M) -> dict:
     }
 
 
-def _item(name, status, expected, actual) -> dict:
-    return {"name": name, "status": status, "expected": expected, "actual": actual}
-
-
 def _close(a, b, tol=1e-12) -> bool:
     a = np.asarray(a, float)
     b = np.asarray(b, float)
@@ -113,30 +103,21 @@ def _close(a, b, tol=1e-12) -> bool:
 
 
 def cmd_examples(out: str | None, seed: int = 42) -> int:
-    items = []
+    # One (name, agrees, status when it does not, expected, actual) row per item.
+    rows = []
 
-    # Golden projection matrices, compared in exact rational arithmetic.
-    for (m, n), (den, nums) in wx.GOLDEN_PROJECTIONS.items():
+    # Golden projection matrices and the walkthrough A pad/unpad blocks,
+    # compared in exact rational arithmetic.
+    golden = [(f"projection_matrix_{m}_to_{n}", m, n, g)
+              for (m, n), g in wx.GOLDEN_PROJECTIONS.items()]
+    golden.append(("walkthrough_a_pad_block", 2, 3, wx.GOLDEN_PAD_2_TO_3))
+    golden.append(("walkthrough_a_unpad_block", 3, 2, wx.GOLDEN_UNPAD_3_TO_2))
+    for name, m, n, (den, nums) in golden:
         expected = wx.golden_fraction_matrix(den, nums)
         actual = proj_matrix_exact(m, n)
         ok = actual.shape == expected.shape and bool(np.all(actual == expected))
-        items.append(_item(
-            f"projection_matrix_{m}_to_{n}",
-            "pass" if ok else "fail",
-            _rational_encoding(expected),
-            _rational_encoding(actual),
-        ))
-
-    # Walkthrough A pad/unpad blocks.
-    for name, (den, nums), (m, n) in (
-        ("walkthrough_a_pad_block", wx.GOLDEN_PAD_2_TO_3, (2, 3)),
-        ("walkthrough_a_unpad_block", wx.GOLDEN_UNPAD_3_TO_2, (3, 2)),
-    ):
-        expected = wx.golden_fraction_matrix(den, nums)
-        actual = proj_matrix_exact(m, n)
-        ok = bool(np.all(actual == expected))
-        items.append(_item(name, "pass" if ok else "fail",
-                           _rational_encoding(expected), _rational_encoding(actual)))
+        rows.append((name, ok, "fail",
+                     _rational_encoding(expected), _rational_encoding(actual)))
 
     # Walkthrough A diamond under seeded numeric substitution.
     rng = SplitMix64(seed)
@@ -147,19 +128,12 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
     algo = diamond(W2, X, 3)
     published = wx.walkthrough_a_result(W2, x1, x2)
     agree = all(_close(a, p) for a, p in zip(algo.components, published))
-    items.append(_item(
-        "walkthrough_a_diamond_vs_published",
-        "pass" if agree else "paper-mismatch",
-        published,
-        algo.components,
-    ))
+    rows.append(("walkthrough_a_diamond_vs_published", agree, "paper-mismatch",
+                 published, algo.components))
     vec = diamond_vectorized(W2, X, 3)
-    items.append(_item(
-        "walkthrough_a_diamond_dual_path",
-        "pass" if _close(vec, algo.to_addition_form()) else "fail",
-        algo.to_addition_form(),
-        vec,
-    ))
+    agree = _close(vec, algo.to_addition_form())
+    rows.append(("walkthrough_a_diamond_dual_path", agree, "fail",
+                 algo.to_addition_form(), vec))
 
     # Walkthrough B: seeded W and batch, both padding branches.
     W6 = rng.matrix(6, 6)
@@ -170,20 +144,15 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
     zp = zero_pad_pipeline(XB, W6, 6, dims)
     zp_pub = wx.zero_padding_result(W6, comps)
     agree = all(_close(a, p) for a, p in zip(zp.components, zp_pub))
-    items.append(_item(
-        "walkthrough_b_zero_padding_vs_published",
-        "pass" if agree else "paper-mismatch",
-        zp_pub,
-        zp.components,
-    ))
+    rows.append(("walkthrough_b_zero_padding_vs_published", agree, "paper-mismatch",
+                 zp_pub, zp.components))
 
     pp = proj_pad_pipeline(XB, W6, 6, dims)
     pp_pub = wx.projection_padding_result(W6, comps)
     for idx in (0, 1, 3):  # components with published mu / lam tables
         name = f"walkthrough_b_projection_q{idx + 1}_vs_published"
         ok = _close(pp[idx], pp_pub[idx])
-        items.append(_item(name, "pass" if ok else "paper-mismatch",
-                           pp_pub[idx], pp[idx]))
+        rows.append((name, ok, "paper-mismatch", pp_pub[idx], pp[idx]))
 
     # Component 3 (the eta table): recompute the coefficients and flag any
     # published cells that disagree; the pipeline is checked against the
@@ -191,43 +160,32 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
     eta_pub = wx.printed_table("eta", W6)
     eta_rec = wx.recomputed_table("eta", W6)
     q3_rec = eta_rec @ comps[2] / wx.COEFF_SCALES["eta"]
-    items.append(_item(
-        "walkthrough_b_projection_q3_vs_recomputed",
-        "pass" if _close(pp[2], q3_rec) else "fail",
-        q3_rec,
-        pp[2],
-    ))
+    rows.append(("walkthrough_b_projection_q3_vs_recomputed", _close(pp[2], q3_rec), "fail",
+                 q3_rec, pp[2]))
     flagged = []
     for i in range(5):
         for j in range(5):
             if abs(eta_pub[i, j] - eta_rec[i, j]) > 1e-9:
                 flagged.append((i + 1, j + 1))
-                items.append(_item(
-                    f"walkthrough_b_eta_cell_{i + 1}_{j + 1}",
-                    "paper-mismatch",
-                    float(eta_pub[i, j]),
-                    float(eta_rec[i, j]),
-                ))
-    items.append(_item(
-        "walkthrough_b_eta_table",
-        "pass",
-        {"cells": 25},
-        {"confirmed_cells": 25 - len(flagged),
-         "flagged_cells": [f"({i},{j})" for i, j in flagged]},
-    ))
+                rows.append((f"walkthrough_b_eta_cell_{i + 1}_{j + 1}", False, "paper-mismatch",
+                             float(eta_pub[i, j]), float(eta_rec[i, j])))
+    rows.append(("walkthrough_b_eta_table", True, None,
+                 {"cells": 25},
+                 {"confirmed_cells": 25 - len(flagged),
+                  "flagged_cells": [f"({i},{j})" for i, j in flagged]}))
 
     # mu / lam published tables against recomputation (these agree).
     for name in ("mu", "lam"):
         pub = wx.printed_table(name, W6)
         rec = wx.recomputed_table(name, W6)
-        items.append(_item(
-            f"walkthrough_b_{name}_table_vs_recomputed",
-            "pass" if _close(pub, rec, 1e-9) else "paper-mismatch",
-            pub,
-            rec,
-        ))
+        ok = _close(pub, rec, 1e-9)
+        rows.append((f"walkthrough_b_{name}_table_vs_recomputed", ok, "paper-mismatch", pub, rec))
 
-    _dump_report(items, out)
+    items = []
+    for name, ok, status, expected, actual in rows:
+        items.append({"name": name, "status": "pass" if ok else status,
+                      "expected": expected, "actual": actual})
+    _write_text(out, json.dumps({"items": items}, indent=2, default=_json_default) + "\n")
     return 0 if all(i["status"] != "fail" for i in items) else 4
 
 
@@ -325,6 +283,31 @@ CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig))
 _NUMBER_FIELDS = tuple((key, t) for key, t in typing.get_type_hints(ModelConfig).items()
                        if t in (int, float))
 
+# The weights file's matrices in the order they are read, checked and drawn:
+# name -> (AttentionWeights field, shape, numbering, required).  The shape is
+# "d" or "s" for a square matrix of side nominal_dim or batch size, "bias" for
+# 1 x n or n x 1, "1" for 1 x 1 and None for any shape.  A numbered name stands
+# for name1, name2, ...: the head maps for heads 1..heads (none when heads is
+# 1), OM for components 1..s.
+WEIGHT_MATRICES = {
+    "Wq": ("wq", "d", None, True),
+    "Wk": ("wk", "d", None, True),
+    "Wv": ("wv", "d", None, True),
+    "W1": ("ffn_w1", "s", None, False),
+    "W2": ("ffn_w2", "s", None, False),
+    "B1": ("ffn_b1", "bias", None, False),
+    "B2": ("ffn_b2", "bias", None, False),
+    "gamma": ("gamma", "1", None, False),
+    "beta": ("beta", "1", None, False),
+    "Tq": ("head_q", "s", "heads", True),
+    "Tk": ("head_k", "s", "heads", True),
+    "Tv": ("head_v", "s", "heads", True),
+    "OM": ("out_maps", None, "s", False),
+}
+# A numbered name is numbered from 1 in ASCII digits, with no leading zero.
+_MATRIX_NAME = re.compile("|".join(key + ("[1-9][0-9]*" if numbering else "")
+                                   for key, (_, _, numbering, _) in WEIGHT_MATRICES.items()))
+
 
 def _parse_weights(path: str) -> tuple[dict, dict]:
     """The config and the matrices of the weights file at path, as fresh dicts.
@@ -353,92 +336,87 @@ def _decode_weights(path: str, data: bytes) -> tuple[dict, dict]:
         raise SchemaError(f"{path}: field 'matrices' must be an object")
     parsed = {}
     for name, spec in matrices.items():
-        known = name in MATRIX_KEYS or any(
-            name.startswith(p) and name[len(p):].isdigit() for p in HEAD_KEY_PREFIXES
-        )
-        if not known:
-            raise SchemaError(
-                f"{path}: field 'matrices.{name}' is not a recognized matrix name"
-            )
+        if not _MATRIX_NAME.fullmatch(name):
+            raise SchemaError(f"{path}: field 'matrices.{name}' is not a recognized matrix name")
         parsed[name] = _parse_matrix(path, name, spec)
     return config, parsed
 
 
-def _require_shape(name, M, shape):
-    if M.shape != shape:
-        raise ShapeError(
-            f"{name} has shape {M.shape[0]} x {M.shape[1]},"
-            f" but the configuration requires {shape[0]} x {shape[1]}"
-        )
+def _names(key: str, numbering, s: int, heads: int) -> tuple:
+    """The matrix names that the WEIGHT_MATRICES entry key stands for, for a
+    batch of s sequences and heads heads."""
+    if numbering is None:
+        return (key,)
+    count = s if numbering == "s" else (heads if heads > 1 else 0)
+    return tuple(f"{key}{i}" for i in range(1, count + 1))
+
+
+def _field_value(name, M, shape, side):
+    """The AttentionWeights value of the matrix M, after the check of its
+    WEIGHT_MATRICES shape; side maps "d" and "s" to their lengths."""
+    if shape in side:
+        n = side[shape]
+        if M.shape != (n, n):
+            raise ShapeError(f"{name} has shape {M.shape[0]} x {M.shape[1]},"
+                             f" but the configuration requires {n} x {n}")
+        return M
+    if shape == "bias":
+        if 1 not in M.shape:
+            raise ShapeError(f"{name} has shape {M.shape[0]} x {M.shape[1]},"
+                             " expected a 1 x n or n x 1 bias vector")
+        return M.reshape(-1)
+    if shape == "1":
+        if M.size != 1:
+            raise ShapeError(f"{name} must be 1 x 1, got {M.shape}")
+        return float(M[0, 0])
+    return M  # an output map, which dv_multi_head checks against its component
 
 
 def random_weights(s: int, d: int, dims, rng: SplitMix64, heads: int = 1) -> AttentionWeights:
-    """Deterministic weight set for a batch of s sequences at nominal dim d."""
-    draws = 3 * d * d + (2 + (3 * heads if heads > 1 else 0)) * s * s
+    """Deterministic weight set for a batch of s sequences at nominal dim d:
+    every square WEIGHT_MATRICES entry and the biases, drawn in table order."""
+    side = {"d": d, "s": s}
+    drawn = []  # (field, shape, numbering, count) of each entry that is drawn
+    for key, (field, shape, numbering, _) in WEIGHT_MATRICES.items():
+        count = len(_names(key, numbering, s, heads)) if shape in side or shape == "bias" else 0
+        if count:
+            drawn.append((field, shape, numbering, count))
+    # The biases draw no more than the batch already holds.
+    draws = sum(count * side[shape] ** 2 for _, shape, _, count in drawn if shape in side)
     if draws > SIZE_BUDGET:  # checked before any draw, which holds 8 bytes
         raise SizeBudgetError(f"seeded weights for nominal_dim {d}, batch size {s} and heads"
                               f" {heads} need {draws} draws, over the budget {SIZE_BUDGET}")
-    w = AttentionWeights(
-        wq=rng.matrix(d, d),
-        wk=rng.matrix(d, d),
-        wv=rng.matrix(d, d),
-        ffn_w1=rng.matrix(s, s),
-        ffn_w2=rng.matrix(s, s),
-        ffn_b1=HyperVector([rng.vector(n) for n in dims]),
-        ffn_b2=HyperVector([rng.vector(n) for n in dims]),
-    )
-    if heads > 1:
-        w.head_q = tuple(rng.matrix(s, s) for _ in range(heads))
-        w.head_k = tuple(rng.matrix(s, s) for _ in range(heads))
-        w.head_v = tuple(rng.matrix(s, s) for _ in range(heads))
+    w = AttentionWeights()
+    for field, shape, numbering, count in drawn:
+        if shape == "bias":
+            values = tuple(HyperVector([rng.vector(n) for n in dims]) for _ in range(count))
+        else:
+            values = tuple(rng.matrix(side[shape], side[shape]) for _ in range(count))
+        setattr(w, field, values if numbering else values[0])
     return w
 
 
 def _weights_from_file(path, mats, s, d, heads) -> AttentionWeights:
-    for name in ("Wq", "Wk", "Wv"):
-        if name not in mats:
-            raise SchemaError(f"{path}: field 'matrices.{name}' is missing")
-        _require_shape(name, mats[name], (d, d))
-    w = AttentionWeights(wq=mats["Wq"], wk=mats["Wk"], wv=mats["Wv"])
-    for name, attr in (("W1", "ffn_w1"), ("W2", "ffn_w2")):
-        if name in mats:
-            _require_shape(name, mats[name], (s, s))
-            setattr(w, attr, mats[name])
-    for name, attr in (("B1", "ffn_b1"), ("B2", "ffn_b2")):
-        if name in mats:
-            B = mats[name]
-            if 1 not in B.shape:
-                raise ShapeError(
-                    f"{name} has shape {B.shape[0]} x {B.shape[1]}, expected a"
-                    f" 1 x n or n x 1 bias vector"
-                )
-            setattr(w, attr, B.reshape(-1))
-    for name, attr in (("gamma", "gamma"), ("beta", "beta")):
-        if name in mats:
-            if mats[name].size != 1:
-                raise ShapeError(f"{name} must be 1 x 1, got {mats[name].shape}")
-            setattr(w, attr, float(mats[name].reshape(-1)[0]))
-    if heads > 1:
-        triples = []
-        for i in range(1, heads + 1):
-            keys = (f"Tq{i}", f"Tk{i}", f"Tv{i}")
-            if not all(k in mats for k in keys):
-                raise SchemaError(f"{path}: head {i} needs matrices {', '.join(keys)}")
-            for k in keys:
-                _require_shape(k, mats[k], (s, s))
-            triples.append(tuple(mats[k] for k in keys))
-        w.head_q, w.head_k, w.head_v = map(tuple, zip(*triples))
-    out_maps = []
-    any_om = False
-    for j in range(1, s + 1):
-        key = f"OM{j}"
-        if key in mats:
-            any_om = True
-            out_maps.append(mats[key])
-        else:
-            out_maps.append(None)
-    if any_om:
-        w.out_maps = tuple(out_maps)
+    side = {"d": d, "s": s}
+    w = AttentionWeights()
+    unread = dict(mats)
+    for key, (field, shape, numbering, required) in WEIGHT_MATRICES.items():
+        names = _names(key, numbering, s, heads)
+        missing = [i for i, name in enumerate(names, 1) if name not in unread]
+        if missing and required and numbering:
+            keys = [f"{head_key}{missing[0]}" for head_key, entry in WEIGHT_MATRICES.items()
+                    if entry[2] == "heads"]
+            raise SchemaError(f"{path}: head {missing[0]} needs matrices {', '.join(keys)}")
+        if missing and required:
+            raise SchemaError(f"{path}: field 'matrices.{key}' is missing")
+        if len(missing) == len(names):
+            continue
+        values = tuple(_field_value(name, unread.pop(name), shape, side) if name in unread
+                       else None for name in names)
+        setattr(w, field, values if numbering else values[0])
+    if unread:
+        raise SchemaError(f"{path}: field 'matrices.{next(iter(unread))}' is not read by a"
+                          f" forward pass with batch size {s} and {heads} head(s)")
     return w
 
 

@@ -320,6 +320,14 @@ def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:
     return G * (np.sqrt(np.lcm.outer(X.dims, Y.dims)) if d is None else math.sqrt(d))
 
 
+def _lcm_scale(X: HyperVector, Y: HyperVector):
+    """The s x t matrix of lcm(len x_i, len y_j), or the scalar d when every
+    length is d: a product with either has the same bits.  hyper_inner_weighted
+    keeps its own branch, where the scalar's root is the cheaper math.sqrt."""
+    d = _shared_length(X, Y)
+    return np.lcm.outer(X.dims, Y.dims) if d is None else d
+
+
 @dataclass(frozen=True)
 class DiamondPlan:
     """Explicit pad/unpad matrices of diamond over a fixed dimension profile.

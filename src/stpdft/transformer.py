@@ -31,6 +31,7 @@ from .algebra import SIZE_BUDGET, as_lengths, as_matrix, as_vector, lcm
 from .errors import ShapeError, SizeBudgetError
 from .hypervector import (
     HyperVector,
+    _lcm_scale,
     diamond,
     hyper_add_listwise,
     hyper_inner,
@@ -398,7 +399,7 @@ def _dv_scores(Q: HyperVector, K: HyperVector, scaling: str) -> np.ndarray:
     if scaling == "sqrt-s":
         # Undo the lcm averaging, then apply the 1/sqrt(batch) convention;
         # for uniform lengths this is exactly Q K^T / sqrt(s).
-        return hyper_inner(Q, K) * np.lcm.outer(Q.dims, K.dims) / math.sqrt(Q.batch_size)
+        return hyper_inner(Q, K) * _lcm_scale(Q, K) / math.sqrt(Q.batch_size)
     raise ValueError(f"scaling must be one of {SCALING_MODES}, got {scaling!r}")
 
 

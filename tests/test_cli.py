@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpdft import HyperVector, ModelConfig, SplitMix64, encoder_stack
-from stpdft.cli import (CONFIG_KEYS, _parse_weights, build_parser, main, padding_batch_stats,
-                        random_weights)
+from stpdft.cli import (CONFIG_KEYS, WEIGHT_MATRICES, _parse_weights, build_parser, main,
+                        padding_batch_stats, random_weights)
 from stpdft.transformer import MASK_MODES, NORM_MODES, PADDING_MODES, SCALING_MODES
 
 
@@ -46,6 +46,25 @@ def _environment() -> str:
 
 RAGGED = [[0.1, -0.3, 0.5], [0.2, 0.4, -0.1, 0.7], [1.0, -1.0], [0.0, 0.5, 0.25]]
 HOMOG = [[0.1, -0.3, 0.5], [0.2, 0.4, -0.1], [1.0, -1.0, 0.3]]
+ACCEPTANCE_11 = [[0.1, -0.3, 0.5], [0.2, 0.4, -0.1, 0.7], [1.0, -1.0]]
+
+
+def _matrix_spec(M):
+    """The weights-file entry of the matrix M."""
+    return {"rows": M.shape[0], "cols": M.shape[1], "data": M.reshape(-1).tolist()}
+
+
+def every_matrix_weights():
+    """A weights file for the ACCEPTANCE_11 batch (dims 3, 4, 2) that gives
+    every matrix name: two heads, B1 as 1 x n, B2 as n x 1, square OM1 and OM3."""
+    rng = SplitMix64(13)
+    shapes = {"Wq": (4, 4), "Wk": (4, 4), "Wv": (4, 4), "W1": (3, 3), "W2": (3, 3),
+              "B1": (1, 4), "B2": (5, 1), "gamma": (1, 1), "beta": (1, 1),
+              **{f"{key}{i}": (3, 3) for key in ("Tq", "Tk", "Tv") for i in (1, 2)},
+              "OM1": (3, 3), "OM3": (2, 2)}
+    matrices = {name: _matrix_spec(rng.matrix(*shape)) for name, shape in shapes.items()}
+    config = {"heads": 2, "scaling": "sqrt-s", "norm_mode": "layer-wise", "layers": 2}
+    return {"config": config, "matrices": matrices}
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +143,37 @@ class TestForwardCommand:
         assert main(["forward", batch, "--seed", "42", "--out", str(out), *flags]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.PINNED_DIGESTS[flags], (
+            f"digests recorded under {self.RECORDED_UNDER}; this run: {_environment()}")
+
+    # SHA-256 of the examples report at two seeds, of `forward` with a weights
+    # file that uses every matrix name, and of a seeded two-head `forward`,
+    # recorded under RECORDED_UNDER like PINNED_DIGESTS.
+    PINNED_RUN_DIGESTS = {
+        "examples-seed-42":
+            "1de305cb9fafff7a6596a97cb9f318eee096367493e79dded3f9b02f0a875582",
+        "examples-seed-7":
+            "327466db3a90b309f09f010ed8968070185c729c350460337c410d45c85402f6",
+        "forward-every-matrix":
+            "3ae6cd05171d3348c9711a154fe5677bd599892374d9a1f3e573a1f216f01039",
+        "forward-seeded-two-heads":
+            "60fb3cf60491a2d8eae0bf8980e9c9642ac9f744e9e855fa529ebb45c8e57d1f",
+    }
+
+    @pytest.mark.parametrize("run", list(PINNED_RUN_DIGESTS))
+    def test_run_digest_is_pinned(self, tmp_path, run):
+        out = tmp_path / "o.json"
+        if run.startswith("examples"):
+            argv = ["examples", "--seed", run.rsplit("-", 1)[1]]
+        else:
+            batch = write_batch(tmp_path / "batch.json", ACCEPTANCE_11)
+            weights = tmp_path / "w.json"
+            doc = (every_matrix_weights() if run == "forward-every-matrix"
+                   else {"config": {"heads": 2}})
+            weights.write_text(json.dumps(doc))
+            argv = ["forward", batch, "--weights", str(weights), "--seed", "42"]
+        assert main([*argv, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.PINNED_RUN_DIGESTS[run], (
             f"digests recorded under {self.RECORDED_UNDER}; this run: {_environment()}")
 
     def test_homogeneous_padding_modes_agree(self, tmp_path):
@@ -349,6 +399,68 @@ class TestForwardCommand:
         assert main(["forward", batch, "--weights", str(weights)]) == 2
         err = capsys.readouterr().err
         assert f"input error: {weights}: field 'matrices.Wq' is missing" in err
+
+    # (matrix, the shape it is given or None to leave it out, exit code, message)
+    # for every_matrix_weights with one fault; {path} is the weights file.
+    SCHEMA_FAULTS = [
+        *((name, shape, 3, f"shape error: {name} has shape {shape[0]} x {shape[1]},"
+                           f" but the configuration requires {n} x {n}")
+          for name, shape, n in (("Wq", (3, 3), 4), ("Wk", (4, 3), 4), ("Wv", (1, 4), 4),
+                                 ("W1", (4, 4), 3), ("W2", (3, 2), 3), ("Tq1", (2, 2), 3),
+                                 ("Tk2", (3, 1), 3), ("Tv1", (4, 3), 3))),
+        *((name, shape, 3, f"shape error: {name} has shape {shape[0]} x {shape[1]},"
+                           " expected a 1 x n or n x 1 bias vector")
+          for name, shape in (("B1", (2, 2)), ("B2", (2, 3)))),
+        *((name, shape, 3, f"shape error: {name} must be 1 x 1, got {shape}")
+          for name, shape in (("gamma", (1, 2)), ("beta", (2, 1)))),
+        ("OM3", (2, 3), 3, "shape error: block 1: output map 3 has 3 columns for a length-2"
+                          " component"),
+        *((name, None, 2, f"input error: {{path}}: field 'matrices.{name}' is missing")
+          for name in ("Wq", "Wk", "Wv")),
+        *((f"{key}{i}", None, 2, f"input error: {{path}}: head {i} needs matrices"
+                                 f" Tq{i}, Tk{i}, Tv{i}")
+          for key, i in (("Tq", 2), ("Tk", 1), ("Tv", 2))),
+    ]
+
+    @pytest.mark.parametrize("name,shape,code,message", SCHEMA_FAULTS, ids=[
+        f"{name}-{'missing' if shape is None else 'shape'}" for name, shape, *_ in SCHEMA_FAULTS])
+    def test_each_schema_fault_exit_code_and_message(self, tmp_path, capsys, name, shape,
+                                                     code, message):
+        batch = write_batch(tmp_path / "batch.json", ACCEPTANCE_11)
+        doc = every_matrix_weights()
+        if shape is None:
+            del doc["matrices"][name]
+        else:
+            doc["matrices"][name] = _matrix_spec(np.ones(shape))
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps(doc))
+        assert main(["forward", batch, "--weights", str(weights),
+                     "--out", str(tmp_path / "o.json")]) == code
+        assert f"stpdft: {message.format(path=weights)}\n" == capsys.readouterr().err
+
+    def test_schema_faults_cover_every_matrix(self):
+        faults = {(name if name in WEIGHT_MATRICES else re.sub("[0-9]+$", "", name),
+                   shape is None) for name, shape, *_ in self.SCHEMA_FAULTS}
+        assert {key for key, missing in faults if not missing} == set(WEIGHT_MATRICES)
+        assert {key for key, missing in faults if missing} == {
+            key for key, (*_, required) in WEIGHT_MATRICES.items() if required}
+
+    @pytest.mark.parametrize("name,heads", [
+        ("Tq3", 2), ("Tv3", 2), ("Tk1", 1), ("OM4", 1), ("OM0", 2), ("Tq01", 2),
+        ("OM\N{ARABIC-INDIC DIGIT ONE}", 1), ("M_W", 1),
+    ])
+    def test_matrix_the_forward_pass_never_reads_exit_2(self, tmp_path, capsys, name, heads):
+        batch = write_batch(tmp_path / "batch.json", ACCEPTANCE_11)
+        doc = every_matrix_weights()
+        if heads == 1:
+            doc = {"config": {}, "matrices": {k: doc["matrices"][k] for k in ("Wq", "Wk", "Wv")}}
+        doc["matrices"][name] = _matrix_spec(np.eye(3))
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        assert main(["forward", batch, "--weights", str(weights), "--out", str(out)]) == 2
+        assert f"input error: {weights}: field 'matrices.{name}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scale_and_mask_flags_change_attention(self, tmp_path):
         batch = write_batch(tmp_path / "batch.json", RAGGED)
@@ -667,3 +779,9 @@ class TestHelp:
         choices = {a.option_strings[0]: tuple(a.choices)
                    for a in sub.choices["forward"]._actions if a.choices}
         assert choices == expected
+
+    def test_weight_matrices_match_readme(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        listed = re.search(r"The matrices are (.*?)\.\s", readme, re.S).group(1)
+        names = re.findall(r"`(\w+?)(?:<[ij]>)?`", listed)
+        assert tuple(names) == tuple(WEIGHT_MATRICES)

@@ -803,7 +803,7 @@ def lcm_weighted(X, Y):
 def always_resampled():
     """Run the stages the long way: every resample goes through
     project_batch, the identity ones included, and every score matrix is
-    scaled by lcm_weighted.  Yields the list of resamples made."""
+    scaled by the lcm matrix (lcm_weighted).  Yields the list of resamples made."""
     calls = []
 
     def resample(P, dims_in, dims_out):
@@ -812,7 +812,9 @@ def always_resampled():
 
     with mock.patch.object(hypervector, "_resample", resample), \
             mock.patch.object(transformer, "_resample", resample), \
-            mock.patch.object(transformer, "hyper_inner_weighted", lcm_weighted):
+            mock.patch.object(transformer, "hyper_inner_weighted", lcm_weighted), \
+            mock.patch.object(transformer, "_lcm_scale",
+                              lambda X, Y: np.lcm.outer(X.dims, Y.dims)):
         yield calls
 
 
@@ -900,6 +902,10 @@ class TestSkippedResamples:
         y_dims = ((dims[0],) * t, tuple(rng.integers(1, 10, t)))[y_kind % 2]
         Y = X if y_kind == 2 else HyperVector(rng.normal(size=sum(y_dims)), y_dims)
         assert hyper_inner_weighted(X, Y).tobytes() == lcm_weighted(X, Y).tobytes()
+        got = transformer._dv_scores(X, Y, "sqrt-s")
+        with always_resampled():
+            want = transformer._dv_scores(X, Y, "sqrt-s")
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("padding", PADDING_MODES)
     @pytest.mark.parametrize("dims", [(5,) * 6, (5, 3, 4, 5, 2, 1)])
@@ -907,13 +913,14 @@ class TestSkippedResamples:
         s, d = len(dims), max(dims)
         X = HyperVector(rng.normal(size=sum(dims)), dims)
         w = two_head_weights(rng, s, d, d - 1)
-        cfg = ModelConfig(batch_size=s, nominal_dim=d, heads=2, padding=padding,
-                          mask="causal", layers=2)
-        got, got_att = encoder_stack(X, [w], cfg, return_weights=True)
-        with always_resampled() as calls:
-            want, want_att = encoder_stack(X, [w], cfg, return_weights=True)
-        assert calls and same_bytes(got, want)
-        assert np.array(got_att).tobytes() == np.array(want_att).tobytes()
+        for scaling in ("sqrt-n", "sqrt-s"):
+            cfg = ModelConfig(batch_size=s, nominal_dim=d, heads=2, padding=padding,
+                              scaling=scaling, mask="causal", layers=2)
+            got, got_att = encoder_stack(X, [w], cfg, return_weights=True)
+            with always_resampled() as calls:
+                want, want_att = encoder_stack(X, [w], cfg, return_weights=True)
+            assert calls and same_bytes(got, want)
+            assert np.array(got_att).tobytes() == np.array(want_att).tobytes()
 
     def test_homogeneous_causal_stack_resamples_nothing(self, rng, monkeypatch):
         s, d = 6, 5
