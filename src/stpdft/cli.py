@@ -432,6 +432,10 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
     for key, convert in _NUMBER_FIELDS:
         if key in settings:
             try:
+                # An integer key takes only a JSON integer: int() would read
+                # 3.9 as 3 and true as 1.
+                if convert is int and type(settings[key]) is not int:
+                    raise TypeError(f"must be an integer, got {settings[key]!r}")
                 settings[key] = convert(settings[key])
             except (TypeError, ValueError, OverflowError) as exc:
                 raise SchemaError(f"{weights_path}: field 'config.{key}': {exc}") from exc

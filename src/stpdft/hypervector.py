@@ -20,9 +20,9 @@ its component's original length).  Each projection step is one
 identity.
 
 ``hyper_inner`` scores ragged operands over the bridge bands of all their
-length pairs, from a Gram plan cached as the ``projection`` module describes.
-Plans longer than ``_BAND_CHUNK`` entries are not kept; they are built and
-applied in runs.
+length pairs, from a Gram plan cached as the ``projection`` module describes
+and applied in runs of at most ``_BAND_CHUNK`` entries: a plan of one run is
+kept whole, and of a longer plan only the last run is kept.
 ``diamond_vectorized`` is diamond with a square matrix written as one
 explicit matrix on the addition form, from the block-diagonal pad/unpad maps
 of ``DiamondPlan``; it is kept as the independent oracle of the stepwise
@@ -199,11 +199,10 @@ def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
     return HyperVector(_resample(X.buffer, X.dims, r) + _resample(Y.buffer, Y.dims, r), r)
 
 
-# A Gram plan lists one entry per band entry of every listed pair.  Plans of
-# at most this many entries are memoised; longer ones are built and applied in
-# runs of whole pairs of at most this many entries (a longer pair forms a run
-# of its own), so the band's working set stays near 10 MiB however many long
-# pairs there are.
+# A Gram plan lists one entry per band entry of every listed pair, in runs of
+# whole pairs of at most this many entries (a longer pair forms a run of its
+# own).  Only the last run applied is kept, so the band's working set stays
+# near 10 MiB however many long pairs there are.
 _BAND_CHUNK = 1 << 16
 
 
@@ -222,9 +221,9 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
     one product, with the same bits for X and for a copy of X.  Otherwise
     every pair, equal lengths included, sums x_i y_j bridge_matrix(m, n)[i, j]
     over its bridge band (projection.pair_band) and divides by T: one gather
-    and one np.bincount per Gram plan (_gram_plan), and when X and Y share
-    their profile, a second one that reads the plan's pairs (a, b) as the
-    pairs (b, a) by pair_band's swap rule.
+    and one np.bincount per run of the Gram plan (_gram_runs, _gram_plan),
+    and when X and Y share their profile, a second one that reads the run's
+    pairs (a, b) as the pairs (b, a) by pair_band's swap rule.
     """
     s, t = X.batch_size, Y.batch_size
     _check_budget(s, t)
@@ -235,16 +234,11 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
         Q = Y.buffer.copy() if X is Y else Y.buffer
         return X.buffer.reshape(s, d) @ Q.reshape(t, d).T / d
     rows, cols = _gram_pairs(X.dims, Y.dims)
-    plan = _gram_plan(X.dims, Y.dims)
-    if plan is None:
-        parts = ((lo, hi, _gram_entries(X.dims, Y.dims, rows[lo:hi], cols[lo:hi]))
-                 for lo, hi in _gram_runs(X.dims, Y.dims))
-    else:
-        parts = [(0, len(rows), plan)]
     P, Q = X.buffer, Y.buffer
     mirrored = X.dims == Y.dims
     G = np.empty((s, t))
-    for lo, hi, (src_x, src_y, pair, coef) in parts:
+    for lo, hi in _gram_runs(X.dims, Y.dims):
+        src_x, src_y, pair, coef = _gram_plan(X.dims, Y.dims, lo, hi)
         r, c = rows[lo:hi], cols[lo:hi]
         G[r, c] = np.bincount(pair, weights=P[src_x] * Q[src_y] * coef, minlength=hi - lo)
         if mirrored:
@@ -263,31 +257,30 @@ def _gram_pairs(dims_x, dims_y):
     return np.divmod(np.arange(len(dims_x) * len(dims_y)), len(dims_y))
 
 
-def _band_ends(dims_x, dims_y):
-    """Running band sizes n + p - gcd(n, p) over the listed pairs."""
+@functools.lru_cache(maxsize=1)
+def _gram_runs(dims_x: tuple, dims_y: tuple) -> tuple:
+    """Listed-pair ranges [lo, hi) of at most _BAND_CHUNK band entries each
+    (a longer pair alone), from the band sizes n + p - gcd(n, p) of the
+    listed pairs; memoised."""
     rows, cols = _gram_pairs(dims_x, dims_y)
     n, p = np.asarray(dims_x)[rows], np.asarray(dims_y)[cols]
-    return np.cumsum(n + p - np.gcd(n, p))
-
-
-def _gram_runs(dims_x, dims_y):
-    """Listed-pair ranges [lo, hi) of at most _BAND_CHUNK band entries each
-    (a longer pair alone)."""
-    ends = _band_ends(dims_x, dims_y)
+    ends = np.cumsum(n + p - np.gcd(n, p))
     runs, lo = [], 0
     while lo < len(ends):
         start = ends[lo - 1] if lo else 0
         hi = max(int(np.searchsorted(ends, start + _BAND_CHUNK, "right")), lo + 1)
         runs.append((lo, hi))
         lo = hi
-    return runs
+    return tuple(runs)
 
 
-def _gram_entries(dims_x, dims_y, rows, cols):
-    """Read-only (src_x, src_y, pair, coef) of the pairs (rows[e], cols[e]):
-    band entry e of pair_band adds P[src_x[e]] * Q[src_y[e]] * coef[e] to the
-    Gram entry of pair[e] before the division by the lcm; coef = w / gcd(m, n)
-    is the integer bridge entry."""
+@functools.lru_cache(maxsize=1)
+def _gram_plan(dims_x: tuple, dims_y: tuple, lo: int, hi: int):
+    """Read-only (src_x, src_y, pair, coef) of the listed pairs [lo, hi) of
+    two profiles (_gram_pairs), memoised: band entry e of their pair_band adds
+    P[src_x[e]] * Q[src_y[e]] * coef[e] to the Gram entry of pair[e] before
+    the division by the lcm; coef = w / gcd(m, n) is the integer bridge entry."""
+    rows, cols = (a[lo:hi] for a in _gram_pairs(dims_x, dims_y))
     src_x, src_y, pair, w = pair_band(dims_x, dims_y, rows, cols)
     g = np.gcd(np.asarray(dims_x)[rows], np.asarray(dims_y)[cols])
     coef = (w // g[pair]).astype(float)
@@ -295,35 +288,23 @@ def _gram_entries(dims_x, dims_y, rows, cols):
     return src_x, src_y, pair, coef
 
 
-@functools.lru_cache(maxsize=1)
-def _gram_plan(dims_x: tuple, dims_y: tuple):
-    """_gram_entries of all listed pairs of two profiles (_gram_pairs),
-    memoised; None when the plan would hold more than _BAND_CHUNK entries, so
-    no long plan is kept (hyper_inner then builds and applies it run by run)."""
-    if _band_ends(dims_x, dims_y)[-1] > _BAND_CHUNK:
-        return None
-    return _gram_entries(dims_x, dims_y, *_gram_pairs(dims_x, dims_y))
-
-
 def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:
     """hyper_inner with entry (i, j) scaled by sqrt(lcm(len x_i, len y_j)).
 
-    Built as hyper_inner(X, Y) * sqrt(np.lcm.outer(X.dims, Y.dims)), so it
-    inherits hyper_inner's grouped-product and band construction.  In the
+    Built as hyper_inner(X, Y) * sqrt(_lcm_scale(X, Y)), so it inherits
+    hyper_inner's grouped-product and band construction.  In the
     uniform-length case (all lengths d) the result is
     X.to_matrix() @ Y.to_matrix().T / sqrt(d), the familiar scaled-dot-product
-    score matrix, and the scale is the scalar math.sqrt(d): both square roots
+    score matrix, and the scale is the scalar np.sqrt(d): both square roots
     are correctly rounded, so the bits are those of the lcm matrix.
     """
-    G = hyper_inner(X, Y)  # checks the s x t budget before the scale is built
-    d = _shared_length(X, Y)
-    return G * (np.sqrt(np.lcm.outer(X.dims, Y.dims)) if d is None else math.sqrt(d))
+    # hyper_inner checks the s x t budget before the scale is built.
+    return hyper_inner(X, Y) * np.sqrt(_lcm_scale(X, Y))
 
 
 def _lcm_scale(X: HyperVector, Y: HyperVector):
     """The s x t matrix of lcm(len x_i, len y_j), or the scalar d when every
-    length is d: a product with either has the same bits.  hyper_inner_weighted
-    keeps its own branch, where the scalar's root is the cheaper math.sqrt."""
+    length is d: a product with either has the same bits."""
     d = _shared_length(X, Y)
     return np.lcm.outer(X.dims, Y.dims) if d is None else d
 

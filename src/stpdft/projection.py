@@ -24,7 +24,9 @@ is its one-component case.
 A forward pass resamples and scores the same profiles at every stage, so
 the index plans of a resample and of a Gram matrix (``hypervector.hyper_inner``)
 are built once per profile pair by ``pair_band`` and kept as read-only int32
-arrays in small least-recently-used caches keyed by the two profiles.  By
+arrays in small least-recently-used caches keyed by the two profiles.  A
+Gram plan is built and applied in runs of whole pairs, and of a plan longer
+than one run only the last run is kept.  By
 pair_band's swap rule a resample and its reverse (a pad to a nominal length
 and the unpad back) share one cached band, and a Gram plan of two equal
 profiles lists each unordered pair once.  A profile whose band exceeds the

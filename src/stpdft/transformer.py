@@ -161,20 +161,16 @@ def scale_value(mode: str, n: int, s: int) -> float:
 
 
 def causal_mask(s: int, mode: str = "conventional") -> np.ndarray:
-    """Additive s x s mask.  conventional blocks future positions
-    (-inf strictly above the diagonal); paper-literal is the mirrored
-    variant (-inf on and below the diagonal), kept behind this flag because
-    its last row is entirely masked."""
+    """Additive s x s mask that blocks future positions (-inf strictly above
+    the diagonal).  mode accepts only "conventional": the paper's printed
+    mirror (-inf on and below the diagonal) masks its whole last row."""
     if s < 1:
         raise ShapeError(f"mask size must be positive, got {s}")
+    if mode != "conventional":
+        raise ValueError(f"mask mode must be 'conventional', got {mode!r}")
     upper = np.triu(np.ones((s, s), dtype=bool), k=1)  # j > i
     M = np.zeros((s, s))
-    if mode == "conventional":
-        M[upper] = -np.inf
-    elif mode == "paper-literal":
-        M[~upper] = -np.inf
-    else:
-        raise ValueError(f"mask mode must be 'conventional' or 'paper-literal', got {mode!r}")
+    M[upper] = -np.inf
     return M
 
 

@@ -262,7 +262,9 @@ class TestForwardCommand:
         assert code == 2 and "--mask" in err
 
     @pytest.mark.parametrize("key,value", [("mask", "bogus"), ("layers", "two"),
-                                           ("eps", float("nan")), ("eps", float("inf"))])
+                                           ("eps", float("nan")), ("eps", float("inf")),
+                                           ("nominal_dim", 3.9), ("layers", 1.7),
+                                           ("heads", True), ("batch_size", 3.5)])
     def test_bad_config_value_exit_2_names_key(self, tmp_path, key, value):
         batch = write_batch(tmp_path / "batch.json", HOMOG)
         weights = tmp_path / "w.json"

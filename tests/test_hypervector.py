@@ -24,7 +24,7 @@ from stpdft import (
     vinner,
 )
 from stpdft.algebra import bridge_band
-from stpdft.hypervector import _BAND_CHUNK, _gram_plan
+from stpdft.hypervector import _BAND_CHUNK, _gram_plan, _gram_runs
 from test_projection import repeat_vinner
 
 
@@ -303,11 +303,22 @@ class TestHyperInner:
     def test_long_equal_profile_matches_rowmajor_listing_bit_for_bit(self, rng):
         # Over _BAND_CHUNK entries the plan is applied run by run.
         dims = (40_000, 30_001, 7, 40_000, 12)
-        assert _gram_plan(dims, dims) is None
+        assert len(_gram_runs(dims, dims)) > 1
         X = HyperVector(rng.normal(size=sum(dims)), dims)
         Y = HyperVector(rng.normal(size=sum(dims)), dims)
         assert hyper_inner(X, Y).tobytes() == rowmajor_gram(X, Y).tobytes()
         assert hyper_inner(X, X).tobytes() == rowmajor_gram(X, X).tobytes()
+        # Run boundaries: unequal profiles (no mirrored read) in eight runs,
+        # one of two pairs, and plans of exactly _BAND_CHUNK entries (bands
+        # 65,529 + 7, one run) and of one entry more (two runs).
+        long_runs = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 7), (7, 8), (8, 9))
+        for dims_x, dims_y, runs in (((40_000, 30_001, 7), (12, 40_000, 29_999), long_runs),
+                                     ((65_527, 5), (3,), ((0, 2),)),
+                                     ((65_528, 5), (3,), ((0, 1), (1, 2)))):
+            assert _gram_runs(dims_x, dims_y) == runs
+            X = HyperVector(rng.normal(size=sum(dims_x)), dims_x)
+            Y = HyperVector(rng.normal(size=sum(dims_y)), dims_y)
+            assert hyper_inner(X, Y).tobytes() == rowmajor_gram(X, Y).tobytes()
 
     def test_long_ragged_profile_memory_bounded(self, rng):
         # Unchunked, the band of these 4032 unequal pairs takes about 700 MiB.
@@ -340,17 +351,26 @@ class TestHyperInner:
         assert cold.tobytes() == warm.tobytes() == again.tobytes()
 
     def test_plan_is_read_only_with_int32_indices(self):
-        src_x, src_y, pair, coef = plan = _gram_plan((7, 3), (3, 11, 7))
+        src_x, src_y, pair, coef = plan = _gram_plan((7, 3), (3, 11, 7), 0, 6)
         assert src_x.dtype == src_y.dtype == pair.dtype == np.int32
         for a in plan:
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             coef[0] = 0.0
 
-    def test_long_plan_is_not_kept(self):
-        # Pair (n, n + 1) has 2n band entries.
-        assert _gram_plan((_BAND_CHUNK // 2,), (_BAND_CHUNK // 2 + 1,)) is not None
-        assert _gram_plan((_BAND_CHUNK // 2 + 1,), (_BAND_CHUNK // 2 + 2,)) is None
+    def test_long_plan_is_not_kept(self, rng):
+        # Pair (n, n + 1) has 2n band entries, here _BAND_CHUNK, so pair
+        # (7, n + 1) forms a second run.
+        n = _BAND_CHUNK // 2
+        X = HyperVector(rng.normal(size=n + 7), (n, 7))
+        Y = HyperVector(rng.normal(size=n + 1), (n + 1,))
+        assert _gram_runs(X.dims, Y.dims) == ((0, 1), (1, 2))
+        _gram_plan.cache_clear()
+        hyper_inner(X, Y)
+        hyper_inner(X, Y)
+        # Each call builds both runs again and keeps only the last one.
+        info = _gram_plan.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 4, 1)
 
     def test_cache_stays_bounded(self, rng):
         info = _gram_plan.cache_info()

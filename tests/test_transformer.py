@@ -145,12 +145,12 @@ class TestCausalMask:
         M = causal_mask(2)
         np.testing.assert_array_equal(M, [[0.0, -np.inf], [0.0, 0.0]])
 
-    def test_paper_literal_two(self):
-        M = causal_mask(2, "paper-literal")
-        np.testing.assert_array_equal(M, [[-np.inf, 0.0], [-np.inf, -np.inf]])
-
     def test_single(self):
         np.testing.assert_array_equal(causal_mask(1), [[0.0]])
+
+    def test_only_conventional_mode(self):
+        with pytest.raises(ValueError, match="conventional"):
+            causal_mask(2, "paper-literal")
 
 
 class TestMultiHeadNominal:
