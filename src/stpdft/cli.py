@@ -34,7 +34,6 @@ import math
 import re
 import sys
 import time
-import typing
 from fractions import Fraction
 
 import numpy as np
@@ -279,9 +278,6 @@ def _parse_matrix(path, name, spec) -> np.ndarray:
 
 
 CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig))
-# The numeric config keys with their conversion, in field order.
-_NUMBER_FIELDS = tuple((key, t) for key, t in typing.get_type_hints(ModelConfig).items()
-                       if t in (int, float))
 
 # The weights file's matrices in the order they are read, checked and drawn:
 # name -> (AttentionWeights field, shape, numbering, required).  The shape is
@@ -429,41 +425,24 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
     settings = {"batch_size": s, "nominal_dim": max(dims), **config}
     flags = {"padding": padding, "scaling": scale, "mask": mask, "layers": layers}
     settings.update((key, v) for key, v in flags.items() if v is not None)
-    for key, convert in _NUMBER_FIELDS:
-        if key in settings:
-            try:
-                # An integer key takes only a JSON integer: int() would read
-                # 3.9 as 3 and true as 1.
-                if convert is int and type(settings[key]) is not int:
-                    raise TypeError(f"must be an integer, got {settings[key]!r}")
-                settings[key] = convert(settings[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise SchemaError(f"{weights_path}: field 'config.{key}': {exc}") from exc
-        if key == "batch_size" and settings[key] != s:
-            raise ShapeError(
-                f"weights file declares batch size {config['batch_size']},"
-                f" but the batch has {s} sequences"
-            )
     try:
         cfg = ModelConfig(**settings)
     except ShapeError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         # argparse checks the flags, so the bad value came from the file; the
         # message starts with the ModelConfig field, which is the config key.
         key = str(exc).split()[0]
         raise SchemaError(f"{weights_path}: field 'config.{key}': {exc}") from exc
-    d = cfg.nominal_dim
-    if cfg.padding == "zero" and d < max(dims):
+    if cfg.batch_size != s:
         raise ShapeError(
-            f"nominal dim {d} is smaller than the longest sequence"
-            f" ({max(dims)}); zero padding cannot shrink"
+            f"weights file declares batch size {cfg.batch_size},"
+            f" but the batch has {s} sequences"
         )
     if mats:
-        w = _weights_from_file(weights_path, mats, s, d, cfg.heads)
+        w = _weights_from_file(weights_path, mats, s, cfg.nominal_dim, cfg.heads)
     else:
-        w = random_weights(s, d, dims, SplitMix64(seed), cfg.heads)
-    w.eps = cfg.eps
+        w = random_weights(s, cfg.nominal_dim, dims, SplitMix64(seed), cfg.heads)
 
     # An overflow surfaces as a NonFiniteError from the stage that meets it.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -264,13 +264,24 @@ class TestForwardCommand:
     @pytest.mark.parametrize("key,value", [("mask", "bogus"), ("layers", "two"),
                                            ("eps", float("nan")), ("eps", float("inf")),
                                            ("nominal_dim", 3.9), ("layers", 1.7),
-                                           ("heads", True), ("batch_size", 3.5)])
+                                           ("heads", True), ("batch_size", 3.5),
+                                           ("eps", "0.5"), ("eps", True), ("eps", 10**400)])
     def test_bad_config_value_exit_2_names_key(self, tmp_path, key, value):
         batch = write_batch(tmp_path / "batch.json", HOMOG)
         weights = tmp_path / "w.json"
         weights.write_text(json.dumps({"config": {key: value}}))
         code, _, err = run_cli("forward", batch, "--weights", str(weights))
         assert code == 2 and f"config.{key}" in err
+
+    @pytest.mark.parametrize("field", dataclasses.fields(ModelConfig), ids=lambda f: f.name)
+    def test_every_config_key_rejects_a_wrong_json_type(self, tmp_path, field):
+        # A string for a number, a number for a string.
+        value = {"int": "3", "float": "0.5", "str": 3}[field.type]
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"config": {field.name: value}}))
+        code, _, err = run_cli("forward", batch, "--weights", str(weights))
+        assert code == 2 and f"config.{field.name}" in err
 
     def test_config_eps_reaches_the_norms(self, tmp_path):
         batch = write_batch(tmp_path / "batch.json", RAGGED)
@@ -282,7 +293,6 @@ class TestForwardCommand:
         assert main(["forward", batch, "--seed", "5", "--out", str(default)]) == 0
         X = HyperVector(RAGGED)
         w = random_weights(4, 4, X.dims, SplitMix64(5))
-        w.eps = 0.5
         Y = encoder_stack(X, [w], ModelConfig(batch_size=4, nominal_dim=4, eps=0.5))
         got = json.loads(out.read_text())
         assert got["config"]["eps"] == 0.5

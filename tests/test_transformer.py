@@ -655,6 +655,36 @@ class TestEncoder:
         with pytest.raises(ShapeError, match="block 1"):
             encoder_stack(X, [w], cfg)
 
+    def test_config_eps_moves_the_output(self, rng):
+        X = HyperVector([rng.normal(size=2), rng.normal(size=4), rng.normal(size=3)])
+        w = self._weights(rng, 3, 4, X.dims)
+        outs = [encoder_stack(X, [w], ModelConfig(batch_size=3, nominal_dim=4, eps=eps))
+                for eps in (1e-3, 0.5)]
+        assert not np.array_equal(outs[0].buffer, outs[1].buffer)
+
+    @pytest.mark.parametrize("field,value", [("nominal_dim", 5.0), ("heads", True),
+                                             ("layers", "2"), ("eps", "0.5"),
+                                             ("eps", True)])
+    def test_config_rejects_a_wrong_type_naming_the_field(self, field, value):
+        with pytest.raises(TypeError) as info:
+            ModelConfig(**{"batch_size": 2, "nominal_dim": 3, field: value})
+        assert str(info.value).split()[0] == field
+
+    def test_config_is_frozen(self):
+        cfg = ModelConfig(batch_size=2, nominal_dim=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.eps = 0.5
+
+    @pytest.mark.parametrize("counts", [(2, 1, 1), (2, 2, None), (1, 1, 1), (None, 2, 2)])
+    def test_head_map_counts_must_all_match_the_config(self, rng, counts):
+        X = HyperVector([rng.normal(size=2), rng.normal(size=4)])
+        w = self._weights(rng, 2, 4, X.dims)
+        w.head_q, w.head_k, w.head_v = (
+            None if n is None else tuple(rng.normal(size=(2, 2)) for _ in range(n))
+            for n in counts)
+        with pytest.raises(ShapeError, match="head maps"):
+            encoder_block(X, w, ModelConfig(batch_size=2, nominal_dim=4, heads=2))
+
     def test_masked_block_rows_remain_stochastic(self, rng):
         X = HyperVector([rng.normal(size=2), rng.normal(size=3), rng.normal(size=2)])
         w = self._weights(rng, 3, 3, X.dims)
@@ -683,7 +713,7 @@ class TestEncoder:
     def test_causal_rows_ignore_later_columns(self, rng, padding, heads):
         for _ in range(5):
             X, w, cfg = self._stack_case(rng, padding, heads)
-            cfg.mask = "causal"
+            cfg = dataclasses.replace(cfg, mask="causal")
             _, atts = encoder_stack(X, [w], cfg, return_weights=True)
             assert len(atts) == 2 and all(len(layer) == heads for layer in atts)
             for A in (A for layer in atts for A in layer):
@@ -761,7 +791,7 @@ class TestPlanReuse:
     def test_qkv_pads_once_and_keeps_the_bytes(self, rng, monkeypatch, padding):
         lengths = [61, *rng.integers(17, 61, 15)]
         X, w, cfg = self._stack(rng, lengths, 61)
-        cfg.padding = padding
+        cfg = dataclasses.replace(cfg, padding=padding)
         pipeline = proj_pad_pipeline if padding == "projection" else zero_pad_pipeline
         want = [pipeline(X, W, 61, X.dims) for W in (w.wq, w.wk, w.wv)]
         resamples, resample = [], projection.project_batch
