@@ -146,7 +146,9 @@ class TestForwardCommand:
             f"digests recorded under {self.RECORDED_UNDER}; this run: {_environment()}")
 
     # SHA-256 of the examples report at two seeds, of `forward` with a weights
-    # file that uses every matrix name, and of a seeded two-head `forward`,
+    # file that uses every matrix name, of a seeded two-head `forward`, and of
+    # a seeded causal two-layer `forward` on an all-equal-lengths batch in each
+    # norm mode (the fixed-length path, where every resample is the identity),
     # recorded under RECORDED_UNDER like PINNED_DIGESTS.
     PINNED_RUN_DIGESTS = {
         "examples-seed-42":
@@ -157,6 +159,10 @@ class TestForwardCommand:
             "3ae6cd05171d3348c9711a154fe5677bd599892374d9a1f3e573a1f216f01039",
         "forward-seeded-two-heads":
             "60fb3cf60491a2d8eae0bf8980e9c9642ac9f744e9e855fa529ebb45c8e57d1f",
+        "forward-equal-lengths-layer-wise":
+            "8cb64a1197636a7c8253710f138018c32198ab9626d7292f59d6853f6e75cc07",
+        "forward-equal-lengths-vector-wise":
+            "8891cb8a9c19e65e158737bc4b29e16db16c22ac83d1c02d41c41267b151d98f",
     }
 
     @pytest.mark.parametrize("run", list(PINNED_RUN_DIGESTS))
@@ -165,12 +171,18 @@ class TestForwardCommand:
         if run.startswith("examples"):
             argv = ["examples", "--seed", run.rsplit("-", 1)[1]]
         else:
-            batch = write_batch(tmp_path / "batch.json", ACCEPTANCE_11)
+            causal = ("--mask", "causal", "--layers", "2")
+            seqs, doc, flags = {
+                "forward-every-matrix": (ACCEPTANCE_11, every_matrix_weights(), ()),
+                "forward-seeded-two-heads": (ACCEPTANCE_11, {"config": {"heads": 2}}, ()),
+                "forward-equal-lengths-layer-wise":
+                    (HOMOG, {"config": {"norm_mode": "layer-wise"}}, causal),
+                "forward-equal-lengths-vector-wise": (HOMOG, {}, causal),
+            }[run]
+            batch = write_batch(tmp_path / "batch.json", seqs)
             weights = tmp_path / "w.json"
-            doc = (every_matrix_weights() if run == "forward-every-matrix"
-                   else {"config": {"heads": 2}})
             weights.write_text(json.dumps(doc))
-            argv = ["forward", batch, "--weights", str(weights), "--seed", "42"]
+            argv = ["forward", batch, "--weights", str(weights), "--seed", "42", *flags]
         assert main([*argv, "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.PINNED_RUN_DIGESTS[run], (
