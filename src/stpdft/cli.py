@@ -203,13 +203,16 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _load_json(path: str, data: bytes) -> object:
-    """The JSON document that the bytes data of path hold, as UTF-8 text."""
+    """The JSON document that the bytes data of path hold, as UTF-8 text; any
+    decoder failure (digit or recursion limit too) is a SchemaError naming path."""
     try:
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: byte {exc.start} is not valid UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{path}: cannot decode: {exc}") from exc
 
 
 def _finite_number(v) -> bool:

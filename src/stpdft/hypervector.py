@@ -10,6 +10,9 @@ component list itself there are two flat encodings:
 A HyperVector stores its addition form as one read-only buffer, the packed
 layout of varlen attention kernels (one flat array plus the lengths), and
 its components are views into it, so batch operations work on the buffer.
+The public constructor copies and checks its input; a library stage adopts
+the fresh buffer it computed, in a checked profile, through the private
+``HyperVector._owned``: no copy, only the finiteness check.
 
 The central operator is ``diamond(A, X)``: a p x s matrix A acts linearly
 on an s-component hypervector by projecting every component to a common
@@ -50,7 +53,8 @@ class HyperVector:
     into it.  ``HyperVector(components)`` takes a sequence of 1-D arrays and
     ``HyperVector(v, dims)`` the addition form v; either way the input is
     copied once and checked for non-finite entries once (NonFiniteError,
-    a ValueError, names the first bad component).
+    a ValueError, names the first bad component); library stages adopt
+    their fresh buffers through ``_owned`` instead, with no copy.
     """
 
     __slots__ = ("_buffer", "_dims", "_components")
@@ -73,6 +77,18 @@ class HyperVector:
                 f"addition form of shape {buf.shape} cannot split into dims {dims}"
                 f" (sum {sum(dims)})"
             )
+        self._adopt(buf, dims)
+
+    @classmethod
+    def _owned(cls, buf: np.ndarray, dims: tuple) -> "HyperVector":
+        """buf, a fresh 1-D float64 buffer no one else holds, in dims, a
+        profile as_lengths returned, as a hypervector: no copy, no check but
+        _adopt's, so an overflow raises in the stage that computed buf."""
+        self = cls.__new__(cls)
+        self._adopt(buf, dims)
+        return self
+
+    def _adopt(self, buf, dims):
         finite = np.isfinite(buf)
         if not finite.all():
             bad = int(np.searchsorted(np.cumsum(dims), np.argmin(finite), "right"))
@@ -196,7 +212,7 @@ def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
             f"batch sizes and target list must agree: {X.batch_size} components,"
             f" {Y.batch_size} components, {len(r)} targets"
         )
-    return HyperVector(_resample(X.buffer, X.dims, r) + _resample(Y.buffer, Y.dims, r), r)
+    return HyperVector._owned(_resample(X.buffer, X.dims, r) + _resample(Y.buffer, Y.dims, r), r)
 
 
 # A Gram plan lists one entry per band entry of every listed pair, in runs of
@@ -368,7 +384,7 @@ def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVec
         out_dims = as_lengths(out_dims, "output profile", count=p)
     padded = _resample(X.buffer, dims, (n0,) * s).reshape(s, n0)
     mixed = A @ padded
-    return HyperVector(_resample(mixed.reshape(-1), (n0,) * p, out_dims), out_dims)
+    return HyperVector._owned(_resample(mixed.reshape(-1), (n0,) * p, out_dims), out_dims)
 
 
 def diamond_vectorized(A, X: HyperVector, n0: int | None = None) -> np.ndarray:

@@ -228,14 +228,9 @@ def multi_head_nominal(Q, K, V, w: AttentionWeights, scale: str | float = "sqrt-
     """
     Q, K, V = as_matrix(Q, "Q"), as_matrix(K, "K"), as_matrix(V, "V")
     s, n = Q.shape
-    if w.head_q is None or w.head_k is None or w.head_v is None:
+    if _head_count(w) is None:
         heads = [(Q, K, V)]
     else:
-        if not (len(w.head_q) == len(w.head_k) == len(w.head_v)):
-            raise ShapeError(
-                f"head map counts differ: {len(w.head_q)} q, {len(w.head_k)} k,"
-                f" {len(w.head_v)} v"
-            )
         heads = []
         for i, (Tq, Tk, Tv) in enumerate(zip(w.head_q, w.head_k, w.head_v)):
             for name, T in (("q", Tq), ("k", Tk), ("v", Tv)):
@@ -265,6 +260,15 @@ def multi_head_nominal(Q, K, V, w: AttentionWeights, scale: str | float = "sqrt-
             f"out_map is {M.shape[0]} x {M.shape[1]}, expected (r0*{s}) x {r * s}"
         )
     return (M @ C.reshape(-1)).reshape(s, -1)
+
+
+def _head_count(w: AttentionWeights):
+    """How many head maps w carries: None when head_q, head_k and head_v are
+    all None, else their one count; ShapeError when the three differ."""
+    counts = [None if m is None else len(m) for m in (w.head_q, w.head_k, w.head_v)]
+    if len(set(counts)) != 1:
+        raise ShapeError(f"head maps differ in count: {counts[0]} q, {counts[1]} k, {counts[2]} v")
+    return counts[0]
 
 
 def _normalize(v, gamma: float, beta: float, eps: float) -> np.ndarray:
@@ -359,7 +363,7 @@ def zero_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector | tupl
     padded = np.zeros((X.batch_size, d))
     padded[_prefix_mask(X.dims, d)] = X.buffer
     keep = _prefix_mask(dims_out, d)
-    outs = tuple(HyperVector((padded @ Wk.T)[keep], dims_out) for Wk in Ws)
+    outs = tuple(HyperVector._owned((padded @ Wk.T)[keep], dims_out) for Wk in Ws)
     return outs if isinstance(W, tuple) else outs[0]
 
 
@@ -385,15 +389,17 @@ def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector | tupl
     Ws, d, dims_out = _pipeline_args(X, W, d, dims_out)
     s = X.batch_size
     padded = _resample(X.buffer, X.dims, (d,) * s).reshape(s, d)
-    outs = tuple(HyperVector(_resample((padded @ Wk.T).reshape(-1), (d,) * s, dims_out),
-                             dims_out) for Wk in Ws)
+    outs = tuple(HyperVector._owned(_resample((padded @ Wk.T).reshape(-1), (d,) * s, dims_out),
+                                    dims_out) for Wk in Ws)
     return outs if isinstance(W, tuple) else outs[0]
 
 
 def _pipeline_args(X: HyperVector, W, d: int, dims_out):
     """Checked ([W], d, dims_out) of a ragged linear map at nominal length d;
-    a tuple W gives the list of its checked transforms."""
-    dims_out = as_lengths(dims_out, "output dims", count=X.batch_size)
+    a tuple W gives the list of its checked transforms (dims_out that is
+    X.dims itself was checked when X was built)."""
+    if dims_out is not X.dims:
+        dims_out = as_lengths(dims_out, "output dims", count=X.batch_size)
     d = as_lengths((d,), "nominal dim")[0]
     Ws = [as_matrix(Wk, "transform") for Wk in (W if isinstance(W, tuple) else (W,))]
     for Wk in Ws:
@@ -442,7 +448,7 @@ def dv_attention(Q: HyperVector, K: HyperVector, V: HyperVector,
                 f"replicated batch {t} x {max(V.dims)} exceeds {SIZE_BUDGET}"
             )
         weights = np.repeat(A, t // q, axis=1)
-        V = HyperVector(np.tile(V.buffer, t // r), V.dims * (t // r))
+        V = HyperVector._owned(np.tile(V.buffer, t // r), V.dims * (t // r))
     out = diamond(weights, V, n0=n0, out_dims=out_dims)
     return (out, A) if return_weights else out
 
@@ -464,7 +470,8 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
             raise ShapeError(
                 f"head {i + 1} has batch size {h.batch_size}, expected {s}"
             )
-    target_dims = as_lengths(target_dims, "target dims", count=s)
+    if target_dims is not heads[0].dims:
+        target_dims = as_lengths(target_dims, "target dims", count=s)
     if weights is None:
         weights = [1.0] * len(heads)
     weights = [float(v) for v in weights]
@@ -476,7 +483,7 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
     for wgt, h in zip(weights, heads):
         acc = acc + wgt * _resample(h.buffer, h.dims, target_dims)
     if out_maps is None:
-        return HyperVector(acc, target_dims)
+        return HyperVector._owned(acc, target_dims)
     if len(out_maps) != s:
         raise ShapeError(f"{len(out_maps)} output maps for batch size {s}")
     mapped = []
@@ -503,23 +510,30 @@ def df_add_norm(X: HyperVector, F: HyperVector, mode: str = "vector-wise",
     Everything runs on the addition form: one project_batch moves the skip
     input onto the branch profile, or none when the profiles are equal, as
     in encoder_block.  Vector-wise mode applies _normalize's formula to
-    every component at once, taking the per-component sums with
-    np.add.reduceat; layer-wise mode applies _normalize to the whole buffer.
+    every component at once, in place on the sum, taking the per-component
+    sums with np.add.reduceat; layer-wise mode applies _normalize to it.
     """
     if X.batch_size != F.batch_size:
         raise ShapeError(
             f"batch sizes differ: {X.batch_size} skip vs {F.batch_size} branch"
         )
-    Z = relu(_resample(X.buffer, X.dims, F.dims) + F.buffer)
+    Z = _resample(X.buffer, X.dims, F.dims) + F.buffer
+    np.maximum(Z, 0.0, out=Z)
     if mode == "vector-wise":
         n = np.array(F.dims)
         starts = np.cumsum(n) - n
-        c = Z - np.repeat(np.add.reduceat(Z, starts) / n, n)
-        spread = np.sqrt(np.add.reduceat(c * c, starts)) / n
-        return HyperVector(c / np.repeat(np.sqrt(spread + eps), n) * gamma + beta, F.dims)
-    if mode == "layer-wise":
-        return HyperVector(_normalize(Z, gamma, beta, eps), F.dims)
-    raise ValueError(f"norm mode must be one of {NORM_MODES}, got {mode!r}")
+        Z -= np.repeat(np.add.reduceat(Z, starts) / n, n)
+        spread = np.sqrt(np.add.reduceat(Z * Z, starts)) / n
+        Z /= np.repeat(np.sqrt(spread + eps), n)
+        Z *= gamma  # the bits of Z / r * gamma + beta; a gamma or beta
+        Z += beta  # that does not fit Z raises here
+    elif mode == "layer-wise":
+        Z = _normalize(Z, gamma, beta, eps)
+        if Z.shape != F.buffer.shape:
+            raise ShapeError(f"gamma or beta widens the output to shape {Z.shape}")
+    else:
+        raise ValueError(f"norm mode must be one of {NORM_MODES}, got {mode!r}")
+    return HyperVector._owned(Z, F.dims)
 
 
 def df_ffn(X: HyperVector, w1, w2, b1=None, b2=None) -> HyperVector:
@@ -541,7 +555,7 @@ def df_ffn(X: HyperVector, w1, w2, b1=None, b2=None) -> HyperVector:
     H = diamond(w1, X)
     if b1 is not None:
         H = hyper_add_listwise(H, _as_hyper(b1, s), dims)
-    H = HyperVector(relu(H.buffer), H.dims)
+    H = HyperVector._owned(relu(H.buffer), H.dims)
     out = diamond(w2, H)
     if b2 is not None:
         out = hyper_add_listwise(out, _as_hyper(b2, s), dims)
@@ -594,23 +608,14 @@ def encoder_block(X: HyperVector, w: AttentionWeights, cfg: ModelConfig,
     if mask is None:
         mask = _block_mask(cfg)
 
-    counts = [None if m is None else len(m) for m in (w.head_q, w.head_k, w.head_v)]
-    if counts == [None] * 3:
-        if cfg.heads != 1:
-            raise ShapeError(
-                f"config asks for {cfg.heads} heads but the weights carry no head maps"
-            )
-        head_inputs = [(Q, K, V)]
-    else:
-        if counts != [cfg.heads] * 3:
-            raise ShapeError(
-                f"weights carry {counts[0]} q, {counts[1]} k and {counts[2]} v head maps,"
-                f" config says {cfg.heads}"
-            )
-        head_inputs = [
-            (diamond(tq, Q), diamond(tk, K), diamond(tv, V))
-            for tq, tk, tv in zip(w.head_q, w.head_k, w.head_v)
-        ]
+    heads = _head_count(w)
+    if (1 if heads is None else heads) != cfg.heads:
+        raise ShapeError(f"config asks for {cfg.heads} heads but the weights carry"
+                         f" {'no' if heads is None else heads} head maps")
+    head_inputs = [(Q, K, V)] if heads is None else [
+        (diamond(tq, Q), diamond(tk, K), diamond(tv, V))
+        for tq, tk, tv in zip(w.head_q, w.head_k, w.head_v)
+    ]
     head_outs, att_mats = [], []
     for hq, hk, hv in head_inputs:
         out, A = dv_attention(hq, hk, hv, scaling=cfg.scaling, mask=mask,

@@ -242,6 +242,22 @@ class TestForwardCommand:
         assert code == 2
         assert "line" in err
 
+    @pytest.mark.parametrize("role", ["batch", "weights"])
+    @pytest.mark.parametrize("text, message", [
+        ('{"sequences": [[1' + "0" * 5000 + ']], "config": {}}', "4300 digits"),
+        ("[" * 100_000, "recursion"),
+    ], ids=["long-integer", "deep-nesting"])
+    def test_undecodable_json_exits_2_naming_the_file(self, tmp_path, capsys, role, text,
+                                                      message):
+        # json.loads raises ValueError and RecursionError here, not JSONDecodeError.
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        argv = [str(bad)] if role == "batch" else [batch, "--weights", str(bad)]
+        assert main(["forward", *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"input error: {bad}: cannot decode" in err and message in err
+
     def test_empty_batch_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"sequences": []}')

@@ -117,10 +117,14 @@ class TestContract:
         np.testing.assert_array_equal(X[0], [1, 2])
 
     def test_from_addition_form_copies(self):
-        v = np.array([1.0, 2.0, 3.0])
-        X = HyperVector(v, [1, 2])
-        v[:] = 0.0
-        np.testing.assert_array_equal(X[1], [2, 3])
+        # A fresh float64 buffer with a checked profile, which a stage would
+        # adopt, is copied by the public constructor all the same.
+        for dims in ([1, 2], HyperVector([[0.0], [0.0, 0.0]]).dims):
+            v = np.array([1.0, 2.0, 3.0])
+            X = HyperVector(v, dims)
+            assert not np.shares_memory(X.buffer, v) and v.flags.writeable
+            v[:] = 0.0
+            np.testing.assert_array_equal(X[1], [2, 3])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_names_the_component(self, bad):

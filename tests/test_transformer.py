@@ -14,6 +14,7 @@ from stpdft import (
     AttentionWeights,
     HyperVector,
     ModelConfig,
+    NonFiniteError,
     DiamondPlan,
     ShapeError,
     add_norm,
@@ -183,6 +184,15 @@ class TestMultiHeadNominal:
                              out_map=M)
         out = multi_head_nominal(Q, Q, Q, w)
         assert out.shape == (2, 3)
+
+    @pytest.mark.parametrize("given", [("head_q",), ("head_q", "head_k"), ("head_v",)])
+    def test_partial_head_maps_rejected(self, rng, given):
+        # Not a silent fallback to one head: the maps are all given or none is.
+        Q = rng.normal(size=(3, 4))
+        w = AttentionWeights(**{name: tuple(rng.normal(size=(2, 4)) for _ in range(2))
+                                for name in given})
+        with pytest.raises(ShapeError, match="head maps differ in count"):
+            multi_head_nominal(Q, Q, Q, w)
 
     def test_concat_size_budget_enforced(self, rng):
         from stpdft import SizeBudgetError
@@ -508,6 +518,13 @@ class TestDfAddNorm:
         from stpdft.transformer import _normalize
         for o, z in zip(out.components, projected):
             np.testing.assert_allclose(o, _normalize(relu(z), 1.0, 0.0, 1e-3), atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["vector-wise", "layer-wise"])
+    def test_gamma_or_beta_that_widens_the_output_rejected(self, rng, mode):
+        X = HyperVector([rng.normal(size=2), rng.normal(size=3)])
+        for gamma, beta in ((np.ones((1, 1)), 0.0), (1.0, np.zeros((1, 5)))):
+            with pytest.raises(ValueError):
+                df_add_norm(X, X, mode, gamma, beta)
 
     @settings(max_examples=60, deadline=None)
     @given(resample_profiles(), st.floats(0.1, 3.0), st.floats(-2.0, 2.0),
@@ -975,6 +992,82 @@ class TestSkippedResamples:
         monkeypatch.setattr(transformer, "causal_mask", counting_mask)
         encoder_stack(X, [w], cfg)
         assert resamples == [] and masks == [(s,)]
+
+
+class TestAdoptedOutputs:
+    """Stage outputs adopt the buffer the stage computed: each is fresh,
+    read-only and checked for non-finite entries in that stage."""
+
+    @staticmethod
+    def _stage_outputs(rng, dims):
+        """(inputs, outputs) of every stage that builds a new hypervector."""
+        s, d = len(dims), max(dims)
+        X = HyperVector(rng.normal(size=sum(dims)), dims)
+        Y = HyperVector(rng.normal(size=sum(dims)), dims)
+        W = tuple(rng.normal(size=(d, d)) for _ in range(3))
+        A = rng.normal(size=(s, s))
+        V2 = HyperVector(rng.normal(size=2 * sum(dims)), dims * 2)
+        outs = [diamond(A, X), diamond(np.eye(s), X), hyper_add_listwise(X, Y, dims),
+                *proj_pad_pipeline(X, W, d, X.dims), *zero_pad_pipeline(X, W, d, X.dims),
+                dv_attention(X, Y, X), dv_attention(X, X, V2),
+                dv_multi_head([X], X.dims), dv_multi_head([X, Y], X.dims),
+                df_ffn(X, np.eye(s), np.eye(s)), df_ffn(X, A, A, rng.normal(size=d))]
+        outs += [df_add_norm(X, Y, mode) for mode in ("vector-wise", "layer-wise")]
+        w = two_head_weights(rng, s, d, d)
+        outs.append(encoder_block(X, w, ModelConfig(batch_size=s, nominal_dim=d, heads=2)))
+        return (X, Y, V2), outs
+
+    @pytest.mark.parametrize("dims", [(4,) * 5, (4, 2, 3, 4, 1)])
+    def test_outputs_are_fresh_and_read_only(self, rng, dims):
+        inputs, outs = self._stage_outputs(rng, dims)
+        for k, out in enumerate(outs):
+            assert not out.buffer.flags.writeable, k
+            for other in (*inputs, *outs[:k]):
+                assert not np.shares_memory(out.buffer, other.buffer), k
+
+    @pytest.mark.parametrize("stage", ["diamond", "hyper_add_listwise", "proj_pad_pipeline",
+                                       "zero_pad_pipeline", "dv_multi_head",
+                                       "df_add_norm vector-wise", "df_add_norm layer-wise",
+                                       "df_ffn"])
+    def test_overflow_raises_in_the_stage_that_meets_it(self, stage):
+        dims = (3, 3, 3)
+        big = HyperVector(np.full(9, 1e308), dims)
+        W, A = np.full((3, 3), 1e300), np.full((3, 3), 1e300)
+        call = {
+            "diamond": lambda: diamond(A, big),
+            "hyper_add_listwise": lambda: hyper_add_listwise(big, big, dims),
+            "proj_pad_pipeline": lambda: proj_pad_pipeline(big, W, 3, dims),
+            "zero_pad_pipeline": lambda: zero_pad_pipeline(big, W, 3, dims),
+            "dv_multi_head": lambda: dv_multi_head([big, big], dims),
+            "df_add_norm vector-wise": lambda: df_add_norm(big, big, "vector-wise"),
+            "df_add_norm layer-wise": lambda: df_add_norm(big, big, "layer-wise"),
+            "df_ffn": lambda: df_ffn(big, np.eye(3), np.eye(3), np.full(3, 1e308)),
+        }[stage]
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError) as info:
+            call()
+        name = stage.split()[0]
+        assert any(entry.name == name for entry in info.traceback)
+        assert info.traceback[-1].name == "_adopt"
+
+    @settings(max_examples=60, deadline=None)
+    @given(stage_profiles(), st.floats(0.1, 3.0), st.floats(-2.0, 2.0),
+           st.sampled_from([1e-3, 1e-6]))
+    def test_in_place_vector_wise_keeps_the_bits(self, case, gamma, beta, eps):
+        # The out-of-place formula, one fresh array per step.
+        dims, seed = case
+        rng = np.random.default_rng(seed)
+        X = HyperVector(rng.normal(size=sum(dims)), dims)
+        F = HyperVector(rng.normal(size=sum(dims)), dims)
+        Z = relu(X.buffer + F.buffer)
+        n = np.array(dims)
+        starts = np.cumsum(n) - n
+        c = Z - np.repeat(np.add.reduceat(Z, starts) / n, n)
+        spread = np.sqrt(np.add.reduceat(c * c, starts)) / n
+        want = c / np.repeat(np.sqrt(spread + eps), n) * gamma + beta
+        got = df_add_norm(X, F, "vector-wise", gamma, beta, eps)
+        assert got.buffer.tobytes() == want.tobytes()
+
 
 def _length_cases():
     """(call, bad value, expected error) for every argument that takes a
