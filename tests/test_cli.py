@@ -739,6 +739,23 @@ class TestComparePaddingCommand:
             assert float(row["proj_recon_rms"]) == 0.0
             assert float(row["zero_pad_zero_fraction"]) == 0.0
 
+    # SHA-256 of the deterministic columns (all but the two wall times) of a
+    # seeded ragged run padded above the range's HI, recorded under
+    # TestForwardCommand.RECORDED_UNDER: a change to either round trip that
+    # moves a bit of a reconstruction error or a zero fraction fails here.
+    PINNED_COLUMNS_DIGEST = "782e8277ccccb1b740381f22a7e06a80da254e2187119d33f109b9f36239367d"
+
+    def test_deterministic_columns_digest_is_pinned(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert main(["compare-padding", "--batches", "6", "--dim-range", "2:9", "--seed", "17",
+                     "--batch-size", "5", "--nominal-dim", "12", "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO(out.read_text())))
+        timed = {rows[0].index("zero_time_s"), rows[0].index("proj_time_s")}
+        kept = "\n".join(",".join(v for i, v in enumerate(row) if i not in timed) for row in rows)
+        digest = hashlib.sha256(kept.encode()).hexdigest()
+        assert digest == self.PINNED_COLUMNS_DIGEST, (
+            f"digest recorded under {TestForwardCommand.RECORDED_UNDER}; this run: {_environment()}")
+
     def test_zero_fraction_for_known_profile(self, rng):
         X = HyperVector([rng.normal(size=n) for n in (3, 4, 5, 3)])
         stats = padding_batch_stats(X, 6)

@@ -702,6 +702,27 @@ class TestEncoder:
         with pytest.raises(ShapeError, match="head maps"):
             encoder_block(X, w, ModelConfig(batch_size=2, nominal_dim=4, heads=2))
 
+    @pytest.mark.parametrize("padding", PADDING_MODES)
+    def test_stack_calls_the_module_pipeline_once_per_block(self, rng, monkeypatch, padding):
+        # perfbench's span tracer times the Q/K/V stage by wrapping these two
+        # module-level names, so every block must reach Q/K/V through them.
+        X = HyperVector([rng.normal(size=n) for n in (2, 5, 3)])
+        w = self._weights(rng, 3, 5, X.dims)
+        calls = {"proj_pad_pipeline": 0, "zero_pad_pipeline": 0}
+
+        def counting(name, pipeline):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return pipeline(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(transformer, name, counting(name, getattr(transformer, name)))
+        encoder_stack(X, [w], ModelConfig(batch_size=3, nominal_dim=5, padding=padding,
+                                          layers=3))
+        used = "proj_pad_pipeline" if padding == "projection" else "zero_pad_pipeline"
+        assert calls == {name: 3 if name == used else 0 for name in calls}
+
     def test_masked_block_rows_remain_stochastic(self, rng):
         X = HyperVector([rng.normal(size=2), rng.normal(size=3), rng.normal(size=2)])
         w = self._weights(rng, 3, 3, X.dims)
