@@ -41,31 +41,19 @@ import numpy as np
 from . import worked_examples as wx
 from .algebra import SIZE_BUDGET
 from .errors import DegenerateRowError, NonFiniteError, SchemaError, ShapeError, SizeBudgetError
-from .hypervector import HyperVector, diamond, diamond_vectorized
+from .hypervector import HyperVector, _pad, _unpad, diamond, diamond_vectorized
 from .prng import SplitMix64
-from .projection import proj_matrix_exact, project_batch
+from .projection import proj_matrix_exact
 from .transformer import (
     MASK_MODES,
     PADDING_MODES,
     SCALING_MODES,
     AttentionWeights,
     ModelConfig,
-    _prefix_mask,
     encoder_stack,
     proj_pad_pipeline,
     zero_pad_pipeline,
 )
-
-
-def _json_default(x):
-    """json.dumps fallback for ndarrays, numpy scalars and Fractions."""
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, np.generic):
-        return x.item()
-    if isinstance(x, Fraction):
-        return {"numerator": x.numerator, "denominator": x.denominator}
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _write_text(path: str | None, text: str):
@@ -184,7 +172,7 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
     for name, ok, status, expected, actual in rows:
         items.append({"name": name, "status": "pass" if ok else status,
                       "expected": expected, "actual": actual})
-    _write_text(out, json.dumps({"items": items}, indent=2, default=_json_default) + "\n")
+    _write_text(out, json.dumps({"items": items}, indent=2, default=np.ndarray.tolist) + "\n")
     return 0 if all(i["status"] != "fail" for i in items) else 4
 
 
@@ -442,6 +430,10 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
             f"weights file declares batch size {cfg.batch_size},"
             f" but the batch has {s} sequences"
         )
+    kept = cfg.layers * cfg.heads * s * s  # the attention entries the output holds
+    if kept > SIZE_BUDGET:
+        raise SizeBudgetError(f"layers {cfg.layers} x heads {cfg.heads} x batch size {s}^2"
+                              f" attention entries exceed the element budget {SIZE_BUDGET}")
     if mats:
         w = _weights_from_file(weights_path, mats, s, cfg.nominal_dim, cfg.heads)
     else:
@@ -456,7 +448,7 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
         "output": {"sequences": Y.components},
         "attention": atts,
     }
-    _write_text(out, json.dumps(doc, indent=2, default=_json_default) + "\n")
+    _write_text(out, json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n")
     return 0
 
 
@@ -473,24 +465,20 @@ def padding_batch_stats(X: HyperVector, d: int) -> dict:
 
     Reports the rms reconstruction error after pad -> unpad, the fraction of
     zeros in the padded s x d matrix, and the wall time, per scheme.  Both
-    round trips use the batched pad and unpad of the forward pass: the
-    scatter and gather of zero_pad_pipeline, the project_batch pair of
-    proj_pad_pipeline.
+    round trips are the forward pass's own pad and unpad, hypervector._pad
+    and _unpad, as zero_pad_pipeline and proj_pad_pipeline run them.
     """
     dims = X.dims
     s = X.batch_size
 
     t0 = time.perf_counter()
-    mask = _prefix_mask(dims, d)
-    padded = np.zeros((s, d))
-    padded[mask] = X.buffer
-    zero_rec = padded[mask]
+    zero_rec = _unpad(_pad(X, d, "zero"), dims, "zero")
     zero_time = time.perf_counter() - t0
     zero_frac = float(sum(d - n for n in dims)) / (s * d)
 
     t0 = time.perf_counter()
-    proj_mat = project_batch(X.buffer, dims, (d,) * s).reshape(s, d)
-    proj_rec = project_batch(proj_mat.reshape(-1), (d,) * s, dims)
+    proj_mat = _pad(X, d, "projection")
+    proj_rec = _unpad(proj_mat, dims, "projection")
     proj_time = time.perf_counter() - t0
     proj_frac = float(np.count_nonzero(proj_mat == 0.0)) / (s * d)
 

@@ -18,9 +18,12 @@ The central operator is ``diamond(A, X)``: a p x s matrix A acts linearly
 on an s-component hypervector by projecting every component to a common
 nominal length, multiplying the resulting ordinary matrix by A, and
 projecting each of the p output rows to its own length (for a square A,
-its component's original length).  Each projection step is one
+its component's original length).  ``_pad`` and ``_unpad`` are those two
+steps, for both padding schemes, and the only code that pads or unpads a
+batch: diamond, the transformer's Q/K/V pipelines and the CLI's
+compare-padding all call them.  A projection step is one
 ``projection.project_batch`` over the whole buffer, skipped when it is the
-identity.
+identity; a zero step is one scatter or gather through a prefix mask.
 
 ``hyper_inner`` scores ragged operands over the bridge bands of all their
 length pairs, from a Gram plan cached as the ``projection`` module describes
@@ -358,6 +361,29 @@ class DiamondPlan:
         return cls(dims=dims, n0=n0, pad=pad, unpad=unpad)
 
 
+def _pad(X: HyperVector, d: int, padding: str = "projection") -> np.ndarray:
+    """The s x d matrix of X's components brought to length d: each resampled
+    by project_batch ("projection"), or followed by zeros ("zero", d at least
+    max(X.dims)).  The result may be a view of X's buffer, so callers only
+    read it."""
+    s = X.batch_size
+    if padding == "zero":
+        padded = np.zeros((s, d))
+        padded[np.arange(d) < np.array(X.dims)[:, None]] = X.buffer
+        return padded
+    return _resample(X.buffer, X.dims, (d,) * s).reshape(s, d)
+
+
+def _unpad(M: np.ndarray, dims: tuple, padding: str = "projection") -> np.ndarray:
+    """The addition form, in profile dims, of the rows of the p x d matrix M:
+    row i resampled to dims[i] by project_batch ("projection"), or cut to
+    its first dims[i] entries ("zero").  The result may be a view of M."""
+    p, d = M.shape
+    if padding == "zero":
+        return M[np.arange(d) < np.array(dims)[:, None]]
+    return _resample(M.reshape(-1), (d,) * p, dims)
+
+
 def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVector:
     """Linear action of a p x s matrix on an s-component hypervector.
 
@@ -365,10 +391,11 @@ def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVec
     component length), left-multiply the stacked s x n0 matrix by A, and
     project output row i to out_dims[i] (default: the input profile cycled
     to length p, so a square A keeps the input profile).  Pad and unpad are
-    one project_batch each on the addition form, with one product A @ padded
-    between them; a pad or unpad that changes no length is skipped, since
-    it is the identity.  When the input is already homogeneous of length n0
-    and A is square this is exactly A @ X.to_matrix(), with no resample.
+    _pad and _unpad of the projection scheme, one project_batch each on the
+    addition form, with one product A @ padded between them; a pad or unpad
+    that changes no length is skipped, since it is the identity.  When the
+    input is already homogeneous of length n0 and A is square this is
+    exactly A @ X.to_matrix(), with no resample.
     """
     A = as_matrix(A, "diamond matrix")
     p, s = A.shape
@@ -376,15 +403,12 @@ def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVec
         raise ShapeError(
             f"matrix with {s} columns cannot act on a {X.batch_size}-component hypervector"
         )
-    dims = X.dims
-    n0 = max(dims) if n0 is None else as_lengths((n0,), "nominal dim")[0]
+    n0 = max(X.dims) if n0 is None else as_lengths((n0,), "nominal dim")[0]
     if out_dims is None:
-        out_dims = dims if p == s else tuple(dims[i % s] for i in range(p))
+        out_dims = X.dims if p == s else tuple(X.dims[i % s] for i in range(p))
     else:
         out_dims = as_lengths(out_dims, "output profile", count=p)
-    padded = _resample(X.buffer, dims, (n0,) * s).reshape(s, n0)
-    mixed = A @ padded
-    return HyperVector._owned(_resample(mixed.reshape(-1), (n0,) * p, out_dims), out_dims)
+    return HyperVector._owned(_unpad(A @ _pad(X, n0), out_dims), out_dims)
 
 
 def diamond_vectorized(A, X: HyperVector, n0: int | None = None) -> np.ndarray:

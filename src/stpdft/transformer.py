@@ -34,6 +34,8 @@ from .errors import ShapeError, SizeBudgetError
 from .hypervector import (
     HyperVector,
     _lcm_scale,
+    _pad,
+    _unpad,
     diamond,
     hyper_add_listwise,
     hyper_inner,
@@ -189,12 +191,12 @@ def causal_mask(s: int, mode: str = "conventional") -> np.ndarray:
     return M
 
 
-def attention_nominal(Q, K, V, scale: str | float = "sqrt-n", mask=None,
+def attention_nominal(Q, K, V, scale: str = "sqrt-n", mask=None,
                       return_weights: bool = False):
     """softmax(Q K^T / scale + mask) @ V for stacked batches.
 
-    scale may be a mode name ("sqrt-n", "sqrt-s", "n", resolved against the
-    feature dim n and batch s) or an explicit positive number.
+    scale is a mode name of SCALING_MODES, which scale_value resolves
+    against the feature dim n and the batch size s.
     """
     Q, K, V = as_matrix(Q, "Q"), as_matrix(K, "K"), as_matrix(V, "V")
     s, n = Q.shape
@@ -202,10 +204,7 @@ def attention_nominal(Q, K, V, scale: str | float = "sqrt-n", mask=None,
         raise ShapeError(
             f"Q {Q.shape}, K {K.shape}, V {V.shape} are not a conforming attention triple"
         )
-    denom = scale_value(scale, n, s) if isinstance(scale, str) else float(scale)
-    if denom <= 0:
-        raise ValueError(f"scale must be positive, got {denom}")
-    E = Q @ K.T / denom
+    E = Q @ K.T / scale_value(scale, n, s)
     if mask is not None:
         mask = np.asarray(mask, dtype=float)
         if mask.shape != (s, s):
@@ -216,14 +215,14 @@ def attention_nominal(Q, K, V, scale: str | float = "sqrt-n", mask=None,
     return (out, A) if return_weights else out
 
 
-def multi_head_nominal(Q, K, V, w: AttentionWeights, scale: str | float = "sqrt-n",
+def multi_head_nominal(Q, K, V, w: AttentionWeights, scale: str = "sqrt-n",
                        mask=None) -> np.ndarray:
     """Per-head feature maps, attention per head, Kronecker concat, output map.
 
     Head i applies w.head_q[i] (shape r_i x n) to every row of Q (likewise
-    K, V), runs attention, and contributes a row block of length r_i; the
-    concat of sequence j is the Kronecker product of the heads' rows j, of
-    length r = prod(r_i).  w.out_map (shape r0*s x r*s) then maps the stacked
+    K, V), runs attention_nominal with the scale mode scale, and contributes
+    a row block of length r_i; the concat of sequence j is the Kronecker
+    product of the heads' rows j, of length r = prod(r_i).  w.out_map (shape r0*s x r*s) then maps the stacked
     concat to the stacked output; None means identity.
     """
     Q, K, V = as_matrix(Q, "Q"), as_matrix(K, "K"), as_matrix(V, "V")
@@ -350,28 +349,11 @@ def zero_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector | tupl
 
     Every component is padded with zeros to length d, which must be at least
     the largest input and output length, mapped by W (d x d), and the i-th
-    result is cut back to dims_out[i].  Padding scatters the addition form
-    into an s x d matrix and truncation gathers it back, so the map is one
-    product for the whole batch.  W may also be a tuple of d x d transforms:
-    X is then padded once and a tuple of one hypervector per transform
-    comes back.
+    result is cut back to dims_out[i], one product for the whole batch.  W
+    may also be a tuple of d x d transforms: X is then padded once and a
+    tuple of one hypervector per transform comes back.
     """
-    Ws, d, dims_out = _pipeline_args(X, W, d, dims_out)
-    d_min = max(max(X.dims), max(dims_out))
-    if d < d_min:
-        raise ShapeError(f"zero padding cannot shrink: d={d} < required {d_min}")
-    padded = np.zeros((X.batch_size, d))
-    padded[_prefix_mask(X.dims, d)] = X.buffer
-    keep = _prefix_mask(dims_out, d)
-    outs = tuple(HyperVector._owned((padded @ Wk.T)[keep], dims_out) for Wk in Ws)
-    return outs if isinstance(W, tuple) else outs[0]
-
-
-def _prefix_mask(dims, d: int) -> np.ndarray:
-    """s x d mask of the first dims[i] entries of row i: scattering an
-    addition form through it zero-pads every component to length d, and
-    gathering through it truncates row i to dims[i]."""
-    return np.arange(d) < np.array(dims)[:, None]
+    return _pipeline(X, W, d, dims_out, "zero")
 
 
 def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector | tuple:
@@ -379,25 +361,19 @@ def proj_pad_pipeline(X: HyperVector, W, d: int, dims_out) -> HyperVector | tupl
 
     Components are projected to the preassigned length d (which may be
     smaller than some inputs), mapped by W (d x d), and projected out to
-    dims_out.  No zeros are injected and every source entry keeps weight.
-    Each resample is one project_batch on the addition form, with one
-    product between them; a resample that changes no length is the identity
-    and is skipped.  W may also be a tuple of d x d transforms: X is then
-    resampled to d once and a tuple of one hypervector per transform comes
-    back.
+    dims_out, one product for the whole batch.  No zeros are injected and
+    every source entry keeps weight.  W may also be a tuple of d x d
+    transforms: X is then resampled to d once and a tuple of one
+    hypervector per transform comes back.
     """
-    Ws, d, dims_out = _pipeline_args(X, W, d, dims_out)
-    s = X.batch_size
-    padded = _resample(X.buffer, X.dims, (d,) * s).reshape(s, d)
-    outs = tuple(HyperVector._owned(_resample((padded @ Wk.T).reshape(-1), (d,) * s, dims_out),
-                                    dims_out) for Wk in Ws)
-    return outs if isinstance(W, tuple) else outs[0]
+    return _pipeline(X, W, d, dims_out, "projection")
 
 
-def _pipeline_args(X: HyperVector, W, d: int, dims_out):
-    """Checked ([W], d, dims_out) of a ragged linear map at nominal length d;
-    a tuple W gives the list of its checked transforms (dims_out that is
-    X.dims itself was checked when X was built)."""
+def _pipeline(X: HyperVector, W, d: int, dims_out, padding: str) -> HyperVector | tuple:
+    """Both pipelines: check the arguments, _pad X to d once, and _unpad
+    each product to dims_out in the padding scheme (dims_out that is X.dims
+    itself was checked when X was built).  encoder_block calls the two
+    public names, which perfbench's span tracer wraps, and never this."""
     if dims_out is not X.dims:
         dims_out = as_lengths(dims_out, "output dims", count=X.batch_size)
     d = as_lengths((d,), "nominal dim")[0]
@@ -405,7 +381,13 @@ def _pipeline_args(X: HyperVector, W, d: int, dims_out):
     for Wk in Ws:
         if Wk.shape != (d, d):
             raise ShapeError(f"transform is {Wk.shape[0]} x {Wk.shape[1]}, expected {d} x {d}")
-    return Ws, d, dims_out
+    d_min = max(max(X.dims), max(dims_out))
+    if padding == "zero" and d < d_min:
+        raise ShapeError(f"zero padding cannot shrink: d={d} < required {d_min}")
+    padded = _pad(X, d, padding)
+    outs = tuple(HyperVector._owned(_unpad(padded @ Wk.T, dims_out, padding), dims_out)
+                 for Wk in Ws)
+    return outs if isinstance(W, tuple) else outs[0]
 
 
 def _dv_scores(Q: HyperVector, K: HyperVector, scaling: str) -> np.ndarray:
@@ -639,20 +621,21 @@ def encoder_stack(X: HyperVector, w_list, cfg: ModelConfig,
     """cfg.layers encoder blocks in sequence; a single weight set is reused
     for every block, otherwise w_list must provide one per block.  Zero
     layers is the identity.  The attention mask of cfg.mask is built once
-    and added in every block."""
+    and added in every block.  Only return_weights keeps each block's
+    attention, so without it memory does not grow with cfg.layers."""
     w_list = list(w_list)
     n = cfg.layers
     if n == 0:
         return (X, []) if return_weights else X
-    if len(w_list) == 1:
-        w_list = w_list * n
-    if len(w_list) != n:
+    if len(w_list) not in (1, n):
         raise ShapeError(f"{len(w_list)} weight sets for {n} blocks")
     atts, mask = [], _block_mask(cfg)
-    for k, w in enumerate(w_list):
+    for k in range(n):
         try:
-            X, A = encoder_block(X, w, cfg, return_weights=True, mask=mask)
+            X, A = encoder_block(X, w_list[k % len(w_list)], cfg, return_weights=True,
+                                 mask=mask)
         except (ShapeError, ValueError) as exc:
             raise type(exc)(f"block {k + 1}: {exc}") from exc
-        atts.append(A)
+        if return_weights:
+            atts.append(A)
     return (X, atts) if return_weights else X

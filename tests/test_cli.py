@@ -188,6 +188,23 @@ class TestForwardCommand:
         assert digest == self.PINNED_RUN_DIGESTS[run], (
             f"digests recorded under {self.RECORDED_UNDER}; this run: {_environment()}")
 
+    @pytest.mark.parametrize("command", ["forward", "examples"])
+    def test_default_out_writes_the_file_bytes_to_stdout(self, tmp_path, capsys, command):
+        argv = [command, "--seed", "42"]
+        if command == "forward":
+            argv.insert(1, write_batch(tmp_path / "batch.json", ACCEPTANCE_11))
+        out = tmp_path / "o.json"
+        assert main([*argv, "--out", str(out)]) == main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_layers_over_budget_exit_2(self, tmp_path):
+        # 10^9 blocks of 3 x 3 attention exceed the element budget: the command
+        # fails before the first block, without a list of 10^9 weight sets.
+        batch = write_batch(tmp_path / "batch.json", ACCEPTANCE_11)
+        code, _, err = run_cli("forward", batch, "--layers", "1000000000", timeout=15)
+        assert code == 2, err
+        assert "layers 1000000000" in err and "budget" in err
+
     def test_homogeneous_padding_modes_agree(self, tmp_path):
         batch = write_batch(tmp_path / "batch.json", HOMOG)
         oz = tmp_path / "z.json"
@@ -658,6 +675,103 @@ class TestUnreadableFiles:
     def test_out_in_a_missing_folder(self, tmp_path, capsys, files):
         files["out"] = str(tmp_path / "missing" / "o.json")
         self._assert_input_error(files, capsys, files["out"])
+
+
+def _weights_doc(matrices):
+    """A weights document with eye(3) Wq, Wk, Wv for HOMOG, updated by matrices."""
+    eye3 = _matrix_spec(np.eye(3))
+    return {"matrices": {"Wq": eye3, "Wk": eye3, "Wv": eye3, **matrices}}
+
+
+class TestInputErrors:
+    # (batch document, weights document, exit code, what stderr names) of
+    # each fault of a forward input file; a None batch is never written, and
+    # a None weights document runs without --weights.
+    BATCH = {"sequences": HOMOG}
+    FORWARD_FAULTS = {
+        "batch-missing": (None, None, 2, "batch.json: no such file"),
+        "batch-top-level": ([[1.0]], None, 2, "top level must be an object with a 'sequences'"),
+        "batch-empty-sequence": ({"sequences": [[1.0], []]}, None, 2, "field 'sequences[1]'"),
+        "weights-top-level": (BATCH, [], 2, "w.json: top level must be an object"),
+        "config-not-object": (BATCH, {"config": [1]}, 2, "field 'config' must be an object"),
+        "matrices-not-object": (BATCH, {"matrices": [1]}, 2, "field 'matrices' must be an object"),
+        "matrix-not-object": (BATCH, _weights_doc({"W1": 5}), 2,
+                              "field 'matrices.W1' must be an object"),
+        "matrix-key-missing": (BATCH, _weights_doc({"W1": {"rows": 3, "cols": 3}}), 2,
+                               "field 'matrices.W1.data' is missing"),
+        "matrix-rows-zero": (BATCH, _weights_doc({"W1": {"rows": 0, "cols": 3, "data": []}}), 2,
+                             "field 'matrices.W1': rows/cols must be positive"),
+        "matrix-data-short": (BATCH, _weights_doc({"W1": {"rows": 3, "cols": 3, "data": [1]}}), 2,
+                              "field 'matrices.W1.data' must hold exactly rows*cols = 9"),
+    }
+
+    @pytest.mark.parametrize("case", list(FORWARD_FAULTS))
+    def test_forward_file_fault(self, tmp_path, capsys, case):
+        batch, weights, code, names = self.FORWARD_FAULTS[case]
+        argv = ["forward", str(tmp_path / "batch.json"), "--out", str(tmp_path / "o.json")]
+        if batch is not None:
+            (tmp_path / "batch.json").write_text(json.dumps(batch))
+        if weights is not None:
+            (tmp_path / "w.json").write_text(json.dumps(weights))
+            argv += ["--weights", str(tmp_path / "w.json")]
+        assert main(argv) == code
+        assert names in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,code,names", [
+        (("--dim-range", "5:3"), 2, "--dim-range needs 1 <= LO <= HI"),
+        (("--dim-range", "0:3"), 2, "--dim-range needs 1 <= LO <= HI"),
+        (("--batches", "0"), 2, "--batches and --batch-size must be positive"),
+        (("--batch-size", "-1"), 2, "--batches and --batch-size must be positive"),
+        (("--dim-range", "2:6", "--nominal-dim", "5"), 3,
+         "nominal dim 5 is smaller than the largest drawable length 6"),
+    ])
+    def test_compare_padding_flag_fault(self, tmp_path, capsys, flags, code, names):
+        assert main(["compare-padding", *flags, "--out", str(tmp_path / "c.csv")]) == code
+        assert names in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+
+# Byte-level mutations of an input file at a position: cut it there, put a
+# 5,001-digit integer in place of the first number literal from there on,
+# or insert 100,000 nested '[' or bytes that are not UTF-8 there.
+INSERTS = {"digits": b"9" * 5001, "nesting": b"[" * 100_000, "not-utf8": b"\xff\xc3("}
+NUMBER = re.compile(rb"-?[0-9][0-9.eE+-]*")
+
+
+def mutate(data: bytes, mutation: str, where: float) -> bytes:
+    at = round(where * len(data))
+    if mutation == "cut":
+        return data[:at]
+    number = NUMBER.search(data, at) if mutation == "digits" else None
+    lo, hi = number.span() if number else (at, at)
+    return data[:lo] + INSERTS[mutation] + data[hi:]
+
+
+class TestInputFileFuzz:
+    @staticmethod
+    def _valid_files():
+        rng = SplitMix64(5)
+        batch = json.dumps({"sequences": ACCEPTANCE_11}).encode()
+        weights = json.dumps({"config": {"heads": 1, "layers": 2, "eps": 0.001},
+                              "matrices": {name: _matrix_spec(rng.matrix(4, 4))
+                                           for name in ("Wq", "Wk", "Wv")}}).encode()
+        return {"batch": batch, "weights": weights}
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(["batch", "weights"]), st.sampled_from(["cut", *INSERTS]),
+           st.floats(0, 1))
+    @example("batch", "digits", 0.0)  # the decoder's integer digit limit
+    @example("weights", "nesting", 0.0)  # the decoder's recursion limit
+    def test_mutated_file_exit_code_is_0_2_or_3(self, role, mutation, where):
+        files = self._valid_files()
+        files[role] = mutate(files[role], mutation, where)
+        with tempfile.TemporaryDirectory() as directory:
+            root = Path(directory)
+            for name, content in files.items():
+                (root / f"{name}.json").write_bytes(content)
+            code = main(["forward", str(root / "batch.json"), "--weights",
+                         str(root / "weights.json"), "--out", str(root / "o.json")])
+        assert code in (0, 2, 3)
 
 
 def _matrix(d):

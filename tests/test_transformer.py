@@ -132,6 +132,8 @@ class TestAttentionNominal:
             np.testing.assert_allclose(
                 out, softmax_rows(Q @ K.T / denom) @ V, atol=1e-12
             )
+        with pytest.raises(ValueError, match="scaling must be one of"):
+            attention_nominal(Q, K, V, scale=2.0)
 
     def test_causal_mask_blocks_future(self, rng):
         Q = rng.normal(size=(3, 4))
@@ -722,6 +724,28 @@ class TestEncoder:
                                           layers=3))
         used = "proj_pad_pipeline" if padding == "projection" else "zero_pad_pipeline"
         assert calls == {name: 3 if name == used else 0 for name in calls}
+
+    def test_stack_memory_is_flat_in_layers(self):
+        # Without return_weights no block keeps anything once the next one
+        # has run, so the traced peak of 2,000 layers is that of 10.  The
+        # first run fills the interpreter's free lists with traced objects,
+        # which the measured runs would otherwise read as growth.
+        X = HyperVector([np.array([0.5]), np.array([1.0, -1.0]), np.array([2.0])])
+        w = AttentionWeights(wq=np.eye(2), wk=np.eye(2), wv=np.eye(2))
+
+        def peak(layers):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            encoder_stack(X, [w], ModelConfig(batch_size=3, nominal_dim=2, layers=layers))
+            return tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            peak(2000)
+            short, long = peak(10), peak(2000)
+        finally:
+            tracemalloc.stop()
+        assert long < short + 64 * 2**10
 
     def test_masked_block_rows_remain_stochastic(self, rng):
         X = HyperVector([rng.normal(size=2), rng.normal(size=3), rng.normal(size=2)])
