@@ -42,27 +42,34 @@ import numpy as np
 from .errors import ShapeError, SizeBudgetError
 
 # Intermediate element counts must stay below this; anything bigger is a
-# construction error, never a silent wrap.
+# construction error, never a silent wrap.  ``_check_budget`` is the one
+# place that compares a count with it.
 SIZE_BUDGET = 2**31 - 1
 
 lcm = math.lcm
 
 
-def _check_budget(*counts):
+def _check_budget(*counts, what="intermediate size"):
+    """The product of counts; SizeBudgetError naming what (the field, flag or
+    intermediate counted) when it exceeds SIZE_BUDGET."""
     total = 1
     for c in counts:
         total *= operator.index(c)  # a Python int: exact, and never truncated
     if total > SIZE_BUDGET:
-        raise SizeBudgetError(
-            f"intermediate size {total} exceeds the element budget {SIZE_BUDGET}"
-        )
+        raise SizeBudgetError(f"{what} is {total}, over the budget {SIZE_BUDGET}")
     return total
 
 
-def as_matrix(A, name="matrix") -> np.ndarray:
+def as_matrix(A, name="matrix", shape=None) -> np.ndarray:
+    """A as a 2-D float array with positive dims, and of shape (rows, cols)
+    when given, where None is any; ShapeError naming name otherwise."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] < 1 or A.shape[1] < 1:
         raise ShapeError(f"{name} must be 2-D with positive dims, got shape {A.shape}")
+    if shape is not None:
+        (r, c), (rows, cols) = A.shape, shape
+        if (rows is not None and r != rows) or (cols is not None and c != cols):
+            raise ShapeError(f"{name} is {r} x {c}, expected {rows or 'any'} x {cols or 'any'}")
     return A
 
 

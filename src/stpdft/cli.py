@@ -11,7 +11,7 @@ Three subcommands:
                              ragged batches, CSV output
 
 Exit codes: 0 success, 2 input error (schema, an unreadable input file or an
-unwritable --out, float64 overflow, over the element budget or out of memory),
+unwritable --out, float64 overflow, over the size budget or out of memory),
 3 shape inconsistency, 4 internal invariant violation.
 
 File formats (JSON):
@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import worked_examples as wx
-from .algebra import SIZE_BUDGET
+from .algebra import _check_budget
 from .errors import DegenerateRowError, NonFiniteError, SchemaError, ShapeError, SizeBudgetError
 from .hypervector import HyperVector, _pad, _unpad, diamond, diamond_vectorized
 from .prng import SplitMix64
@@ -73,10 +73,7 @@ def _write_text(path: str | None, text: str):
 def _rational_encoding(M) -> dict:
     """Common-denominator encoding of a Fraction matrix."""
     fracs = [[Fraction(v) for v in row] for row in M]
-    den = 1
-    for row in fracs:
-        for v in row:
-            den = den * v.denominator // math.gcd(den, v.denominator)
+    den = math.lcm(*(v.denominator for row in fracs for v in row))
     return {
         "denominator": den,
         "numerators": [[int(v * den) for v in row] for row in fracs],
@@ -368,11 +365,11 @@ def random_weights(s: int, d: int, dims, rng: SplitMix64, heads: int = 1) -> Att
         count = len(_names(key, numbering, s, heads)) if shape in side or shape == "bias" else 0
         if count:
             drawn.append((field, shape, numbering, count))
-    # The biases draw no more than the batch already holds.
-    draws = sum(count * side[shape] ** 2 for _, shape, _, count in drawn if shape in side)
-    if draws > SIZE_BUDGET:  # checked before any draw, which holds 8 bytes
-        raise SizeBudgetError(f"seeded weights for nominal_dim {d}, batch size {s} and heads"
-                              f" {heads} need {draws} draws, over the budget {SIZE_BUDGET}")
+    # The biases draw no more than the batch already holds.  Checked before
+    # any draw, which holds 8 bytes.
+    _check_budget(sum(count * side[shape] ** 2 for _, shape, _, count in drawn if shape in side),
+                  what=f"the draw count of seeded weights for nominal_dim {d}, batch size {s}"
+                       f" and heads {heads}")
     w = AttentionWeights()
     for field, shape, numbering, count in drawn:
         if shape == "bias":
@@ -407,6 +404,13 @@ def _weights_from_file(path, mats, s, d, heads) -> AttentionWeights:
     return w
 
 
+# The peak memory that `forward` takes for each s x s attention matrix it keeps
+# (the array, its tolist and its indented JSON text) is at most
+# ATTENTION_BYTES + ENTRY_BYTES * s^2: a fit to the growth of peak RSS with
+# layers at s = 3 and s = 16, rounded up.
+ATTENTION_BYTES, ENTRY_BYTES = 1024, 152
+
+
 def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, out) -> int:
     X = _parse_batch(batch_path)
     s = X.batch_size
@@ -430,10 +434,9 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
             f"weights file declares batch size {cfg.batch_size},"
             f" but the batch has {s} sequences"
         )
-    kept = cfg.layers * cfg.heads * s * s  # the attention entries the output holds
-    if kept > SIZE_BUDGET:
-        raise SizeBudgetError(f"layers {cfg.layers} x heads {cfg.heads} x batch size {s}^2"
-                              f" attention entries exceed the element budget {SIZE_BUDGET}")
+    _check_budget(cfg.layers, cfg.heads, ATTENTION_BYTES + ENTRY_BYTES * s * s,
+                  what=f"the memory, in bytes, of the attention kept for layers {cfg.layers}"
+                       f" x heads {cfg.heads} at batch size {s}")
     if mats:
         w = _weights_from_file(weights_path, mats, s, cfg.nominal_dim, cfg.heads)
     else:
@@ -521,13 +524,11 @@ def cmd_compare_padding(batches, dim_range, seed, out, batch_size, nominal) -> i
         raise ShapeError(
             f"nominal dim {nominal} is smaller than the largest drawable length {hi}"
         )
-    if batch_size * nominal > SIZE_BUDGET:
-        raise SizeBudgetError(f"--batch-size {batch_size} x --nominal-dim {nominal} padded"
-                              f" entries exceed the element budget {SIZE_BUDGET}")
-    draws = batches * batch_size * (hi + 1)  # a length and up to hi entries per sequence
-    if draws > SIZE_BUDGET:  # checked before any draw, which holds 8 bytes
-        raise SizeBudgetError(f"--batches {batches} x --batch-size {batch_size} x (--dim-range"
-                              f" HI {hi} + 1) draws exceed the element budget {SIZE_BUDGET}")
+    _check_budget(batch_size, nominal,
+                  what=f"the padded size --batch-size {batch_size} x --nominal-dim {nominal}")
+    # A length and up to hi entries per sequence, checked before any draw (8 bytes each).
+    _check_budget(batches, batch_size, hi + 1, what=f"the draw count --batches {batches} x"
+                  f" --batch-size {batch_size} x (--dim-range HI {hi} + 1)")
     rows = compare_padding_rows(batches, lo, hi, seed, batch_size, nominal)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))

@@ -1,7 +1,7 @@
 """Exception types shared across the library and the CLI.
 
 The CLI maps these onto process exit codes: schema violations, arithmetic
-overflow, sizes over the element budget and a MemoryError from an allocation
+overflow, sizes over the size budget and a MemoryError from an allocation
 within it exit 2, shape inconsistencies exit 3, anything else that trips an
 internal invariant exits 4.
 """
@@ -16,7 +16,7 @@ class SchemaError(ValueError):
 
 
 class SizeBudgetError(ValueError):
-    """An intermediate result would exceed the 2**31-1 element budget."""
+    """A size (elements, draws or bytes) would exceed the 2**31-1 budget."""
 
 
 class NonFactorizableError(ValueError):

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import SIZE_BUDGET, _check_budget, as_lengths, as_matrix, as_vector
-from .errors import NonFactorizableError, NonFiniteError, ShapeError, SizeBudgetError
+from .algebra import _check_budget, as_lengths, as_matrix, as_vector
+from .errors import NonFactorizableError, NonFiniteError, ShapeError
 from .projection import _resample, pair_band, proj_matrix
 
 
@@ -149,9 +149,7 @@ class HyperVector:
 
     def to_product_form(self) -> np.ndarray:
         """Iterated Kronecker product of the components (left to right)."""
-        size = math.prod(self.dims)
-        if size > SIZE_BUDGET:
-            raise SizeBudgetError(f"product form size {size} exceeds {SIZE_BUDGET}")
+        _check_budget(*self.dims, what="product form size")
         out = self.components[0]
         for c in self.components[1:]:
             out = np.kron(out, c)
@@ -397,12 +395,8 @@ def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVec
     input is already homogeneous of length n0 and A is square this is
     exactly A @ X.to_matrix(), with no resample.
     """
-    A = as_matrix(A, "diamond matrix")
+    A = as_matrix(A, "diamond matrix", (None, X.batch_size))
     p, s = A.shape
-    if s != X.batch_size:
-        raise ShapeError(
-            f"matrix with {s} columns cannot act on a {X.batch_size}-component hypervector"
-        )
     n0 = max(X.dims) if n0 is None else as_lengths((n0,), "nominal dim")[0]
     if out_dims is None:
         out_dims = X.dims if p == s else tuple(X.dims[i % s] for i in range(p))
@@ -418,13 +412,8 @@ def diamond_vectorized(A, X: HyperVector, n0: int | None = None) -> np.ndarray:
     block-diagonal maps of DiamondPlan; agrees with the stepwise diamond to
     roundoff.
     """
-    A = as_matrix(A, "diamond matrix")
     s = X.batch_size
-    if A.shape != (s, s):
-        raise ShapeError(
-            f"diamond needs a {s} x {s} matrix for a {s}-component hypervector,"
-            f" got {A.shape[0]} x {A.shape[1]}"
-        )
+    A = as_matrix(A, "diamond matrix", (s, s))
     n0 = max(X.dims) if n0 is None else as_lengths((n0,), "nominal dim")[0]
     _check_budget(s * n0, s * n0)
     plan = DiamondPlan.build(X.dims, n0)

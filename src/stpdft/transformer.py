@@ -29,8 +29,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .algebra import SIZE_BUDGET, as_lengths, as_matrix, as_vector, lcm
-from .errors import ShapeError, SizeBudgetError
+from .algebra import _check_budget, as_lengths, as_matrix, as_vector, lcm
+from .errors import ShapeError
 from .hypervector import (
     HyperVector,
     _lcm_scale,
@@ -160,10 +160,7 @@ def qkv_nominal(X, w: AttentionWeights):
     d = X.shape[1]
     out = []
     for name, W in (("wq", w.wq), ("wk", w.wk), ("wv", w.wv)):
-        W = as_matrix(W, name)
-        if W.shape != (d, d):
-            raise ShapeError(f"{name} is {W.shape[0]} x {W.shape[1]}, expected {d} x {d}")
-        out.append(X @ W.T)
+        out.append(X @ as_matrix(W, name, (d, d)).T)
     return tuple(out)
 
 
@@ -198,18 +195,12 @@ def attention_nominal(Q, K, V, scale: str = "sqrt-n", mask=None,
     scale is a mode name of SCALING_MODES, which scale_value resolves
     against the feature dim n and the batch size s.
     """
-    Q, K, V = as_matrix(Q, "Q"), as_matrix(K, "K"), as_matrix(V, "V")
+    Q = as_matrix(Q, "Q")
     s, n = Q.shape
-    if K.shape != (s, n) or V.shape[0] != s:
-        raise ShapeError(
-            f"Q {Q.shape}, K {K.shape}, V {V.shape} are not a conforming attention triple"
-        )
+    K, V = as_matrix(K, "K", (s, n)), as_matrix(V, "V", (s, None))
     E = Q @ K.T / scale_value(scale, n, s)
     if mask is not None:
-        mask = np.asarray(mask, dtype=float)
-        if mask.shape != (s, s):
-            raise ShapeError(f"mask is {mask.shape}, expected ({s}, {s})")
-        E = E + mask
+        E = E + as_matrix(mask, "mask", (s, s))
     A = softmax_rows(E)
     out = A @ V
     return (out, A) if return_weights else out
@@ -231,19 +222,13 @@ def multi_head_nominal(Q, K, V, w: AttentionWeights, scale: str = "sqrt-n",
         heads = [(Q, K, V)]
     else:
         heads = []
-        for i, (Tq, Tk, Tv) in enumerate(zip(w.head_q, w.head_k, w.head_v)):
-            for name, T in (("q", Tq), ("k", Tk), ("v", Tv)):
-                T = as_matrix(T, f"head {i + 1} {name} map")
-                if T.shape[1] != n:
-                    raise ShapeError(
-                        f"head {i + 1} {name} map has {T.shape[1]} columns, expected {n}"
-                    )
-            heads.append((Q @ np.asarray(Tq).T, K @ np.asarray(Tk).T, V @ np.asarray(Tv).T))
+        for i, maps in enumerate(zip(w.head_q, w.head_k, w.head_v)):
+            heads.append(tuple(P @ as_matrix(T, f"head {i + 1} {name} map", (None, n)).T
+                               for P, name, T in zip((Q, K, V), "qkv", maps)))
 
     outs = [attention_nominal(q, k, v, scale=scale, mask=mask) for q, k, v in heads]
     r = math.prod(o.shape[1] for o in outs)
-    if r * s > SIZE_BUDGET:
-        raise SizeBudgetError(f"concat size {r * s} exceeds {SIZE_BUDGET}")
+    _check_budget(r, s, what="concat size")
     rows = []
     for j in range(s):
         c = outs[0][j]
@@ -286,9 +271,8 @@ def add_norm(X, F, mode: str = "vector-wise", gamma: float = 1.0, beta: float = 
     vector-wise normalizes each sequence (row) over its own entries;
     layer-wise pools every entry of the batch.
     """
-    X, F = as_matrix(X, "X"), as_matrix(F, "F")
-    if X.shape != F.shape:
-        raise ShapeError(f"residual shapes differ: X {X.shape} vs F {F.shape}")
+    X = as_matrix(X, "X")
+    F = as_matrix(F, "F", X.shape)
     Y = relu(X + F)
     if mode == "vector-wise":
         return np.stack([_normalize(row, gamma, beta, eps) for row in Y])
@@ -304,12 +288,8 @@ def ffn_nominal(X, w1, w2, b1=None, b2=None) -> np.ndarray:
     to the relevant row count before the columnwise add (None means zero).
     """
     X = as_matrix(X, "ffn input")
-    w1 = as_matrix(w1, "ffn w1")
-    w2 = as_matrix(w2, "ffn w2")
-    if w1.shape[1] != X.shape[0]:
-        raise ShapeError(f"ffn w1 has {w1.shape[1]} columns for {X.shape[0]} input rows")
-    if w2.shape[1] != w1.shape[0]:
-        raise ShapeError(f"ffn w2 has {w2.shape[1]} columns for {w1.shape[0]} hidden rows")
+    w1 = as_matrix(w1, "ffn w1", (None, X.shape[0]))
+    w2 = as_matrix(w2, "ffn w2", (None, w1.shape[0]))
     H = w1 @ X
     if b1 is not None:
         H = H + project(as_vector(b1, "ffn b1"), w1.shape[0])[:, None]
@@ -326,11 +306,8 @@ def assembled_attention(X, wq, wk, wv) -> np.ndarray:
     that product by c while scaling Wv by 1/c changes nothing."""
     X = as_matrix(X, "X")
     n = X.shape[1]
-    for name, W in (("wq", wq), ("wk", wk), ("wv", wv)):
-        W = as_matrix(W, name)
-        if W.shape != (n, n):
-            raise ShapeError(f"{name} is {W.shape[0]} x {W.shape[1]}, expected {n} x {n}")
-    return assembled_attention_qk(X, np.asarray(wq, float).T @ np.asarray(wk, float), wv)
+    wq, wk, wv = (as_matrix(W, name, (n, n)) for name, W in (("wq", wq), ("wk", wk), ("wv", wv)))
+    return assembled_attention_qk(X, wq.T @ wk, wv)
 
 
 def assembled_attention_qk(X, wqk, wv) -> np.ndarray:
@@ -377,10 +354,7 @@ def _pipeline(X: HyperVector, W, d: int, dims_out, padding: str) -> HyperVector 
     if dims_out is not X.dims:
         dims_out = as_lengths(dims_out, "output dims", count=X.batch_size)
     d = as_lengths((d,), "nominal dim")[0]
-    Ws = [as_matrix(Wk, "transform") for Wk in (W if isinstance(W, tuple) else (W,))]
-    for Wk in Ws:
-        if Wk.shape != (d, d):
-            raise ShapeError(f"transform is {Wk.shape[0]} x {Wk.shape[1]}, expected {d} x {d}")
+    Ws = [as_matrix(Wk, "transform", (d, d)) for Wk in (W if isinstance(W, tuple) else (W,))]
     d_min = max(max(X.dims), max(dims_out))
     if padding == "zero" and d < d_min:
         raise ShapeError(f"zero padding cannot shrink: d={d} < required {d_min}")
@@ -417,18 +391,12 @@ def dv_attention(Q: HyperVector, K: HyperVector, V: HyperVector,
     """
     E = _dv_scores(Q, K, scaling)
     if mask is not None:
-        mask = np.asarray(mask, dtype=float)
-        if mask.shape != E.shape:
-            raise ShapeError(f"mask is {mask.shape}, expected {E.shape}")
-        E = E + mask
+        E = E + as_matrix(mask, "mask", E.shape)
     A = softmax_rows(E)
     weights, q, r = A, K.batch_size, V.batch_size
     if q != r:
         t = lcm(q, r)
-        if t * max(V.dims) > SIZE_BUDGET:
-            raise SizeBudgetError(
-                f"replicated batch {t} x {max(V.dims)} exceeds {SIZE_BUDGET}"
-            )
+        _check_budget(t, max(V.dims), what=f"replicated batch {t} x {max(V.dims)}")
         weights = np.repeat(A, t // q, axis=1)
         V = HyperVector._owned(np.tile(V.buffer, t // r), V.dims * (t // r))
     out = diamond(weights, V, n0=n0, out_dims=out_dims)
@@ -526,13 +494,7 @@ def df_ffn(X: HyperVector, w1, w2, b1=None, b2=None) -> HyperVector:
     the nominal targets, so the output profile equals the input profile.
     """
     s = X.batch_size
-    w1 = as_matrix(w1, "ffn w1")
-    w2 = as_matrix(w2, "ffn w2")
-    for name, W in (("w1", w1), ("w2", w2)):
-        if W.shape != (s, s):
-            raise ShapeError(
-                f"ffn {name} is {W.shape[0]} x {W.shape[1]}, expected {s} x {s}"
-            )
+    w1, w2 = as_matrix(w1, "ffn w1", (s, s)), as_matrix(w2, "ffn w2", (s, s))
     dims = X.dims
     H = diamond(w1, X)
     if b1 is not None:

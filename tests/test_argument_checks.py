@@ -1,22 +1,34 @@
 """The library's argument checks: each rejected input raises its documented
 class with a message that names what was wrong."""
 
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stpdft
 from stpdft import (
     AttentionWeights,
     HyperVector,
+    ModelConfig,
     ShapeError,
     SizeBudgetError,
+    add_norm,
     assembled_attention,
     attention_nominal,
+    causal_mask,
+    df_add_norm,
+    df_ffn,
     diamond_vectorized,
     dv_attention,
+    dv_multi_head,
+    encoder_block,
+    encoder_stack,
     ffn_nominal,
     multi_head_nominal,
+    positional_encoding,
     proj_pad_pipeline,
     zero_pad_pipeline,
 )
@@ -79,3 +91,95 @@ def test_shape_and_budget_checks_name_the_dimensions(call, kind, numbers):
     assert type(info.value) is kind
     found = {int(n) for n in re.findall(r"\d+", str(info.value))}
     assert set(numbers) <= found, str(info.value)
+
+
+def _square_weights(d):
+    return AttentionWeights(wq=np.eye(d), wk=np.eye(d), wv=np.eye(d))
+
+
+# (id, call, exception class, the words that name the rejected argument): the
+# transformer's other input checks that no other test reaches.
+ARGUMENT_FAULTS = [
+    ("positional-encoding-positions", lambda: positional_encoding(0, 4), ShapeError,
+     "at least one position"),
+    ("causal-mask-size", lambda: causal_mask(0), ShapeError, "mask size"),
+    ("add-norm-mode", lambda: add_norm(_ones(2, 3), _ones(2, 3), mode="rows"), ValueError,
+     "norm mode"),
+    ("dv-attention-scaling", lambda: dv_attention(_hyper(2, 3), _hyper(2, 3), _hyper(2, 3),
+                                                  scaling="sqrt-d"),
+     ValueError, "scaling"),
+    ("multi-head-no-heads", lambda: dv_multi_head([], (2, 3)), ShapeError, "one head"),
+    ("multi-head-batch-size", lambda: dv_multi_head([_hyper(2, 3, 4), _hyper(2, 3)], (2, 3, 4)),
+     ShapeError, "head 2 has batch size 2"),
+    ("multi-head-weight-count", lambda: dv_multi_head([_hyper(2, 3)], (2, 3), weights=[1, 2]),
+     ShapeError, "2 weights for 1 heads"),
+    ("multi-head-negative-weight", lambda: dv_multi_head([_hyper(2, 3)], (2, 3), weights=[-1]),
+     ValueError, "head weights"),
+    ("multi-head-output-map-count", lambda: dv_multi_head([_hyper(2, 3, 4)], (2, 3, 4),
+                                                          out_maps=(None,)),
+     ShapeError, "1 output maps for batch size 3"),
+    ("add-norm-batch-sizes", lambda: df_add_norm(_hyper(2, 3, 4), _hyper(2, 3)), ShapeError,
+     "3 skip vs 2 branch"),
+    ("df-add-norm-mode", lambda: df_add_norm(_hyper(2, 3), _hyper(2, 3), mode="rows"),
+     ValueError, "norm mode"),
+    ("ffn-bias-components", lambda: df_ffn(_hyper(2, 3, 4), np.eye(3), np.eye(3),
+                                           b1=_hyper(2, 3)),
+     ShapeError, "bias has 2 components, expected 3"),
+    ("block-batch-size", lambda: encoder_block(_hyper(2, 3, 4), _square_weights(4),
+                                               ModelConfig(batch_size=2, nominal_dim=4)),
+     ShapeError, "config says 2"),
+    ("stack-weight-sets", lambda: encoder_stack(_hyper(2, 3), [_square_weights(3)] * 2,
+                                                ModelConfig(batch_size=2, nominal_dim=3,
+                                                            layers=3)),
+     ShapeError, "2 weight sets for 3 blocks"),
+]
+
+
+@pytest.mark.parametrize("call,kind,words", [case[1:] for case in ARGUMENT_FAULTS],
+                         ids=[case[0] for case in ARGUMENT_FAULTS])
+def test_argument_checks_name_the_argument(call, kind, words):
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind
+    assert words in str(info.value)
+
+
+class _BudgetSites(ast.NodeVisitor):
+    """(module, innermost function, "compare" or "raise") of each comparison
+    with SIZE_BUDGET and each raise of SizeBudgetError in one module."""
+
+    def __init__(self, module):
+        self.module, self.scope, self.sites = module, "<module>", []
+
+    def visit_FunctionDef(self, node):
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Compare(self, node):
+        if any(_mentions(x, "SIZE_BUDGET") for x in (node.left, *node.comparators)):
+            self.sites.append((self.module, self.scope, "compare"))
+        self.generic_visit(node)
+
+    def visit_Raise(self, node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if exc is not None and _mentions(exc, "SizeBudgetError"):
+            self.sites.append((self.module, self.scope, "raise"))
+        self.generic_visit(node)
+
+
+def _mentions(node, name):
+    return any(isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute)
+               and n.attr == name for n in ast.walk(node))
+
+
+def test_the_budget_is_checked_only_in_check_budget():
+    sites = []
+    for path in sorted(Path(stpdft.__file__).parent.glob("*.py")):
+        visitor = _BudgetSites(path.name)
+        visitor.visit(ast.parse(path.read_text(), path.name))
+        sites += visitor.sites
+    assert sites == [("algebra.py", "_check_budget", "compare"),
+                     ("algebra.py", "_check_budget", "raise")]

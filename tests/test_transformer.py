@@ -251,6 +251,12 @@ class TestFfnNominal:
             expected = nominal_add(X[:, j], b1, 3)
             np.testing.assert_allclose(relu(expected), out[:, j], atol=1e-12)
 
+    def test_both_biases_against_the_formula(self, rng):
+        X, w1, w2 = rng.normal(size=(3, 4)), rng.normal(size=(5, 3)), rng.normal(size=(2, 5))
+        b1, b2 = rng.normal(size=4), rng.normal(size=7)
+        expected = w2 @ relu(w1 @ X + project(b1, 5)[:, None]) + project(b2, 2)[:, None]
+        np.testing.assert_allclose(ffn_nominal(X, w1, w2, b1, b2), expected, rtol=0, atol=1e-12)
+
     def test_negative_zeroing_propagates(self):
         X = np.array([[-5.0, -1.0]])
         out = ffn_nominal(X, np.eye(1), np.eye(1))
