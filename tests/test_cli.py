@@ -207,7 +207,7 @@ class TestForwardCommand:
 
     def test_layers_over_the_memory_bound_exit_2(self, tmp_path):
         # 10^7 blocks keep only 9 * 10^7 attention entries, within the element
-        # count, but about 21 GB of memory once written: the command fails at
+        # count, but about 20 GB of memory once written: the command fails at
         # once, naming --layers.
         batch = write_batch(tmp_path / "batch.json", ACCEPTANCE_11)
         code, _, err = run_cli("forward", batch, "--layers", "10000000", timeout=15)
