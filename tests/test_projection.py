@@ -1,10 +1,11 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpdft import (
@@ -24,7 +25,8 @@ from stpdft import (
     vnorm,
 )
 from stpdft.algebra import bridge_band
-from stpdft.projection import _resample_band
+from stpdft.hypervector import _gram_plan, _gram_runs
+from stpdft.projection import _resample_band, pair_band
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
 from test_algebra import assert_fractions_equal, kron_bridge, kron_bridge_exact
 
@@ -375,3 +377,99 @@ class TestProjectionFactorization:
                     lhs = project(np.repeat(x, t // m), r)
                     rhs = project(x, r)
                     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def overlap_band(n, p):
+    """The nonzeros (i, j, w) of bridge_matrix(n, p) * gcd(n, p), from the
+    overlap definition w = min((i+1) p, (j+1) n) - max(i p, j n) of row
+    interval [i p, (i+1) p) and column interval [j n, (j+1) n): a sweep over
+    the pieces of [0, n p) from left to right, in Python ints."""
+    band, i, j = [], 0, 0
+    while i < n:
+        row_end, col_end = (i + 1) * p, (j + 1) * n
+        band.append((i, j, min(row_end, col_end) - max(i * p, j * n)))
+        i, j = i + (row_end <= col_end), j + (col_end <= row_end)
+    return tuple(band)
+
+
+def oracle_pair_band(dims_x, dims_y, pairs):
+    """(idx_x, idx_y, pair, w, g) as Python lists, entry by entry, for the
+    component pairs (a, b) listed in pairs; g is the pair's gcd."""
+    off_x, off_y = np.cumsum([0, *dims_x]).tolist(), np.cumsum([0, *dims_y]).tolist()
+    cols = [[] for _ in range(5)]
+    for e, (a, b) in enumerate(pairs):
+        n, p = dims_x[a], dims_y[b]
+        for i, j, w in overlap_band(n, p):
+            for col, v in zip(cols, (off_x[a] + i, off_y[b] + j, e, w, math.gcd(n, p))):
+                col.append(v)
+    return cols
+
+
+def assert_same_array(got, values, dtype, writeable=False):
+    """got holds values in native dtype, C order, with the given write flag."""
+    want = np.array(values, dtype=np.dtype(dtype).newbyteorder("="))
+    assert got.dtype.str == want.dtype.str and got.flags.c_contiguous
+    assert got.flags.writeable == writeable
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBandOracle:
+    """bridge_band, pair_band, _resample_band and _gram_plan against the
+    entry-level overlap definition, built fresh: values, dtypes, byte order
+    and write flags."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(resample_profiles())
+    @example(([1, 5, 1], [3, 1, 1], 0))  # length 1
+    @example(([7], [4], 0))  # s = 1
+    @example(([6, 6, 6], [6, 6, 6], 0))  # equal lengths throughout
+    @example(([4, 9, 6], [4, 3, 6], 0))  # equal lengths in a ragged profile
+    @example(([12, 18, 8], [8, 12, 18], 0))  # gcd > 1
+    @example(([99_991], [100_003], 0))  # coprime, i p above 2**31
+    def test_bands_match_overlap_definition(self, profiles):
+        dims_x, dims_y, _ = profiles
+        dims_x, dims_y = tuple(dims_x), tuple(dims_y)
+        s = len(dims_x)
+        pairs = list(zip(range(s), range(s)))
+
+        idx_x, idx_y, pair, w, g = oracle_pair_band(dims_x, dims_y, pairs)
+        want_i = [x - off for x, off in zip(idx_x, np.cumsum([0, *dims_x])[pair].tolist())]
+        want_j = [y - off for y, off in zip(idx_y, np.cumsum([0, *dims_y])[pair].tolist())]
+        for got, want in zip(bridge_band(np.array(dims_x), np.array(dims_y)),
+                             (pair, want_i, want_j, w), strict=True):
+            assert_same_array(got, want, np.int64, writeable=True)
+
+        rows = np.arange(s * len(dims_y)) // len(dims_y)
+        cols = np.arange(s * len(dims_y)) % len(dims_y)
+        want = oracle_pair_band(dims_x, dims_y, list(zip(rows.tolist(), cols.tolist())))[:4]
+        got = pair_band(dims_x, dims_y, rows, cols)
+        for arr, vals, dtype in zip(got, want, (np.int32, np.int32, np.int32, np.int64),
+                                    strict=True):
+            assert_same_array(arr, vals, dtype)
+
+        lo, hi = sorted((dims_x, dims_y))
+        u = [k for k in range(s) if lo[k] != hi[k]]
+        idx_a, idx_b, pair, w, _ = oracle_pair_band(lo, hi, list(zip(u, u)))
+        want = (idx_a, idx_b, [v / lo[u[k]] for v, k in zip(w, pair)],
+                [v / hi[u[k]] for v, k in zip(w, pair)],
+                [a == b for a, b in zip(lo, hi) for _ in range(a)],
+                [a == b for a, b in zip(lo, hi) for _ in range(b)])
+        _resample_band.cache_clear()
+        got = _resample_band(lo, hi)
+        for arr, vals, dtype in zip(got, want, (np.int32, np.int32, np.float64, np.float64,
+                                                bool, bool), strict=True):
+            assert_same_array(arr, vals, dtype)
+
+        for dims_y in (dims_y, dims_x):  # the full and the mirrored listing
+            listed = [(a, b) for a in range(s) for b in range(len(dims_y))
+                      if dims_x != dims_y or a <= b]
+            _gram_plan.cache_clear()
+            for run_lo, run_hi in _gram_runs(dims_x, dims_y):
+                src_x, src_y, pair, w, g = oracle_pair_band(dims_x, dims_y,
+                                                            listed[run_lo:run_hi])
+                got = _gram_plan(dims_x, dims_y, run_lo, run_hi)
+                want = (src_x, src_y, pair, [float(v // d) for v, d in zip(w, g)])
+                for arr, vals, dtype in zip(got, want, (np.int32, np.int32, np.int32,
+                                                        np.float64), strict=True):
+                    assert_same_array(arr, vals, dtype)
