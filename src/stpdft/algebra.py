@@ -14,12 +14,13 @@ All of them reduce to the ordinary product/sum when the shapes already
 conform.  ``bridge_matrix(n, p)`` is the fixed middle factor that turns
 dk_stp into an ordinary triple product: dk_stp(A, B) == A @ bridge @ B.
 It is defined by lcm-sized Kronecker factors, but its entries are interval
-overlaps, and ``bridge_band(n, p)`` is the one kernel that computes them: it
-lists the at most n+p-1 nonzeros for many length pairs at once.
+overlaps, and the private ``_band_rows`` is the one code that computes them,
+row by row for many length pairs at once: ``bridge_band(n, p)`` lists their
+at most n+p-1 nonzeros and ``projection.pair_band`` their plan indices.
 bridge_matrix scatters the band into n x p zeros, every other bridge or
 projection matrix rescales it, and dk_stp and weighted_dk_stp go through it.
-The inner products of ``projection`` and ``hypervector`` and the resamples
-``projection.project_batch`` and ``project`` sum over the band instead.
+The inner products and the resamples of ``projection`` and ``hypervector``
+sum over the band instead.
 Only stp and sta, whose results are lcm-sized by definition, expand to the lcm.
 
 Matrices are plain 2-D float ndarrays, vectors 1-D.  Every function is pure;
@@ -172,31 +173,47 @@ def bridge_band(n, p):
     [j n, (j+1) n), the entry's share of [0, t) in units of 1/(n p); that is
     bridge_matrix(n, p)[i, j] * gcd(n, p).  Row i of a pair spans columns
     i p // n .. ((i+1) p - 1) // n, so pair k has n + p - gcd(n, p) entries.
-    They are listed pair by pair in the order they cover [0, n p), and
-    nothing lcm-sized is built.
+    They are listed pair by pair in the order they cover [0, n p), expanded
+    from the rows of _band_rows, and nothing lcm-sized is built.
     """
+    size, i, count, col0, w = _band_rows(n, p)
+    k = np.arange(len(size)).repeat(size)
+    return k, i.repeat(count), np.arange(len(w)) + col0.repeat(count), w
+
+
+def _band_rows(n, p):
+    """bridge_band(n, p) row by row: int64 arrays (size, i, count, col0, w).
+
+    Pair k has size[k] entries in n[k] rows; row i holds count entries, entry
+    e of the band lies in column e + col0 of its row, and w is every entry's
+    overlap.  One divmod gives i p = lo n + r: row i starts r into column lo
+    and ends where row i + 1 starts, at (lo', r') (a pair's last row at (p, 0)):
+    its last column is lo' - 1 with overlap n when r' is 0, else lo' with r'.
+    Its first overlap is n - r, or p in one column; the columns between take n.
+    Array methods and per-pair repeats keep numpy's fixed costs per call down."""
     n, p = np.atleast_1d(n), np.atleast_1d(p)
     if n.dtype.kind not in "iu" or p.dtype.kind not in "iu":  # never truncate a length
         raise TypeError(f"bridge_band lengths must be integers, got {n.dtype} and {p.dtype}")
     n, p = n.astype(np.int64, copy=False), p.astype(np.int64, copy=False)
     if n.shape != p.shape or n.ndim != 1:
         raise ShapeError(f"bridge_band needs two equal-length 1-D arrays, got {n.shape}, {p.shape}")
-    if np.any(n < 1) or np.any(p < 1):
+    if min(n.min(initial=1), p.min(initial=1)) < 1:
         raise ShapeError("bridge_band dims must be positive")
-    pair = np.repeat(np.arange(len(n)), n)
-    i = np.arange(len(pair)) - np.repeat(np.cumsum(n) - n, n)
-    rn, rp = np.repeat(n, n), np.repeat(p, n)
-    start, end = i * rp, (i + 1) * rp  # row i covers [start, end) of [0, n p)
-    lo, hi = start // rn, (end - 1) // rn
-    count = hi - lo + 1
-    first = np.cumsum(count) - count
-    j = np.arange(count.sum()) - np.repeat(first - lo, count)
-    # Interior columns lie inside the row, so they overlap it by a whole
-    # column (w = n); only a row's first and last column can be clipped.
-    w = np.repeat(rn, count)
-    w[first] = np.minimum(end, (lo + 1) * rn) - start
-    w[first + count - 1] = end - np.maximum(start, hi * rn)
-    return np.repeat(pair, count), np.repeat(i, count), j, w
+    size = n + p - np.gcd(n, p)
+    ends = n.cumsum()
+    i = np.arange(n.sum()) - (ends - n).repeat(n)
+    rn, rp = n.repeat(n), p.repeat(n)
+    lo, r = np.divmod(i * rp, rn)  # row i starts at i p = lo n + r
+    lo_end, r_end = np.empty_like(lo), np.empty_like(r)  # and ends where row i + 1 starts
+    lo_end[:-1], r_end[:-1] = lo[1:], r[1:]
+    lo_end[ends - 1], r_end[ends - 1] = p, 0
+    whole = r_end == 0  # the row ends on a column boundary
+    count = lo_end - lo + ~whole
+    first = count.cumsum() - count
+    w = n.repeat(size)
+    w[first + count - 1] = np.where(whole, rn, r_end)
+    w[first] = np.minimum(rn - r, rp)  # after the last: a one-column row overlaps p
+    return size, i, count, lo - first, w
 
 
 def weighted_bridge_matrix(n: int, p: int) -> np.ndarray:

@@ -21,14 +21,15 @@ projecting each of the p output rows to its own length (for a square A,
 its component's original length).  ``_pad`` and ``_unpad`` are those two
 steps, for both padding schemes, and the only code that pads or unpads a
 batch: diamond, the transformer's Q/K/V pipelines and the CLI's
-compare-padding all call them.  A projection step is one
-``projection.project_batch`` over the whole buffer, skipped when it is the
+compare-padding all call them.  A projection step is one unchecked
+``projection._resample`` of the whole buffer, skipped when it is the
 identity; a zero step is one scatter or gather through a prefix mask.
 
 ``hyper_inner`` scores ragged operands over the bridge bands of all their
 length pairs, from a Gram plan cached as the ``projection`` module describes
 and applied in runs of at most ``_BAND_CHUNK`` entries: a plan of one run is
-kept whole, and of a longer plan only the last run is kept.
+kept whole, and of a longer plan only the last run is kept.  Its overlaps
+come from ``algebra._band_rows`` through ``projection.pair_band``.
 ``diamond_vectorized`` is diamond with a square matrix written as one
 explicit matrix on the addition form, from the block-diagonal pad/unpad maps
 of ``DiamondPlan``; it is kept as the independent oracle of the stepwise
@@ -250,28 +251,31 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
         # product that rounds differently, so X is Y takes a copy.
         Q = Y.buffer.copy() if X is Y else Y.buffer
         return X.buffer.reshape(s, d) @ Q.reshape(t, d).T / d
-    rows, cols = _gram_pairs(X.dims, Y.dims)
+    rows, cols, lcm = _gram_layout(X.dims, Y.dims)
     P, Q = X.buffer, Y.buffer
     mirrored = X.dims == Y.dims
     G = np.empty((s, t))
+    # take reads the int32 plan as it is; P[src_x] would convert it to intp.
     for lo, hi in _gram_runs(X.dims, Y.dims):
         src_x, src_y, pair, coef = _gram_plan(X.dims, Y.dims, lo, hi)
         r, c = rows[lo:hi], cols[lo:hi]
-        G[r, c] = np.bincount(pair, weights=P[src_x] * Q[src_y] * coef, minlength=hi - lo)
+        G[r, c] = np.bincount(pair, P.take(src_x) * Q.take(src_y) * coef, hi - lo)
         if mirrored:
-            G[c, r] = np.bincount(pair, weights=P[src_y] * Q[src_x] * coef, minlength=hi - lo)
-    return G / np.lcm.outer(X.dims, Y.dims)
+            G[c, r] = np.bincount(pair, P.take(src_y) * Q.take(src_x) * coef, hi - lo)
+    return G / lcm
 
 
-def _gram_pairs(dims_x, dims_y):
-    """Rows and columns of the pairs a Gram plan lists, row-major: all s t
-    pairs, or only the pairs a <= b when the two profiles are equal, where a
-    listed pair (a, b) also gives Gram entry (b, a) with the same bits by
-    pair_band's swap rule.
-    """
-    if dims_x == dims_y:
-        return np.triu_indices(len(dims_x))
-    return np.divmod(np.arange(len(dims_x) * len(dims_y)), len(dims_y))
+@functools.lru_cache(maxsize=1)
+def _gram_layout(dims_x: tuple, dims_y: tuple):
+    """Read-only (rows, cols, lcm) of two profiles, memoised: the pairs a Gram
+    plan lists, row-major (for equal profiles only a <= b, whose entries give
+    (b, a) by pair_band's swap rule), and np.lcm.outer(dims_x, dims_y)."""
+    s, t = len(dims_x), len(dims_y)
+    pairs = np.triu_indices(s) if dims_x == dims_y else np.divmod(np.arange(s * t), t)
+    layout = (*pairs, np.lcm.outer(dims_x, dims_y))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 @functools.lru_cache(maxsize=1)
@@ -279,7 +283,7 @@ def _gram_runs(dims_x: tuple, dims_y: tuple) -> tuple:
     """Listed-pair ranges [lo, hi) of at most _BAND_CHUNK band entries each
     (a longer pair alone), from the band sizes n + p - gcd(n, p) of the
     listed pairs; memoised."""
-    rows, cols = _gram_pairs(dims_x, dims_y)
+    rows, cols, _ = _gram_layout(dims_x, dims_y)
     n, p = np.asarray(dims_x)[rows], np.asarray(dims_y)[cols]
     ends = np.cumsum(n + p - np.gcd(n, p))
     runs, lo = [], 0
@@ -294,13 +298,13 @@ def _gram_runs(dims_x: tuple, dims_y: tuple) -> tuple:
 @functools.lru_cache(maxsize=1)
 def _gram_plan(dims_x: tuple, dims_y: tuple, lo: int, hi: int):
     """Read-only (src_x, src_y, pair, coef) of the listed pairs [lo, hi) of
-    two profiles (_gram_pairs), memoised: band entry e of their pair_band adds
+    two profiles (_gram_layout), memoised: band entry e of their pair_band adds
     P[src_x[e]] * Q[src_y[e]] * coef[e] to the Gram entry of pair[e] before
     the division by the lcm; coef = w / gcd(m, n) is the integer bridge entry."""
-    rows, cols = (a[lo:hi] for a in _gram_pairs(dims_x, dims_y))
+    rows, cols = (a[lo:hi] for a in _gram_layout(dims_x, dims_y)[:2])
     src_x, src_y, pair, w = pair_band(dims_x, dims_y, rows, cols)
     g = np.gcd(np.asarray(dims_x)[rows], np.asarray(dims_y)[cols])
-    coef = (w // g[pair]).astype(float)
+    coef = w / g.take(pair)  # exact: g divides w, and both are below 2**53
     coef.flags.writeable = False
     return src_x, src_y, pair, coef
 
@@ -323,7 +327,7 @@ def _lcm_scale(X: HyperVector, Y: HyperVector):
     """The s x t matrix of lcm(len x_i, len y_j), or the scalar d when every
     length is d: a product with either has the same bits."""
     d = _shared_length(X, Y)
-    return np.lcm.outer(X.dims, Y.dims) if d is None else d
+    return _gram_layout(X.dims, Y.dims)[2] if d is None else d
 
 
 @dataclass(frozen=True)

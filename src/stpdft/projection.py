@@ -23,17 +23,16 @@ is its one-component case.
 
 A forward pass resamples and scores the same profiles at every stage, so
 the index plans of a resample and of a Gram matrix (``hypervector.hyper_inner``)
-are built once per profile pair by ``pair_band`` and kept as read-only int32
-arrays in small least-recently-used caches keyed by the two profiles.  A
-Gram plan is built and applied in runs of whole pairs, and of a plan longer
-than one run only the last run is kept.  By
-pair_band's swap rule a resample and its reverse (a pad to a nominal length
-and the unpad back) share one cached band, and a Gram plan of two equal
-profiles lists each unordered pair once.  A profile whose band exceeds the
+are built once per profile pair by ``pair_band``, from the rows of the one
+overlap code ``algebra._band_rows``, and kept as read-only int32 arrays in
+small least-recently-used caches keyed by the two profiles.  By pair_band's
+swap rule a resample and its reverse (a pad to a nominal length and the
+unpad back) share one cached band, and a Gram plan of two equal profiles
+lists each unordered pair once.  A profile whose band exceeds the
 element budget raises before anything is cached.  On the fixed-length path
-every resample is the identity, and the stages skip it (``_resample``).
-``nominal_add`` adds two vectors of any lengths inside a chosen R^r by
-projecting both there first.
+every resample is the identity, and the stages skip it (``_resample``, which
+also skips project_batch's checks).  ``nominal_add`` adds two vectors of any
+lengths inside a chosen R^r by projecting both there first.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (_check_budget, as_lengths, as_vector, bridge_band, bridge_matrix,
-                      bridge_matrix_exact, lcm)
+from .algebra import (_band_rows, _check_budget, as_lengths, as_vector, bridge_band,
+                      bridge_matrix, bridge_matrix_exact, lcm)
 from .errors import ShapeError
 
 
@@ -131,15 +130,7 @@ def project_batch(P, dims_in, dims_out) -> np.ndarray:
         raise ShapeError(
             f"addition form of length {len(P)} does not match dims summing to {sum(m)}"
         )
-    if m == n:
-        return P.copy()
-    if m < n:
-        src, dst, coef, _, keep_in, keep_out = _resample_band(m, n)
-    else:
-        dst, src, _, coef, keep_out, keep_in = _resample_band(n, m)
-    out = np.bincount(dst, weights=P[src] * coef, minlength=len(keep_out))
-    out[keep_out] = P[keep_in]
-    return out
+    return P.copy() if m == n else _resample(P, m, n)
 
 
 def pair_band(dims_x, dims_y, rows, cols):
@@ -156,16 +147,16 @@ def pair_band(dims_x, dims_y, rows, cols):
     left to right).  So a sum over the band of pair (b, a), computed from the
     band of (a, b) with the operands swapped, adds the same products in the
     same order and has the same bits.  Callers keep the addition forms below
-    the element budget, so the indices fit in int32.
+    the element budget, so the indices fit in int32.  Built from the rows of
+    algebra._band_rows, offset once per row, with no entry-level band.
     """
     dx, dy = np.asarray(dims_x), np.asarray(dims_y)
-    k, i, j, w = bridge_band(dx[rows], dy[cols])
-    band = (
-        ((np.cumsum(dx) - dx)[rows][k] + i).astype(np.int32),
-        ((np.cumsum(dy) - dy)[cols][k] + j).astype(np.int32),
-        k.astype(np.int32),
-        w,
-    )
+    n = dx[rows]
+    size, i, count, col0, w = _band_rows(n, dy[cols])
+    row_x = ((dx.cumsum() - dx)[rows].repeat(n) + i).astype(np.int32)  # idx_x of each row
+    col_y = ((dy.cumsum() - dy)[cols].repeat(n) + col0).astype(np.int32)  # idx_y - e in each row
+    band = (row_x.repeat(count), np.arange(len(w), dtype=np.int32) + col_y.repeat(count),
+            np.arange(len(size), dtype=np.int32).repeat(size), w)
     for arr in band:
         arr.flags.writeable = False
     return band
@@ -186,18 +177,26 @@ def _resample_band(dims_a: tuple, dims_b: tuple):
     same = a == b
     u = np.flatnonzero(~same)
     idx_a, idx_b, pair, w = pair_band(dims_a, dims_b, u, u)
-    band = (idx_a, idx_b, w / a[u][pair], w / b[u][pair], np.repeat(same, a), np.repeat(same, b))
+    band = (idx_a, idx_b, w / a[u].take(pair), w / b[u].take(pair), same.repeat(a), same.repeat(b))
     for arr in band:
         arr.flags.writeable = False
     return band
 
 
 def _resample(P, dims_in, dims_out) -> np.ndarray:
-    """project_batch(P, dims_in, dims_out) for profiles the caller has
-    checked, except that an unchanged profile returns P itself: the identity
-    resample proj_matrix(n, n) = I of the fixed-length path costs no copy.
-    The result may be P, so callers only read it."""
-    return P if dims_in == dims_out else project_batch(P, dims_in, dims_out)
+    """project_batch(P, dims_in, dims_out) without its checks, for a float64
+    P and profiles from as_lengths, except that an unchanged profile returns
+    P itself: the identity resample proj_matrix(n, n) = I of the fixed-length
+    path costs no copy.  The result may be P, so callers only read it."""
+    if dims_in == dims_out:
+        return P
+    if dims_in < dims_out:
+        src, dst, coef, _, keep_in, keep_out = _resample_band(dims_in, dims_out)
+    else:
+        dst, src, _, coef, keep_out, keep_in = _resample_band(dims_out, dims_in)
+    out = np.bincount(dst, weights=P.take(src) * coef, minlength=len(keep_out))
+    out[keep_out] = P[keep_in]
+    return out
 
 
 def nominal_add(x, y, r: int) -> np.ndarray:

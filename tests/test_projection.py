@@ -24,9 +24,9 @@ from stpdft import (
     vinner,
     vnorm,
 )
-from stpdft.algebra import bridge_band
+from stpdft.algebra import as_lengths, bridge_band
 from stpdft.hypervector import _gram_plan, _gram_runs
-from stpdft.projection import _resample_band, pair_band
+from stpdft.projection import _resample, _resample_band, pair_band
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
 from test_algebra import assert_fractions_equal, kron_bridge, kron_bridge_exact
 
@@ -265,6 +265,18 @@ class TestProjectBatch:
             project_batch(np.zeros(5), (2, 2), (2, 2))
         with pytest.raises(ShapeError):
             project_batch(np.zeros(5), (2, 3), (2, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(resample_profiles())
+    def test_unchecked_resample_gives_project_batch_bytes(self, profiles):
+        # The stages resample through _resample, which skips the argument
+        # checks and returns an unchanged profile's P itself.
+        dims_in, dims_out, seed = profiles
+        m, n = as_lengths(dims_in), as_lengths(dims_out, count=len(dims_in))
+        P = np.random.default_rng(seed).normal(size=sum(m))
+        got = _resample(P, m, n)
+        assert got.dtype == np.float64 and got.tobytes() == project_batch(P, m, n).tobytes()
+        assert (got is P) == (m == n)
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(2**27, 2**31), min_size=1, max_size=4), st.data())

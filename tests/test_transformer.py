@@ -46,7 +46,7 @@ from stpdft import (
     softmax_rows,
     zero_pad_pipeline,
 )
-from stpdft import hypervector, projection, transformer
+from stpdft import algebra, hypervector, projection, transformer
 from stpdft.transformer import PADDING_MODES, _normalize, _qkv_hyper, relu
 from test_hypervector import cauchy_schwarz_scale, oracle_gram
 from test_projection import resample_profiles
@@ -839,21 +839,22 @@ class TestPlanReuse:
 
     def test_two_layer_ragged_stack_lists_two_bands(self, rng, monkeypatch):
         X, w, cfg = self._stack(rng, [61, *rng.integers(17, 61, 15)], 61)
-        calls, band = [], projection.bridge_band
+        calls, band_rows = [], algebra._band_rows
 
-        def counting_band(n, p):
+        def counting_rows(n, p):
             calls.append((n, p))
-            return band(n, p)
+            return band_rows(n, p)
 
-        # pair_band is the only code that lists bands for the forward pass,
-        # so its module holds the one binding to count.
-        assert not hasattr(hypervector, "bridge_band")
-        monkeypatch.setattr(projection, "bridge_band", counting_band)
+        # _band_rows is the one code that computes a band; count it through
+        # every module that binds it.
+        assert not hasattr(hypervector, "_band_rows")
+        monkeypatch.setattr(algebra, "_band_rows", counting_rows)
+        monkeypatch.setattr(projection, "_band_rows", counting_rows)
         self._clear_plans()
         encoder_stack(X, [w], cfg)
         # One band for the pad to n0 and the unpad back, one for the Q x K
         # Gram plan.
-        assert len(calls) <= 2
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("padding", ["projection", "zero"])
     def test_qkv_pads_once_and_keeps_the_bytes(self, rng, monkeypatch, padding):
@@ -862,15 +863,15 @@ class TestPlanReuse:
         cfg = dataclasses.replace(cfg, padding=padding)
         pipeline = proj_pad_pipeline if padding == "projection" else zero_pad_pipeline
         want = [pipeline(X, W, 61, X.dims) for W in (w.wq, w.wk, w.wv)]
-        resamples, resample = [], projection.project_batch
+        resamples, resample = [], projection._resample
 
         def counting_resample(P, dims_in, dims_out):
             resamples.append(dims_in)
             return resample(P, dims_in, dims_out)
 
-        # The pipelines resample through projection._resample, which calls
-        # the binding in its own module.
-        monkeypatch.setattr(projection, "project_batch", counting_resample)
+        # The pipelines pad and unpad through hypervector._pad and _unpad,
+        # which call the binding of projection._resample in their module.
+        monkeypatch.setattr(hypervector, "_resample", counting_resample)
         got = _qkv_hyper(X, w, cfg)
         for g, v in zip(got, want, strict=True):
             assert g.dims == v.dims and g.buffer.tobytes() == v.buffer.tobytes()
@@ -890,6 +891,30 @@ class TestPlanReuse:
         finally:
             tracemalloc.stop()
         assert retained < 2 * 2**20
+
+    def test_fresh_profile_plans_peak_memory(self):
+        # The longest ragged_coprime profile: lengths 61 down to 46.  Built
+        # entry by entry (bridge_band, then offsets and casts per entry), the
+        # plans peaked at 1,050,717 B (Gram) and up to 122,614 B (resample,
+        # over three runs) with numpy 2.4; the row-level build must not trade
+        # memory for time.
+        dims = (61, *range(60, 45, -1))
+        self._clear_plans()
+        hypervector._gram_runs.cache_clear()
+        hypervector._gram_layout.cache_clear()
+        tracemalloc.start()
+        try:
+            for lo, hi in hypervector._gram_runs(dims, dims):
+                hypervector._gram_plan(dims, dims, lo, hi)
+            gram_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            projection._resample_band(dims, (61,) * 16)
+            resample_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert gram_peak <= 1_050_717
+        assert resample_peak <= 122_614
 
 
 def lcm_weighted(X, Y):
