@@ -29,7 +29,7 @@ identity; a zero step is one scatter or gather through a prefix mask.
 length pairs, from a Gram plan cached as the ``projection`` module describes
 and applied in runs of at most ``_BAND_CHUNK`` entries: a plan of one run is
 kept whole, and of a longer plan only the last run is kept.  Its overlaps
-come from ``algebra._band_rows`` through ``projection.pair_band``.
+come from the one overlap code, ``algebra._band_rows``, via ``pair_band``.
 ``diamond_vectorized`` is diamond with a square matrix written as one
 explicit matrix on the addition form, from the block-diagonal pad/unpad maps
 of ``DiamondPlan``; it is kept as the independent oracle of the stepwise
