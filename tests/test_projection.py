@@ -391,7 +391,7 @@ class TestProjectionFactorization:
                     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def overlap_band(n, p):
     """The nonzeros (i, j, w) of bridge_matrix(n, p) * gcd(n, p), from the
     overlap definition w = min((i+1) p, (j+1) n) - max(i p, j n) of row
