@@ -239,7 +239,7 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
     one product, with the same bits for X and for a copy of X.  Otherwise
     every pair, equal lengths included, sums x_i y_j bridge_matrix(m, n)[i, j]
     over its bridge band (projection.pair_band) and divides by T: one gather
-    and one np.bincount per run of the Gram plan (_gram_runs, _gram_plan),
+    and one np.bincount per run of the Gram plan (_gram_layout, _gram_plan),
     and when X and Y share their profile, a second one that reads the run's
     pairs (a, b) as the pairs (b, a) by pair_band's swap rule.
     """
@@ -251,12 +251,12 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
         # product that rounds differently, so X is Y takes a copy.
         Q = Y.buffer.copy() if X is Y else Y.buffer
         return X.buffer.reshape(s, d) @ Q.reshape(t, d).T / d
-    rows, cols, lcm = _gram_layout(X.dims, Y.dims)
+    rows, cols, lcm, runs = _gram_layout(X.dims, Y.dims)
     P, Q = X.buffer, Y.buffer
     mirrored = X.dims == Y.dims
     G = np.empty((s, t))
     # take reads the int32 plan as it is; P[src_x] would convert it to intp.
-    for lo, hi in _gram_runs(X.dims, Y.dims):
+    for lo, hi in runs:
         src_x, src_y, pair, coef = _gram_plan(X.dims, Y.dims, lo, hi)
         r, c = rows[lo:hi], cols[lo:hi]
         G[r, c] = np.bincount(pair, P.take(src_x) * Q.take(src_y) * coef, hi - lo)
@@ -267,23 +267,17 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _gram_layout(dims_x: tuple, dims_y: tuple):
-    """Read-only (rows, cols, lcm) of two profiles, memoised: the pairs a Gram
-    plan lists, row-major (for equal profiles only a <= b, whose entries give
-    (b, a) by pair_band's swap rule), and np.lcm.outer(dims_x, dims_y)."""
+    """(rows, cols, lcm, runs) of two profiles, memoised, arrays read-only:
+    the pairs a Gram plan lists, row-major (for equal profiles only a <= b,
+    whose entries give (b, a) by pair_band's swap rule),
+    np.lcm.outer(dims_x, dims_y), and the listed-pair ranges [lo, hi) of at
+    most _BAND_CHUNK band entries each (a longer pair alone), from the band
+    sizes n + p - gcd(n, p) of the listed pairs."""
     s, t = len(dims_x), len(dims_y)
-    pairs = np.triu_indices(s) if dims_x == dims_y else np.divmod(np.arange(s * t), t)
-    layout = (*pairs, np.lcm.outer(dims_x, dims_y))
-    for a in layout:
+    rows, cols = np.triu_indices(s) if dims_x == dims_y else np.divmod(np.arange(s * t), t)
+    lcm = np.lcm.outer(dims_x, dims_y)
+    for a in (rows, cols, lcm):
         a.flags.writeable = False
-    return layout
-
-
-@functools.lru_cache(maxsize=1)
-def _gram_runs(dims_x: tuple, dims_y: tuple) -> tuple:
-    """Listed-pair ranges [lo, hi) of at most _BAND_CHUNK band entries each
-    (a longer pair alone), from the band sizes n + p - gcd(n, p) of the
-    listed pairs; memoised."""
-    rows, cols, _ = _gram_layout(dims_x, dims_y)
     n, p = np.asarray(dims_x)[rows], np.asarray(dims_y)[cols]
     ends = np.cumsum(n + p - np.gcd(n, p))
     runs, lo = [], 0
@@ -292,7 +286,7 @@ def _gram_runs(dims_x: tuple, dims_y: tuple) -> tuple:
         hi = max(int(np.searchsorted(ends, start + _BAND_CHUNK, "right")), lo + 1)
         runs.append((lo, hi))
         lo = hi
-    return tuple(runs)
+    return rows, cols, lcm, tuple(runs)
 
 
 @functools.lru_cache(maxsize=1)

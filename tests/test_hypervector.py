@@ -24,7 +24,7 @@ from stpdft import (
     vinner,
 )
 from stpdft.algebra import bridge_band
-from stpdft.hypervector import _BAND_CHUNK, _gram_plan, _gram_runs
+from stpdft.hypervector import _BAND_CHUNK, _gram_layout, _gram_plan
 from test_projection import repeat_vinner
 
 
@@ -307,7 +307,7 @@ class TestHyperInner:
     def test_long_equal_profile_matches_rowmajor_listing_bit_for_bit(self, rng):
         # Over _BAND_CHUNK entries the plan is applied run by run.
         dims = (40_000, 30_001, 7, 40_000, 12)
-        assert len(_gram_runs(dims, dims)) > 1
+        assert len(_gram_layout(dims, dims)[3]) > 1
         X = HyperVector(rng.normal(size=sum(dims)), dims)
         Y = HyperVector(rng.normal(size=sum(dims)), dims)
         assert hyper_inner(X, Y).tobytes() == rowmajor_gram(X, Y).tobytes()
@@ -319,7 +319,7 @@ class TestHyperInner:
         for dims_x, dims_y, runs in (((40_000, 30_001, 7), (12, 40_000, 29_999), long_runs),
                                      ((65_527, 5), (3,), ((0, 2),)),
                                      ((65_528, 5), (3,), ((0, 1), (1, 2)))):
-            assert _gram_runs(dims_x, dims_y) == runs
+            assert _gram_layout(dims_x, dims_y)[3] == runs
             X = HyperVector(rng.normal(size=sum(dims_x)), dims_x)
             Y = HyperVector(rng.normal(size=sum(dims_y)), dims_y)
             assert hyper_inner(X, Y).tobytes() == rowmajor_gram(X, Y).tobytes()
@@ -368,7 +368,7 @@ class TestHyperInner:
         n = _BAND_CHUNK // 2
         X = HyperVector(rng.normal(size=n + 7), (n, 7))
         Y = HyperVector(rng.normal(size=n + 1), (n + 1,))
-        assert _gram_runs(X.dims, Y.dims) == ((0, 1), (1, 2))
+        assert _gram_layout(X.dims, Y.dims)[3] == ((0, 1), (1, 2))
         _gram_plan.cache_clear()
         hyper_inner(X, Y)
         hyper_inner(X, Y)

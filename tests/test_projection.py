@@ -25,7 +25,7 @@ from stpdft import (
     vnorm,
 )
 from stpdft.algebra import as_lengths, bridge_band
-from stpdft.hypervector import _gram_plan, _gram_runs
+from stpdft.hypervector import _gram_layout, _gram_plan
 from stpdft.projection import _resample, _resample_band, pair_band
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
 from test_algebra import assert_fractions_equal, kron_bridge, kron_bridge_exact
@@ -268,15 +268,17 @@ class TestProjectBatch:
 
     @settings(max_examples=60, deadline=None)
     @given(resample_profiles())
-    def test_unchecked_resample_gives_project_batch_bytes(self, profiles):
+    def test_resample_matches_overlap_oracle_bytes(self, profiles):
         # The stages resample through _resample, which skips the argument
         # checks and returns an unchanged profile's P itself.
         dims_in, dims_out, seed = profiles
         m, n = as_lengths(dims_in), as_lengths(dims_out, count=len(dims_in))
         P = np.random.default_rng(seed).normal(size=sum(m))
+        want = oracle_resample(P, m, n)
         got = _resample(P, m, n)
-        assert got.dtype == np.float64 and got.tobytes() == project_batch(P, m, n).tobytes()
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         assert (got is P) == (m == n)
+        assert project_batch(P, m, n).tobytes() == want.tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(2**27, 2**31), min_size=1, max_size=4), st.data())
@@ -418,6 +420,26 @@ def oracle_pair_band(dims_x, dims_y, pairs):
     return cols
 
 
+def oracle_resample(P, dims_in, dims_out):
+    """The resample of P from dims_in to dims_out, entry by entry: each
+    overlap band entry of a component whose length changes adds
+    P[src] * (w / m_k) to its destination, in the order the profile pair's
+    band lists them (the smaller profile first), and the other components are
+    copied."""
+    lo, hi = sorted((dims_in, dims_out))
+    u = [k for k in range(len(dims_in)) if dims_in[k] != dims_out[k]]
+    idx_lo, idx_hi, pair, w, _ = oracle_pair_band(lo, hi, list(zip(u, u)))
+    src, dst = (idx_lo, idx_hi) if lo == dims_in else (idx_hi, idx_lo)
+    out = np.zeros(sum(dims_out))
+    for a, b, e, v in zip(src, dst, pair, w, strict=True):
+        out[b] += P[a] * (v / dims_in[u[e]])
+    off_in, off_out = np.cumsum([0, *dims_in]), np.cumsum([0, *dims_out])
+    for k, (m, n) in enumerate(zip(dims_in, dims_out)):
+        if m == n:
+            out[off_out[k]:off_out[k + 1]] = P[off_in[k]:off_in[k + 1]]
+    return out
+
+
 def assert_same_array(got, values, dtype, writeable=False):
     """got holds values in native dtype, C order, with the given write flag."""
     want = np.array(values, dtype=np.dtype(dtype).newbyteorder("="))
@@ -477,7 +499,7 @@ class TestBandOracle:
             listed = [(a, b) for a in range(s) for b in range(len(dims_y))
                       if dims_x != dims_y or a <= b]
             _gram_plan.cache_clear()
-            for run_lo, run_hi in _gram_runs(dims_x, dims_y):
+            for run_lo, run_hi in _gram_layout(dims_x, dims_y)[3]:
                 src_x, src_y, pair, w, g = oracle_pair_band(dims_x, dims_y,
                                                             listed[run_lo:run_hi])
                 got = _gram_plan(dims_x, dims_y, run_lo, run_hi)

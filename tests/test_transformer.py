@@ -900,11 +900,10 @@ class TestPlanReuse:
         # memory for time.
         dims = (61, *range(60, 45, -1))
         self._clear_plans()
-        hypervector._gram_runs.cache_clear()
         hypervector._gram_layout.cache_clear()
         tracemalloc.start()
         try:
-            for lo, hi in hypervector._gram_runs(dims, dims):
+            for lo, hi in hypervector._gram_layout(dims, dims)[3]:
                 hypervector._gram_plan(dims, dims, lo, hi)
             gram_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
@@ -1050,24 +1049,28 @@ class TestSkippedResamples:
         X = HyperVector.from_matrix(rng.normal(size=(s, d)))
         w = two_head_weights(rng, s, d, d)
         cfg = ModelConfig(batch_size=s, nominal_dim=d, heads=2, mask="causal", layers=3)
-        resamples, masks = [], []
-        resample, mask = projection.project_batch, transformer.causal_mask
+        bands, masks = [], []
+        band, mask = projection._resample_band, transformer.causal_mask
 
-        def counting_resample(*args):
-            resamples.append(args[1:])
-            return resample(*args)
+        def counting_band(*args):
+            bands.append(args)
+            return band(*args)
 
         def counting_mask(*args):
             masks.append(args)
             return mask(*args)
 
-        # projection holds the only binding of project_batch the stages reach.
-        assert not hasattr(hypervector, "project_batch")
-        assert not hasattr(transformer, "project_batch")
-        monkeypatch.setattr(projection, "project_batch", counting_resample)
+        # Every resample that changes a length reads its band through
+        # projection's binding of _resample_band; no other module binds it.
+        assert not hasattr(hypervector, "_resample_band")
+        assert not hasattr(transformer, "_resample_band")
+        monkeypatch.setattr(projection, "_resample_band", counting_band)
         monkeypatch.setattr(transformer, "causal_mask", counting_mask)
         encoder_stack(X, [w], cfg)
-        assert resamples == [] and masks == [(s,)]
+        assert bands == [] and masks == [(s,)]
+        # The seam is live: a stage resample that changes a length reaches it.
+        hypervector._pad(HyperVector.from_matrix(rng.normal(size=(2, 3))), 4)
+        assert bands == [((3, 3), (4, 4))]
 
 
 class TestAdoptedOutputs:
