@@ -18,7 +18,8 @@ overlaps, and the private ``_band_rows`` is the one code that computes them,
 row by row for many length pairs at once: ``bridge_band(n, p)`` lists their
 at most n+p-1 nonzeros and ``projection.pair_band`` their plan indices.
 bridge_matrix scatters the band into n x p zeros, every other bridge or
-projection matrix rescales it, and dk_stp and weighted_dk_stp go through it.
+projection matrix scatters it rescaled (``_scatter_bridge``), and dk_stp and
+weighted_dk_stp go through them.
 The inner products and the resamples of ``projection`` and ``hypervector``
 sum over the band instead.
 Only stp and sta, whose results are lcm-sized by definition, expand to the lcm.
@@ -155,12 +156,21 @@ def bridge_matrix(n: int, p: int) -> np.ndarray:
     Built by scattering bridge_band(n, p) into zeros, without any t-sized
     factor.  Entries are nonnegative integers, bridge(n, n) = I_n.
     """
+    return _scatter_bridge(n, p)
+
+
+def _scatter_bridge(n, p, scale=None):
+    """bridge_matrix(n, p) with scale applied to its band values v = w // gcd
+    (integer arrays) before they are scattered into n x p zeros.  The scale
+    never meets a zero entry, and a positive scale keeps a zero +0.0, so the
+    bytes are those of scale applied to the whole matrix."""
     if n < 1 or p < 1:
         raise ShapeError(f"bridge_matrix dims must be positive, got ({n}, {p})")
     _check_budget(n, p)
     _, i, j, w = bridge_band(n, p)
+    v = w // math.gcd(n, p)
     out = np.zeros((n, p))
-    out[i, j] = w // math.gcd(n, p)
+    out[i, j] = v if scale is None else scale(v)
     return out
 
 
@@ -218,7 +228,7 @@ def _band_rows(n, p):
 
 def weighted_bridge_matrix(n: int, p: int) -> np.ndarray:
     """bridge_matrix(n, p) scaled by p/t; columns of the result sum to 1."""
-    return bridge_matrix(n, p) / (n // math.gcd(n, p))
+    return _scatter_bridge(n, p, lambda v: v / (n // math.gcd(n, p)))
 
 
 def weighted_dk_stp(A, B) -> np.ndarray:
@@ -236,7 +246,10 @@ def sta(x, y, sign: int = 1) -> np.ndarray:
 
     Each entry of x is replicated t/len(x) times (likewise y) so both live
     in R^t, t = lcm of the lengths; the replicated vectors are then added or
-    subtracted entrywise.  Commutative and associative for sign=+1.
+    subtracted entrywise.  Commutative and associative for sign=+1.  The
+    second replication is added or subtracted into the first in place; in
+    IEEE arithmetic a - b equals a + (-b), so for non-NaN input the bytes are
+    those of repeat(x) + sign * repeat(y).
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -245,7 +258,8 @@ def sta(x, y, sign: int = 1) -> np.ndarray:
     m, n = x.shape[0], y.shape[0]
     t = lcm(m, n)
     _check_budget(t)
-    return np.repeat(x, t // m) + sign * np.repeat(y, t // n)
+    out = np.repeat(x, t // m)
+    return (np.add if sign == 1 else np.subtract)(out, np.repeat(y, t // n), out=out)
 
 
 # --- exact-arithmetic twins -------------------------------------------------

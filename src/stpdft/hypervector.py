@@ -250,7 +250,8 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
         # numpy multiplies one buffer by its own transpose with a symmetric
         # product that rounds differently, so X is Y takes a copy.
         Q = Y.buffer.copy() if X is Y else Y.buffer
-        return X.buffer.reshape(s, d) @ Q.reshape(t, d).T / d
+        G = X.buffer.reshape(s, d) @ Q.reshape(t, d).T
+        return np.divide(G, d, out=G)
     rows, cols, lcm, runs = _gram_layout(X.dims, Y.dims)
     P, Q = X.buffer, Y.buffer
     mirrored = X.dims == Y.dims
@@ -262,7 +263,7 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
         G[r, c] = np.bincount(pair, P.take(src_x) * Q.take(src_y) * coef, hi - lo)
         if mirrored:
             G[c, r] = np.bincount(pair, P.take(src_y) * Q.take(src_x) * coef, hi - lo)
-    return G / lcm
+    return np.divide(G, lcm, out=G)
 
 
 @functools.lru_cache(maxsize=1)
@@ -314,7 +315,8 @@ def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:
     are correctly rounded, so the bits are those of the lcm matrix.
     """
     # hyper_inner checks the s x t budget before the scale is built.
-    return hyper_inner(X, Y) * np.sqrt(_lcm_scale(X, Y))
+    G = hyper_inner(X, Y)
+    return np.multiply(G, np.sqrt(_lcm_scale(X, Y)), out=G)
 
 
 def _lcm_scale(X: HyperVector, Y: HyperVector):

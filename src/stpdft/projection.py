@@ -43,8 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (_band_rows, _check_budget, as_lengths, as_vector, bridge_band,
-                      bridge_matrix, bridge_matrix_exact, lcm)
+from .algebra import (_band_rows, _check_budget, _scatter_bridge, as_lengths, as_vector,
+                      bridge_band, bridge_matrix_exact, lcm)
 from .errors import ShapeError
 
 
@@ -95,7 +95,7 @@ def proj_matrix(m: int, n: int) -> np.ndarray:
     """
     if m < 1 or n < 1:
         raise ShapeError(f"proj_matrix dims must be positive, got ({m}, {n})")
-    return (n / lcm(m, n)) * bridge_matrix(n, m)
+    return _scatter_bridge(n, m, lambda v: v * (n / lcm(m, n)))
 
 
 def proj_matrix_exact(m: int, n: int) -> np.ndarray:

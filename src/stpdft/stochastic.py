@@ -4,6 +4,11 @@ softmax_rows is the one masked softmax and softmax its one-row case; -inf
 entries are mask sentinels that map to exact zeros, while every other
 operation in the library rejects non-finite input.  An entirely masked row
 has no distribution and raises DegenerateRowError rather than giving NaNs.
+
+Only scores that can give a nonzero are exponentiated: numpy's exp is +0.0
+for a -inf sentinel and for a score 750 or more below its row max, so such
+lanes are written as 0.0 without one and the bytes stay those of one exp
+over the whole matrix.
 """
 
 from __future__ import annotations
@@ -12,6 +17,10 @@ import numpy as np
 
 from .algebra import as_matrix, as_vector
 from .errors import DegenerateRowError, NonFiniteError
+
+# A shifted score at or below this is a dead lane: np.exp(x) is +0.0 for
+# every x <= -745.1332191019412 (below ln 2**-1075), -inf included.
+_EXP_CUT = -750.0
 
 
 def softmax(x) -> np.ndarray:
@@ -25,8 +34,12 @@ def softmax(x) -> np.ndarray:
 def softmax_rows(E) -> np.ndarray:
     """softmax applied to each row of a matrix; rows come out stochastic.
 
-    One masked exp over the whole matrix: each row is shifted by its own
-    max, so -inf entries become exact zeros.  The row max is also the check,
+    Each row is shifted by its own max and exponentiated only where the
+    shifted score is above _EXP_CUT; the other lanes, -inf sentinels and
+    underflowing scores, are written as the 0.0 exp gives there, so the bytes
+    are those of e = np.exp(E - top) divided by its row sums.  A matrix with
+    no dead lane takes the plain exp, since a masked exp that skips nothing
+    is slower.  The row max is also the check,
     since it is NaN when the row holds a NaN, +inf when it holds +inf and no
     NaN, and -inf only when the row is entirely -inf.  The first bad row
     decides the error, as a row-by-row softmax would: NaN or +inf raises
@@ -43,8 +56,10 @@ def softmax_rows(E) -> np.ndarray:
         if top[first, 0] == -np.inf:
             raise DegenerateRowError(f"row {first + 1} is entirely masked (-inf)")
         raise NonFiniteError(f"row {first + 1}: softmax entries must be finite or -inf")
-    e = np.exp(E - top)
-    return e / e.sum(axis=1, keepdims=True)
+    D = E - top
+    live = D > _EXP_CUT
+    e = np.exp(D, out=D) if live.all() else np.exp(D, out=np.zeros(D.shape), where=live)
+    return np.divide(e, e.sum(axis=1, keepdims=True), out=e)
 
 
 def is_stochastic_vector(x, tol: float = 1e-9) -> bool:

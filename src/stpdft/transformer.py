@@ -391,7 +391,7 @@ def dv_attention(Q: HyperVector, K: HyperVector, V: HyperVector,
     """
     E = _dv_scores(Q, K, scaling)
     if mask is not None:
-        E = E + as_matrix(mask, "mask", E.shape)
+        E += as_matrix(mask, "mask", E.shape)
     A = softmax_rows(E)
     weights, q, r = A, K.batch_size, V.batch_size
     if q != r:
@@ -429,7 +429,7 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
         raise ShapeError(f"{len(weights)} weights for {len(heads)} heads")
     if any(v < 0 for v in weights):
         raise ValueError("head weights must be nonnegative")
-    acc = np.zeros(sum(target_dims))
+    acc = 0.0  # not the first term: 0.0 + x turns each -0.0 into +0.0
     for wgt, h in zip(weights, heads):
         acc = acc + wgt * _resample(h.buffer, h.dims, target_dims)
     if out_maps is None:

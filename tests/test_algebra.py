@@ -31,6 +31,11 @@ def kron_bridge(n, p):
     return np.kron(np.eye(n), np.ones((1, t // n))) @ np.kron(np.eye(p), np.ones((t // p, 1)))
 
 
+# Every pair of lengths up to 40, then larger pairs with a common factor.
+LENGTH_PAIRS = [(n, p) for n in range(1, 41) for p in range(1, 41)] + [
+    (96, 144), (100, 250), (255, 85), (126, 180)]
+
+
 def kron_dk_stp(A, B):
     """The paper's definition of dk_stp, A m x n and B p x q:
     (A kron ones_row(t/n)) @ (B kron ones_col(t/p)), t = lcm(n, p)."""
@@ -170,12 +175,11 @@ class TestBridgeMatrix:
                 np.testing.assert_array_equal(exact.astype(float), bridge_matrix(n, p))
 
     def test_bytes_match_kronecker_oracle(self):
-        for n in range(1, 41):
-            for p in range(1, 41):
-                expected = kron_bridge(n, p)
-                assert bridge_matrix(n, p).tobytes() == expected.tobytes(), (n, p)
-                weighted = expected / (lcm(n, p) // p)
-                assert weighted_bridge_matrix(n, p).tobytes() == weighted.tobytes(), (n, p)
+        for n, p in LENGTH_PAIRS:
+            expected = kron_bridge(n, p)
+            assert bridge_matrix(n, p).tobytes() == expected.tobytes(), (n, p)
+            weighted = expected / (lcm(n, p) // p)
+            assert weighted_bridge_matrix(n, p).tobytes() == weighted.tobytes(), (n, p)
 
     def test_band_scatters_to_bridge_times_gcd(self):
         n, p = np.divmod(np.arange(40 * 40), 40)
@@ -285,6 +289,18 @@ class TestSta:
     )
     def test_commutativity(self, x, y):
         np.testing.assert_allclose(sta(x, y), sta(y, x), atol=1e-12)
+
+    def test_bytes_match_replicated_sum(self, rng):
+        # Added or subtracted in place, sta keeps the bytes of the sum of the
+        # two replications, signed zeros included.
+        for m, n in LENGTH_PAIRS:
+            x, y = rng.normal(size=m), rng.normal(size=n)
+            x[rng.random(m) < 0.2] = 0.0
+            y[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+            t = lcm(m, n)
+            for sign in (1, -1):
+                expected = np.repeat(x, t // m) + sign * np.repeat(y, t // n)
+                assert sta(x, y, sign).tobytes() == expected.tobytes(), (m, n, sign)
 
     def test_associativity_random_dims(self, rng):
         for _ in range(100):

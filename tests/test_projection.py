@@ -28,7 +28,7 @@ from stpdft.algebra import as_lengths, bridge_band
 from stpdft.hypervector import _gram_layout, _gram_plan
 from stpdft.projection import _resample, _resample_band, pair_band
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
-from test_algebra import assert_fractions_equal, kron_bridge, kron_bridge_exact
+from test_algebra import LENGTH_PAIRS, assert_fractions_equal, kron_bridge, kron_bridge_exact
 
 
 def repeat_vinner(x, y):
@@ -140,10 +140,9 @@ class TestProjMatrix:
 
     def test_bytes_match_kronecker_oracle(self):
         # proj_matrix(m, n) = (n/t) (I_n kron ones_row(t/n)) (I_m kron ones_col(t/m)).
-        for m in range(1, 41):
-            for n in range(1, 41):
-                expected = (n / math.lcm(m, n)) * kron_bridge(n, m)
-                assert proj_matrix(m, n).tobytes() == expected.tobytes(), (m, n)
+        for m, n in LENGTH_PAIRS:
+            expected = (n / math.lcm(m, n)) * kron_bridge(n, m)
+            assert proj_matrix(m, n).tobytes() == expected.tobytes(), (m, n)
 
     def test_large_coprime_rows_sum_to_one(self):
         P = proj_matrix(1023, 1024)

@@ -3,16 +3,18 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpdft import (
     DegenerateRowError,
     NonFiniteError,
+    causal_mask,
     is_stochastic_matrix,
     is_stochastic_vector,
     softmax,
     softmax_rows,
+    stochastic,
     weighted_dk_stp,
 )
 
@@ -51,6 +53,27 @@ def scores_with_specials(draw):
     special = rng.random(shape) < draw(st.sampled_from([0.0, 0.02, 0.2]))
     E[special] = rng.choice([np.nan, np.inf, -np.inf], size=int(special.sum()))
     E[rng.random(shape[0]) < draw(st.sampled_from([0.0, 0.25]))] = -np.inf
+    return E
+
+
+@st.composite
+def peaked_scores(draw):
+    """Finite score matrices of 1 x 1 to 64 x 64 whose entries lie up to 1e5
+    below their row max, some moved into exp's subnormal (-745.13 to -708.4)
+    or underflow (below -745.14) range, with random -inf masks and rows
+    holding one live entry; with no spread and no mask, every lane is live."""
+    shape = draw(st.tuples(st.integers(1, 64), st.integers(1, 64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    E = rng.normal(scale=draw(st.sampled_from([1.0, 100.0, 1e4, 1e5])), size=shape)
+    E += rng.normal(scale=1e5, size=(shape[0], 1))  # rows at unrelated heights
+    keep = np.arange(shape[0]), E.argmax(axis=1)  # each row's max stays live
+    lo, hi = draw(st.sampled_from([(0.0, 0.0), (708.4, 745.13), (745.14, 760.0), (700.0, 1e5)]))
+    moved = rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    moved[keep] = False
+    E[moved] = (E.max(axis=1, keepdims=True) - rng.uniform(lo, hi, shape))[moved]
+    masked = rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    masked[keep] = False
+    E[masked] = -np.inf
     return E
 
 
@@ -157,6 +180,55 @@ class TestSoftmaxRows:
             assert re.match(rf"row {row}\b", str(info.value))
         else:
             assert softmax_rows(E).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(peaked_scores())
+    @example(np.zeros((1, 1)))
+    @example(np.arange(64 * 64.0).reshape(64, 64) % 7)
+    @example(np.full((64, 64), -1e5) + np.eye(64) * 1e5 + causal_mask(64))
+    @example(np.array([[0.0, -745.1332191019411, -745.1332191019412, -750.0,
+                        np.nextafter(-750.0, 0.0), np.nextafter(-750.0, -np.inf), -np.inf]]))
+    def test_skipped_lanes_keep_the_bytes_of_one_exp(self, E):
+        assert softmax_rows(E).tobytes() == three_mask_softmax_rows(E).tobytes()
+
+    def test_exp_is_positive_zero_from_the_cut_down(self):
+        # softmax_rows writes 0.0 without an exp wherever the shifted score is
+        # at or below the cut, which keeps the bytes only if exp gives +0.0
+        # there: the 2**20 doubles just below the cut, a dense grid down to
+        # -1000, every decade down to the largest finite double, and -inf.
+        cut = stochastic._EXP_CUT
+        x = np.concatenate([
+            (np.arange(2**20) + np.array(cut).view(np.int64)).view(np.float64),
+            np.linspace(cut, -1000.0, 100_001),
+            -np.logspace(np.log10(-cut), 308, 10_000),
+            [-np.finfo(np.float64).max, -np.inf],
+        ])
+        assert x.max() == cut and np.all(x <= cut)
+        e = np.exp(x)
+        assert np.all(e == 0.0) and not np.signbit(e).any()
+
+    def test_only_a_matrix_with_dead_lanes_takes_the_masked_exp(self, monkeypatch):
+        wheres = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, **kwargs):
+                wheres.append(kwargs.get("where"))
+                return np.exp(x, **kwargs)
+
+        monkeypatch.setattr(stochastic, "np", Spy())
+        rng = np.random.default_rng(11)
+        causal = rng.normal(scale=10.0, size=(64, 64)) + causal_mask(64)
+        mild = rng.normal(scale=10.0, size=(64, 64))
+        for E in (causal, mild):
+            assert softmax_rows(E).tobytes() == three_mask_softmax_rows(E).tobytes()
+        assert len(wheres) == 2
+        # The causal block exponentiates its 64 * 65 / 2 unmasked lanes only.
+        np.testing.assert_array_equal(wheres[0], np.isfinite(causal))
+        assert wheres[1] is None
 
 
 class TestPredicates:
