@@ -14,23 +14,15 @@ All of them reduce to the ordinary product/sum when the shapes already
 conform.  ``bridge_matrix(n, p)`` is the fixed middle factor that turns
 dk_stp into an ordinary triple product: dk_stp(A, B) == A @ bridge @ B.
 It is defined by lcm-sized Kronecker factors, but its entries are interval
-overlaps, and the private ``_band_rows`` is the one code that computes them,
-row by row for many length pairs at once: ``bridge_band(n, p)`` lists their
-at most n+p-1 nonzeros and ``projection.pair_band`` their plan indices.
-bridge_matrix scatters the band into n x p zeros, every other bridge or
-projection matrix scatters it rescaled (``_scatter_bridge``), and dk_stp and
-weighted_dk_stp go through them.
-The inner products and the resamples of ``projection`` and ``hypervector``
-sum over the band instead.
-Only stp and sta, whose results are lcm-sized by definition, expand to the lcm.
+overlaps, which the private ``_band_rows`` alone computes, row by row for
+many length pairs at once; every bridge and projection matrix and every
+band plan is expanded from its rows.  Only stp and sta, whose results are
+lcm-sized by definition, expand to the lcm.
 
 Matrices are plain 2-D float ndarrays, vectors 1-D.  Every function is pure;
-nothing here mutates its inputs.
-
-Lengths are never truncated: every length profile (the per-component
-lengths of a ragged batch) and nominal length passes ``as_lengths``, which
-rejects a non-integer length, a float such as 2.0 included, with TypeError,
-and an empty profile, a wrong count or a length below 1 with ShapeError.
+nothing here mutates its inputs.  Lengths are never truncated: every length
+profile (the per-component lengths of a ragged batch) and nominal length
+passes ``as_lengths``.
 """
 
 from __future__ import annotations
@@ -183,8 +175,7 @@ def bridge_band(n, p):
     [j n, (j+1) n), the entry's share of [0, t) in units of 1/(n p); that is
     bridge_matrix(n, p)[i, j] * gcd(n, p).  Row i of a pair spans columns
     i p // n .. ((i+1) p - 1) // n, so pair k has n + p - gcd(n, p) entries.
-    They are listed pair by pair in the order they cover [0, n p), expanded
-    from the rows of _band_rows, and nothing lcm-sized is built.
+    They are listed pair by pair in the order they cover [0, n p).
     """
     size, i, count, col0, w = _band_rows(n, p)
     k = np.arange(len(size)).repeat(size)

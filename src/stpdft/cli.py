@@ -86,7 +86,7 @@ def _close(a, b, tol=1e-12) -> bool:
     return a.shape == b.shape and bool(np.max(np.abs(a - b), initial=0.0) <= tol)
 
 
-def cmd_examples(out: str | None, seed: int = 42) -> int:
+def cmd_examples(args) -> int:
     # One (name, agrees, status when it does not, expected, actual) row per item.
     rows = []
 
@@ -104,7 +104,7 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
                      _rational_encoding(expected), _rational_encoding(actual)))
 
     # Walkthrough A diamond under seeded numeric substitution.
-    rng = SplitMix64(seed)
+    rng = SplitMix64(args.seed)
     W2 = rng.matrix(2, 2)
     x1 = rng.vector(2)
     x2 = rng.vector(3)
@@ -169,7 +169,7 @@ def cmd_examples(out: str | None, seed: int = 42) -> int:
     for name, ok, status, expected, actual in rows:
         items.append({"name": name, "status": "pass" if ok else status,
                       "expected": expected, "actual": actual})
-    _write_text(out, json.dumps({"items": items}, indent=2, default=np.ndarray.tolist) + "\n")
+    _write_text(args.out, json.dumps({"items": items}, indent=2, default=np.ndarray.tolist) + "\n")
     return 0 if all(i["status"] != "fail" for i in items) else 4
 
 
@@ -210,9 +210,7 @@ def _finite_number(v) -> bool:
 
 def _number_array(values: list, path: str, field: str) -> np.ndarray:
     """values as a float64 array when every one is a finite JSON number;
-    otherwise SchemaError naming field[k] of path for the first bad index k.  The
-    common case is one type scan and one np.isfinite over the array; only a
-    bad list is scanned entry by entry to name the culprit."""
+    otherwise SchemaError naming field[k] of path for the first bad index k."""
     if set(map(type, values)) <= {int, float}:
         try:
             arr = np.array(values, dtype=float)
@@ -254,7 +252,7 @@ def _parse_matrix(path, name, spec) -> np.ndarray:
         if key not in spec:
             raise SchemaError(f"{path}: field 'matrices.{name}.{key}' is missing")
     r, c, data = spec["rows"], spec["cols"], spec["data"]
-    if not (isinstance(r, int) and isinstance(c, int) and r >= 1 and c >= 1):
+    if not (type(r) is int and type(c) is int and r >= 1 and c >= 1):
         raise SchemaError(f"{path}: field 'matrices.{name}': rows/cols must be positive integers")
     if not isinstance(data, list) or len(data) != r * c:
         raise SchemaError(
@@ -411,15 +409,15 @@ def _weights_from_file(path, mats, s, d, heads) -> AttentionWeights:
 ATTENTION_BYTES, ENTRY_BYTES = 1024, 152
 
 
-def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, out) -> int:
-    X = _parse_batch(batch_path)
+def cmd_forward(args) -> int:
+    X = _parse_batch(args.batch)
     s = X.batch_size
     dims = X.dims
 
-    config, mats = _parse_weights(weights_path) if weights_path is not None else ({}, {})
+    config, mats = _parse_weights(args.weights) if args.weights is not None else ({}, {})
     settings = {"batch_size": s, "nominal_dim": max(dims), **config}
-    flags = {"padding": padding, "scaling": scale, "mask": mask, "layers": layers}
-    settings.update((key, v) for key, v in flags.items() if v is not None)
+    # A flag whose dest is a ModelConfig field overrides the file.
+    settings.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
     try:
         cfg = ModelConfig(**settings)
     except ShapeError:
@@ -428,7 +426,7 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
         # argparse checks the flags, so the bad value came from the file; the
         # message starts with the ModelConfig field, which is the config key.
         key = str(exc).split()[0]
-        raise SchemaError(f"{weights_path}: field 'config.{key}': {exc}") from exc
+        raise SchemaError(f"{args.weights}: field 'config.{key}': {exc}") from exc
     if cfg.batch_size != s:
         raise ShapeError(
             f"weights file declares batch size {cfg.batch_size},"
@@ -438,20 +436,20 @@ def cmd_forward(batch_path, weights_path, padding, scale, mask, layers, seed, ou
                   what=f"the memory, in bytes, of the attention kept for layers {cfg.layers}"
                        f" x heads {cfg.heads} at batch size {s}")
     if mats:
-        w = _weights_from_file(weights_path, mats, s, cfg.nominal_dim, cfg.heads)
+        w = _weights_from_file(args.weights, mats, s, cfg.nominal_dim, cfg.heads)
     else:
-        w = random_weights(s, cfg.nominal_dim, dims, SplitMix64(seed), cfg.heads)
+        w = random_weights(s, cfg.nominal_dim, dims, SplitMix64(args.seed), cfg.heads)
 
     # An overflow surfaces as a NonFiniteError from the stage that meets it.
     with np.errstate(over="ignore", invalid="ignore"):
         Y, atts = encoder_stack(X, [w], cfg, return_weights=True)
     doc = {
         "config": {"batch_size": s, "dims": list(dims), **dataclasses.asdict(cfg),
-                   "seed": seed, "weights_source": "file" if mats else "seeded"},
+                   "seed": args.seed, "weights_source": "file" if mats else "seeded"},
         "output": {"sequences": Y.components},
         "attention": atts,
     }
-    _write_text(out, json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n")
+    _write_text(args.out, json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n")
     return 0
 
 
@@ -467,9 +465,8 @@ def padding_batch_stats(X: HyperVector, d: int) -> dict:
     """Round-trip one batch through both padding schemes at common length d.
 
     Reports the rms reconstruction error after pad -> unpad, the fraction of
-    zeros in the padded s x d matrix, and the wall time, per scheme.  Both
-    round trips are the forward pass's own pad and unpad, hypervector._pad
-    and _unpad, as zero_pad_pipeline and proj_pad_pipeline run them.
+    zeros in the padded s x d matrix, and the wall time, per scheme, of the
+    forward pass's own pad and unpad.
     """
     dims = X.dims
     s = X.batch_size
@@ -496,45 +493,36 @@ def padding_batch_stats(X: HyperVector, d: int) -> dict:
     }
 
 
-def compare_padding_rows(batches, dim_lo, dim_hi, seed, batch_size, nominal):
-    """One row per random batch: reconstruction error, padded-zero fraction
-    and wall time for both padding schemes."""
-    rng = SplitMix64(seed)
-    rows = []
-    for b in range(batches):
-        dims = [rng.randint(dim_lo, dim_hi) for _ in range(batch_size)]
-        X = HyperVector([rng.vector(n) for n in dims])
-        rows.append({"batch": b, **padding_batch_stats(X, nominal)})
-    return rows
-
-
-def cmd_compare_padding(batches, dim_range, seed, out, batch_size, nominal) -> int:
+def cmd_compare_padding(args) -> int:
     try:
-        lo_s, hi_s = dim_range.split(":")
+        lo_s, hi_s = args.dim_range.split(":")
         lo, hi = int(lo_s), int(hi_s)
     except ValueError:
-        raise SchemaError(f"--dim-range must look like LO:HI, got {dim_range!r}")
+        raise SchemaError(f"--dim-range must look like LO:HI, got {args.dim_range!r}")
     if lo < 1 or hi < lo:
-        raise SchemaError(f"--dim-range needs 1 <= LO <= HI, got {dim_range!r}")
-    if batches < 1 or batch_size < 1:
+        raise SchemaError(f"--dim-range needs 1 <= LO <= HI, got {args.dim_range!r}")
+    if args.batches < 1 or args.batch_size < 1:
         raise SchemaError("--batches and --batch-size must be positive")
-    if nominal is None:
-        nominal = hi
+    nominal = hi if args.nominal_dim is None else args.nominal_dim
     if nominal < hi:
         raise ShapeError(
             f"nominal dim {nominal} is smaller than the largest drawable length {hi}"
         )
-    _check_budget(batch_size, nominal,
-                  what=f"the padded size --batch-size {batch_size} x --nominal-dim {nominal}")
+    _check_budget(args.batch_size, nominal, what=f"the padded size --batch-size"
+                  f" {args.batch_size} x --nominal-dim {nominal}")
     # A length and up to hi entries per sequence, checked before any draw (8 bytes each).
-    _check_budget(batches, batch_size, hi + 1, what=f"the draw count --batches {batches} x"
-                  f" --batch-size {batch_size} x (--dim-range HI {hi} + 1)")
-    rows = compare_padding_rows(batches, lo, hi, seed, batch_size, nominal)
+    _check_budget(args.batches, args.batch_size, hi + 1, what=f"the draw count --batches"
+                  f" {args.batches} x --batch-size {args.batch_size} x (--dim-range HI {hi} + 1)")
+    rng, rows = SplitMix64(args.seed), []
+    for b in range(args.batches):
+        dims = [rng.randint(lo, hi) for _ in range(args.batch_size)]
+        X = HyperVector([rng.vector(n) for n in dims])
+        rows.append({"batch": b, **padding_batch_stats(X, nominal)})
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)
-    _write_text(out, buf.getvalue())
+    _write_text(args.out, buf.getvalue())
     return 0
 
 
@@ -551,17 +539,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ex = sub.add_parser("examples", help="emit the worked-example JSON report")
+    ex.set_defaults(run=cmd_examples)
     ex.add_argument("--out", default="-", help="report path ('-' for stdout)")
     ex.add_argument("--seed", type=int, default=42,
                     help="seed for the numeric substitutions (default 42)")
 
     fw = sub.add_parser("forward", help="run an encoder forward pass on a ragged batch")
+    fw.set_defaults(run=cmd_forward)
     fw.add_argument("batch", help="ragged batch JSON file")
     fw.add_argument("--weights", default=None,
                     help="weights JSON file (omit to generate from --seed)")
     fw.add_argument("--padding", choices=PADDING_MODES, default=None,
                     help=f"Q/K/V padding scheme (default: {ModelConfig.padding})")
-    fw.add_argument("--scale", choices=SCALING_MODES, default=None,
+    fw.add_argument("--scale", dest="scaling", choices=SCALING_MODES, default=None,
                     help=f"attention scaling convention (default: {ModelConfig.scaling})")
     fw.add_argument("--mask", choices=MASK_MODES, default=None,
                     help=f"additive attention mask (default: {ModelConfig.mask})")
@@ -573,6 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("compare-padding",
                         help="compare zero padding and projection padding on random batches")
+    cp.set_defaults(run=cmd_compare_padding)
     cp.add_argument("--batches", type=int, default=10, help="number of random batches")
     cp.add_argument("--dim-range", default="2:6",
                     help="inclusive range LO:HI of per-sequence lengths")
@@ -588,15 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "examples":
-            return cmd_examples(args.out, args.seed)
-        if args.command == "forward":
-            return cmd_forward(args.batch, args.weights, args.padding, args.scale,
-                               args.mask, args.layers, args.seed, args.out)
-        if args.command == "compare-padding":
-            return cmd_compare_padding(args.batches, args.dim_range, args.seed,
-                                       args.out, args.batch_size, args.nominal_dim)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except (SchemaError, SizeBudgetError) as exc:
         print(f"stpdft: input error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,5 @@
-"""Exception types shared across the library and the CLI.
-
-The CLI maps these onto process exit codes: schema violations, arithmetic
-overflow, sizes over the size budget and a MemoryError from an allocation
-within it exit 2, shape inconsistencies exit 3, anything else that trips an
-internal invariant exits 4.
-"""
+"""Exception types shared across the library and the CLI; ``cli.main`` maps
+them onto process exit codes."""
 
 
 class ShapeError(ValueError):

@@ -10,35 +10,18 @@ component list itself there are two flat encodings:
 A HyperVector stores its addition form as one read-only buffer, the packed
 layout of varlen attention kernels (one flat array plus the lengths), and
 its components are views into it, so batch operations work on the buffer.
-The public constructor copies and checks its input; a library stage adopts
-the fresh buffer it computed, in a checked profile, through the private
-``HyperVector._owned``: no copy, only the finiteness check.
 
-The central operator is ``diamond(A, X)``: a p x s matrix A acts linearly
-on an s-component hypervector by projecting every component to a common
-nominal length, multiplying the resulting ordinary matrix by A, and
-projecting each of the p output rows to its own length (for a square A,
-its component's original length).  ``_pad`` and ``_unpad`` are those two
+The central operator is ``diamond(A, X)``, the action of a p x s matrix on
+an s-component hypervector.  ``_pad`` and ``_unpad`` are its two resampling
 steps, for both padding schemes, and the only code that pads or unpads a
 batch: diamond, the transformer's Q/K/V pipelines and the CLI's
-compare-padding all call them.  A projection step is one unchecked
-``projection._resample`` of the whole buffer, skipped when it is the
-identity; a zero step is one scatter or gather through a prefix mask.
-
-``hyper_inner`` scores ragged operands over the bridge bands of all their
-length pairs, from a Gram plan cached as the ``projection`` module describes
-and applied in runs of at most ``_BAND_CHUNK`` entries: a plan of one run is
-kept whole, and of a longer plan only the last run is kept.  Its overlaps
-come from the one overlap code, ``algebra._band_rows``, via ``pair_band``.
-``diamond_vectorized`` is diamond with a square matrix written as one
-explicit matrix on the addition form, from the block-diagonal pad/unpad maps
-of ``DiamondPlan``; it is kept as the independent oracle of the stepwise
-path, which never builds those matrices.
+compare-padding all call them.  ``hyper_inner`` scores ragged operands
+over the bridge bands of all their length pairs, from the Gram plan of the
+``projection`` module.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,19 +29,16 @@ import numpy as np
 
 from .algebra import _check_budget, as_lengths, as_matrix, as_vector
 from .errors import NonFactorizableError, NonFiniteError, ShapeError
-from .projection import _resample, pair_band, proj_matrix
+from .projection import _gram_layout, _gram_plan, _resample, proj_matrix
 
 
 class HyperVector:
-    """Immutable ordered list of 1-D float arrays, possibly ragged.
-
-    The entries live in one read-only float64 buffer, the addition form,
-    with the component lengths in ``dims``; components are read-only views
-    into it.  ``HyperVector(components)`` takes a sequence of 1-D arrays and
+    """Immutable ordered list of 1-D float arrays, possibly ragged, held in
+    one read-only float64 addition form with the component lengths in
+    ``dims``.  ``HyperVector(components)`` takes a sequence of 1-D arrays and
     ``HyperVector(v, dims)`` the addition form v; either way the input is
     copied once and checked for non-finite entries once (NonFiniteError,
-    a ValueError, names the first bad component); library stages adopt
-    their fresh buffers through ``_owned`` instead, with no copy.
+    a ValueError, names the first bad component).
     """
 
     __slots__ = ("_buffer", "_dims", "_components")
@@ -217,13 +197,6 @@ def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
     return HyperVector._owned(_resample(X.buffer, X.dims, r) + _resample(Y.buffer, Y.dims, r), r)
 
 
-# A Gram plan lists one entry per band entry of every listed pair, in runs of
-# whole pairs of at most this many entries (a longer pair forms a run of its
-# own).  Only the last run applied is kept, so the band's working set stays
-# near 10 MiB however many long pairs there are.
-_BAND_CHUNK = 1 << 16
-
-
 def _shared_length(X: HyperVector, Y: HyperVector):
     """d when every component of X and of Y has length d, else None."""
     d = X.dims[0]
@@ -231,17 +204,13 @@ def _shared_length(X: HyperVector, Y: HyperVector):
 
 
 def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
-    """Gram matrix of the replication-averaged inner product, shape s x t.
-
-    Entry (i, j) is vinner(X[i], Y[j]) = <repeat(x, T/m), repeat(y, T/n)> / T
-    with T = lcm(m, n), but nothing is replicated.  When every component of
-    both operands has length d this is X.to_matrix() @ Y.to_matrix().T / d,
-    one product, with the same bits for X and for a copy of X.  Otherwise
-    every pair, equal lengths included, sums x_i y_j bridge_matrix(m, n)[i, j]
-    over its bridge band (projection.pair_band) and divides by T: one gather
-    and one np.bincount per run of the Gram plan (_gram_layout, _gram_plan),
-    and when X and Y share their profile, a second one that reads the run's
-    pairs (a, b) as the pairs (b, a) by pair_band's swap rule.
+    """Gram matrix of the replication-averaged inner product, shape s x t:
+    entry (i, j) is vinner(X[i], Y[j]).  When every component of both
+    operands has length d this is X.to_matrix() @ Y.to_matrix().T / d, one
+    product, with the same bits for X and for a copy of X.  Otherwise every
+    pair, equal lengths included, sums x_i y_j bridge_matrix(m, n)[i, j]
+    over its bridge band and divides by lcm(m, n): one gather and one
+    np.bincount per run of the Gram plan.
     """
     s, t = X.batch_size, Y.batch_size
     _check_budget(s, t)
@@ -261,59 +230,15 @@ def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
         src_x, src_y, pair, coef = _gram_plan(X.dims, Y.dims, lo, hi)
         r, c = rows[lo:hi], cols[lo:hi]
         G[r, c] = np.bincount(pair, P.take(src_x) * Q.take(src_y) * coef, hi - lo)
-        if mirrored:
+        if mirrored:  # pairs (b, a) by pair_band's swap rule
             G[c, r] = np.bincount(pair, P.take(src_y) * Q.take(src_x) * coef, hi - lo)
     return np.divide(G, lcm, out=G)
 
 
-@functools.lru_cache(maxsize=1)
-def _gram_layout(dims_x: tuple, dims_y: tuple):
-    """(rows, cols, lcm, runs) of two profiles, memoised, arrays read-only:
-    the pairs a Gram plan lists, row-major (for equal profiles only a <= b,
-    whose entries give (b, a) by pair_band's swap rule),
-    np.lcm.outer(dims_x, dims_y), and the listed-pair ranges [lo, hi) of at
-    most _BAND_CHUNK band entries each (a longer pair alone), from the band
-    sizes n + p - gcd(n, p) of the listed pairs."""
-    s, t = len(dims_x), len(dims_y)
-    rows, cols = np.triu_indices(s) if dims_x == dims_y else np.divmod(np.arange(s * t), t)
-    lcm = np.lcm.outer(dims_x, dims_y)
-    for a in (rows, cols, lcm):
-        a.flags.writeable = False
-    n, p = np.asarray(dims_x)[rows], np.asarray(dims_y)[cols]
-    ends = np.cumsum(n + p - np.gcd(n, p))
-    runs, lo = [], 0
-    while lo < len(ends):
-        start = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, start + _BAND_CHUNK, "right")), lo + 1)
-        runs.append((lo, hi))
-        lo = hi
-    return rows, cols, lcm, tuple(runs)
-
-
-@functools.lru_cache(maxsize=1)
-def _gram_plan(dims_x: tuple, dims_y: tuple, lo: int, hi: int):
-    """Read-only (src_x, src_y, pair, coef) of the listed pairs [lo, hi) of
-    two profiles (_gram_layout), memoised: band entry e of their pair_band adds
-    P[src_x[e]] * Q[src_y[e]] * coef[e] to the Gram entry of pair[e] before
-    the division by the lcm; coef = w / gcd(m, n) is the integer bridge entry."""
-    rows, cols = (a[lo:hi] for a in _gram_layout(dims_x, dims_y)[:2])
-    src_x, src_y, pair, w = pair_band(dims_x, dims_y, rows, cols)
-    g = np.gcd(np.asarray(dims_x)[rows], np.asarray(dims_y)[cols])
-    coef = w / g.take(pair)  # exact: g divides w, and both are below 2**53
-    coef.flags.writeable = False
-    return src_x, src_y, pair, coef
-
-
 def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:
-    """hyper_inner with entry (i, j) scaled by sqrt(lcm(len x_i, len y_j)).
-
-    Built as hyper_inner(X, Y) * sqrt(_lcm_scale(X, Y)), so it inherits
-    hyper_inner's grouped-product and band construction.  In the
-    uniform-length case (all lengths d) the result is
-    X.to_matrix() @ Y.to_matrix().T / sqrt(d), the familiar scaled-dot-product
-    score matrix, and the scale is the scalar np.sqrt(d): both square roots
-    are correctly rounded, so the bits are those of the lcm matrix.
-    """
+    """hyper_inner with entry (i, j) scaled by sqrt(lcm(len x_i, len y_j)):
+    for uniform lengths d, X.to_matrix() @ Y.to_matrix().T / sqrt(d), the
+    familiar scaled-dot-product score matrix."""
     # hyper_inner checks the s x t budget before the scale is built.
     G = hyper_inner(X, Y)
     return np.multiply(G, np.sqrt(_lcm_scale(X, Y)), out=G)
@@ -321,7 +246,8 @@ def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:
 
 def _lcm_scale(X: HyperVector, Y: HyperVector):
     """The s x t matrix of lcm(len x_i, len y_j), or the scalar d when every
-    length is d: a product with either has the same bits."""
+    length is d: a product with either, or with its correctly rounded square
+    root, has the same bits."""
     d = _shared_length(X, Y)
     return _gram_layout(X.dims, Y.dims)[2] if d is None else d
 
@@ -332,10 +258,8 @@ class DiamondPlan:
 
     ``pad`` is block-diagonal in the per-component projections to the nominal
     length (shape s*n0 x sum(dims)); ``unpad`` is block-diagonal in the
-    reverse projections (shape sum(dims) x s*n0).  Only diamond_vectorized,
-    the matrix-form oracle of diamond, builds them (s*n0*sum(dims) entries
-    each); diamond itself resamples with project_batch.  Both shapes pass
-    the element budget before anything is allocated.
+    reverse projections (shape sum(dims) x s*n0); both pass the element
+    budget before anything is allocated.  Only diamond_vectorized builds them.
     """
 
     dims: tuple
@@ -388,12 +312,9 @@ def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVec
     Three steps: project every component to length n0 (default: the largest
     component length), left-multiply the stacked s x n0 matrix by A, and
     project output row i to out_dims[i] (default: the input profile cycled
-    to length p, so a square A keeps the input profile).  Pad and unpad are
-    _pad and _unpad of the projection scheme, one project_batch each on the
-    addition form, with one product A @ padded between them; a pad or unpad
-    that changes no length is skipped, since it is the identity.  When the
-    input is already homogeneous of length n0 and A is square this is
-    exactly A @ X.to_matrix(), with no resample.
+    to length p, so a square A keeps the input profile): _pad and _unpad
+    of the projection scheme around one product.  A homogeneous input of
+    length n0 under a square A gives exactly A @ X.to_matrix().
     """
     A = as_matrix(A, "diamond matrix", (None, X.batch_size))
     p, s = A.shape
@@ -406,12 +327,10 @@ def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVec
 
 
 def diamond_vectorized(A, X: HyperVector, n0: int | None = None) -> np.ndarray:
-    """Addition form of diamond(A, X) via one explicit matrix product.
-
-    Computes unpad @ (A kron I_{n0}) @ pad @ X.to_addition_form() with the
-    block-diagonal maps of DiamondPlan; agrees with the stepwise diamond to
-    roundoff.
-    """
+    """Addition form of diamond(A, X) as one explicit matrix product,
+    unpad @ (A kron I_{n0}) @ pad @ X.to_addition_form(), with the
+    block-diagonal maps of DiamondPlan: the independent oracle of the
+    stepwise diamond, which it matches to roundoff."""
     s = X.batch_size
     A = as_matrix(A, "diamond matrix", (s, s))
     n0 = max(X.dims) if n0 is None else as_lengths((n0,), "nominal dim")[0]

@@ -12,27 +12,15 @@ geometry the closest point in R^n to a given x in R^m is a linear map of x,
     project(x, n) = proj_matrix(m, n) @ x,
 
 whose rows are convex averages of source coordinates (each row sums to 1).
-proj_matrix is n/t times ``algebra.bridge_matrix(n, m)``, so it is built
-at its own n x m size.  Nothing here replicates to length t either: the
-replicated vectors are constant on the pieces of [0, t) where one entry of
-x meets one entry of y, and those pieces are the nonzeros of
-``algebra.bridge_band(m, n)``, at most m + n - 1 of them, so vinner and
-vdist sum over the band instead.  ``project_batch`` resamples every
-component of an addition form at once over the same band, and ``project``
-is its one-component case.
+Nothing is replicated to length t: the replicated vectors are constant on
+the pieces of [0, t) where one entry of x meets one entry of y, the
+nonzeros of ``algebra.bridge_band(m, n)``, and everything here sums over them.
 
-A forward pass resamples and scores the same profiles at every stage, so
-the index plans of a resample and of a Gram matrix (``hypervector.hyper_inner``)
-are built once per profile pair by ``pair_band``, from the rows of the one
-overlap code ``algebra._band_rows``, and kept as read-only int32 arrays in
-small least-recently-used caches keyed by the two profiles.  By pair_band's
-swap rule a resample and its reverse (a pad to a nominal length and the
-unpad back) share one cached band, and a Gram plan of two equal profiles
-lists each unordered pair once.  A profile whose band exceeds the
-element budget raises before anything is cached.  On the fixed-length path
-every resample is the identity, and the stages skip it (``_resample``, which
-also skips project_batch's checks).  ``nominal_add`` adds two vectors of any
-lengths inside a chosen R^r by projecting both there first.
+This module owns the band plans: ``pair_band`` lays out the bands of many
+component pairs as int32 indices, and the resample plan (``_resample_band``)
+and the Gram plan (``_gram_layout``, ``_gram_plan``) are cached read-only per
+pair of profiles, since every stage of a forward pass resamples and scores
+the same profiles.
 """
 
 from __future__ import annotations
@@ -88,10 +76,8 @@ def proj_matrix(m: int, n: int) -> np.ndarray:
     """n x m matrix of the least-distance map R^m -> R^n.
 
     Equals (n/t) (I_n kron ones_row(t/n)) (I_m kron ones_col(t/m)), t = lcm(m, n),
-    i.e. (n/t) bridge_matrix(n, m): entry (i, j) is n/t times the overlap of
-    [i t/n, (i+1) t/n) and [j t/m, (j+1) t/m).  proj_matrix(n, n) is the
-    identity; target n = 1 yields the row of means; source m = 1 replicates
-    the scalar.
+    i.e. (n/t) bridge_matrix(n, m).  proj_matrix(n, n) is the identity;
+    target n = 1 yields the row of means; source m = 1 replicates the scalar.
     """
     if m < 1 or n < 1:
         raise ShapeError(f"proj_matrix dims must be positive, got ({m}, {n})")
@@ -112,16 +98,11 @@ def project(x, n: int) -> np.ndarray:
 
 def project_batch(P, dims_in, dims_out) -> np.ndarray:
     """Addition form of [project(x_k, dims_out[k])] for the components x_k of
-    the addition form P with profile dims_in.
-
-    Entry i of output k sums P[off_in[k] + j] * w / m_k over the band
-    (k, i, j, w) of bridge_band(dims_out, dims_in), m_k = dims_in[k]; w / m
-    is proj_matrix(m, n)[i, j] (n/t times the bridge entry w/gcd), so no
-    dense matrix is built and the whole batch is one np.bincount, equal to
-    proj_matrix(m, n) @ x_k up to roundoff.  Components whose length does not
-    change are copied bit for bit, and an unchanged profile is a plain copy.
-    The gather and scatter indices are read from _resample_band, built once
-    per profile pair in either orientation.
+    the addition form P with profile dims_in, with no dense matrix: entry i
+    of output k sums P[off_in[k] + j] * w / m_k over the band (k, i, j, w) of
+    bridge_band(dims_out, dims_in), m_k = dims_in[k], since w / m is
+    proj_matrix(m, n)[i, j].  Components whose length does not change are
+    copied bit for bit, and an unchanged profile is a plain copy.
     """
     P = as_vector(P, "addition form")
     m = as_lengths(dims_in, "input profile")
@@ -138,17 +119,15 @@ def pair_band(dims_x, dims_y, rows, cols):
     pairs (rows[e], cols[e]) of two profiles: entry (k, i, j, w) of
     bridge_band(dims_x[rows], dims_y[cols]) gives pair = k, the overlap w and
     the indices idx_x = off_x[rows[k]] + i and idx_y = off_y[cols[k]] + j
-    into addition forms of the two profiles.
+    into addition forms of the two profiles, as int32: callers keep the
+    addition forms below the element budget.
 
-    Swap rule: swapping the roles swaps the indices and nothing else,
-    pair_band(dims_y, dims_x, cols, rows) is (idx_y, idx_x, pair, w) bit for
-    bit, because bridge_band(p, n) lists the entries of bridge_band(n, p) with
-    i and j swapped, in the same order (both list the pieces of [0, n p) from
-    left to right).  So a sum over the band of pair (b, a), computed from the
-    band of (a, b) with the operands swapped, adds the same products in the
-    same order and has the same bits.  Callers keep the addition forms below
-    the element budget, so the indices fit in int32.  Built from the rows of
-    algebra._band_rows, offset once per row, with no entry-level band.
+    Swap rule: pair_band(dims_y, dims_x, cols, rows) is (idx_y, idx_x, pair,
+    w) bit for bit, because bridge_band(p, n) lists the entries of
+    bridge_band(n, p) with i and j swapped, in the same order (both list the
+    pieces of [0, n p) from left to right).  So a sum over the band of pair
+    (b, a), computed from the band of (a, b) with the operands swapped, adds
+    the same products in the same order and has the same bits.
     """
     dx, dy = np.asarray(dims_x), np.asarray(dims_y)
     n = dx[rows]
@@ -165,12 +144,12 @@ def pair_band(dims_x, dims_y, rows, cols):
 @functools.lru_cache(maxsize=2)
 def _resample_band(dims_a: tuple, dims_b: tuple):
     """Read-only (idx_a, idx_b, coef_ab, coef_ba, keep_a, keep_b) of the
-    resamples between two profiles, dims_a < dims_b, over the pair_band of
-    the components k whose length differs: resampling a to b adds
-    coef_ab[e] = w / a_k times entry idx_a[e] to entry idx_b[e], and b to a
-    adds coef_ba[e] = w / b_k times entry idx_b[e] to entry idx_a[e]; keep_a
-    and keep_b mask the components of equal length.  The band size passes
-    the budget first, so a profile that raises is never cached.
+    resamples both ways between two profiles, dims_a < dims_b (the swap
+    rule), over the pair_band of the components k whose length differs: a to
+    b adds coef_ab[e] = w / a_k times entry idx_a[e] to entry idx_b[e], and b
+    to a adds coef_ba[e] = w / b_k times entry idx_b[e] to entry idx_a[e];
+    keep_a and keep_b mask the components of equal length.  The band size
+    passes the budget first, so a profile that raises is never cached.
     """
     a, b = np.array(dims_a), np.array(dims_b)
     _check_budget((a + b).sum())  # a pair's band has at most a + b entries
@@ -197,6 +176,50 @@ def _resample(P, dims_in, dims_out) -> np.ndarray:
     out = np.bincount(dst, weights=P.take(src) * coef, minlength=len(keep_out))
     out[keep_out] = P[keep_in]
     return out
+
+
+# A Gram plan lists one entry per band entry of every listed pair, in runs of
+# whole pairs of at most this many entries (a longer pair forms a run of its
+# own).  Only the last run applied is kept, so the band's working set stays
+# near 10 MiB however many long pairs there are.
+_BAND_CHUNK = 1 << 16
+
+
+@functools.lru_cache(maxsize=1)
+def _gram_layout(dims_x: tuple, dims_y: tuple):
+    """(rows, cols, lcm, runs) of two profiles, memoised, arrays read-only:
+    the pairs a Gram plan lists, row-major (for equal profiles only a <= b,
+    by pair_band's swap rule), np.lcm.outer(dims_x, dims_y), and the
+    listed-pair ranges [lo, hi) of the runs, from the band sizes
+    n + p - gcd(n, p) of the listed pairs."""
+    s, t = len(dims_x), len(dims_y)
+    rows, cols = np.triu_indices(s) if dims_x == dims_y else np.divmod(np.arange(s * t), t)
+    lcm = np.lcm.outer(dims_x, dims_y)
+    for a in (rows, cols, lcm):
+        a.flags.writeable = False
+    n, p = np.asarray(dims_x)[rows], np.asarray(dims_y)[cols]
+    ends = np.cumsum(n + p - np.gcd(n, p))
+    runs, lo = [], 0
+    while lo < len(ends):
+        start = ends[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(ends, start + _BAND_CHUNK, "right")), lo + 1)
+        runs.append((lo, hi))
+        lo = hi
+    return rows, cols, lcm, tuple(runs)
+
+
+@functools.lru_cache(maxsize=1)
+def _gram_plan(dims_x: tuple, dims_y: tuple, lo: int, hi: int):
+    """Read-only (src_x, src_y, pair, coef) of the listed pairs [lo, hi) of
+    two profiles (_gram_layout), memoised: band entry e of their pair_band adds
+    P[src_x[e]] * Q[src_y[e]] * coef[e] to the Gram entry of pair[e] before
+    the division by the lcm; coef = w / gcd(m, n) is the integer bridge entry."""
+    rows, cols = (a[lo:hi] for a in _gram_layout(dims_x, dims_y)[:2])
+    src_x, src_y, pair, w = pair_band(dims_x, dims_y, rows, cols)
+    g = np.gcd(np.asarray(dims_x)[rows], np.asarray(dims_y)[cols])
+    coef = w / g.take(pair)  # exact: g divides w, and both are below 2**53
+    coef.flags.writeable = False
+    return src_x, src_y, pair, coef
 
 
 def nominal_add(x, y, r: int) -> np.ndarray:

@@ -2,13 +2,7 @@
 
 softmax_rows is the one masked softmax and softmax its one-row case; -inf
 entries are mask sentinels that map to exact zeros, while every other
-operation in the library rejects non-finite input.  An entirely masked row
-has no distribution and raises DegenerateRowError rather than giving NaNs.
-
-Only scores that can give a nonzero are exponentiated: numpy's exp is +0.0
-for a -inf sentinel and for a score 750 or more below its row max, so such
-lanes are written as 0.0 without one and the bytes stay those of one exp
-over the whole matrix.
+operation in the library rejects non-finite input.
 """
 
 from __future__ import annotations
@@ -35,11 +29,10 @@ def softmax_rows(E) -> np.ndarray:
     """softmax applied to each row of a matrix; rows come out stochastic.
 
     Each row is shifted by its own max and exponentiated only where the
-    shifted score is above _EXP_CUT (-750); the other lanes, -inf sentinels
-    and underflowing scores, are written as the 0.0 exp gives there, so the
-    bytes are those of e = np.exp(E - top) divided by its row sums.  A
-    matrix with no dead lane takes the plain exp, since a masked exp that
-    skips nothing is slower.  The row max is also the check,
+    shifted score is above _EXP_CUT; the other lanes are written as the +0.0
+    exp gives there, so the bytes are those of np.exp(E - top) divided by
+    its row sums.  A matrix with no dead lane takes the plain exp, since a
+    masked exp that skips nothing is slower.  The row max is also the check,
     since it is NaN when the row holds a NaN, +inf when it holds +inf and no
     NaN, and -inf only when the row is entirely -inf.  The first bad row
     decides the error, as a row-by-row softmax would: NaN or +inf raises

@@ -16,8 +16,10 @@ length end to end:
     df_add_norm         residual add across differing lengths, then norm
     df_ffn              feed-forward whose linear maps act through diamond
 
-When every sequence already has the nominal length, each ragged operation
-agrees with its fixed-length counterpart to roundoff.
+When every sequence already has the nominal length, proj_pad_pipeline,
+dv_attention, df_add_norm and df_ffn agree with qkv_nominal,
+attention_nominal, add_norm and ffn_nominal to roundoff; dv_multi_head sums
+the heads, which multi_head_nominal Kronecker-concatenates instead.
 """
 
 from __future__ import annotations
@@ -58,13 +60,12 @@ def relu(x):
 class ModelConfig:
     """Shapes and mode switches for a forward pass.
 
-    Q, K, V and the block output keep the input profile.  padding selects
-    the Q/K/V pipeline, scaling the attention denominator, mask the additive
-    pattern, norm_mode how add-norm pools statistics and eps is the add-norm
-    eps of every block; encoder_block reads each setting here and nowhere
-    else.  The fields are the `stpdft forward` config keys, with these
-    defaults and allowed values.  Each is checked once, on construction, and
-    the instance is frozen, so no setting changes after its check.
+    padding selects the Q/K/V pipeline, scaling the attention denominator,
+    mask the additive pattern, norm_mode how add-norm pools statistics and
+    eps is the add-norm eps of every block; encoder_block reads each setting
+    here and nowhere else.  The fields are the `stpdft forward` config keys,
+    with these defaults and allowed values.  Each is checked once, on
+    construction, and the instance is frozen, so no setting changes after it.
     """
 
     batch_size: int
@@ -386,8 +387,7 @@ def dv_attention(Q: HyperVector, K: HyperVector, V: HyperVector,
     repeating its columns t/q times and tiling V's component list t/r times
     (t = lcm(q, r)) when q != r.  The p output components take out_dims
     (default: V's profile cycled, which is V's own profile when p == r).
-    With every length equal this reproduces the fixed-length attention
-    exactly.  return_weights also returns the p x q softmax.
+    return_weights also returns the p x q softmax.
     """
     E = _dv_scores(Q, K, scaling)
     if mask is not None:
@@ -407,8 +407,7 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
     """Combine head outputs by weighted projected addition per component.
 
     Component k of the result is sum_i weights[i] * project(head_i[k],
-    target_dims[k]) (weights default to all ones), one project_batch per
-    head whose profile differs from target_dims, optionally followed by a
+    target_dims[k]) (weights default to all ones), optionally followed by a
     per-component linear map out_maps[k].
     """
     heads = list(heads)
@@ -457,11 +456,10 @@ def df_add_norm(X: HyperVector, F: HyperVector, mode: str = "vector-wise",
     branch profile, added, rectified, and normalized (per component or
     pooled over every entry).
 
-    Everything runs on the addition form: one project_batch moves the skip
-    input onto the branch profile, or none when the profiles are equal, as
-    in encoder_block.  Vector-wise mode applies _normalize's formula to
-    every component at once, in place on the sum, taking the per-component
-    sums with np.add.reduceat; layer-wise mode applies _normalize to it.
+    Everything runs on the addition form: vector-wise mode applies
+    _normalize's formula to every component at once, in place on the sum,
+    taking the per-component sums with np.add.reduceat; layer-wise mode
+    applies _normalize to it.
     """
     if X.batch_size != F.batch_size:
         raise ShapeError(
@@ -519,9 +517,7 @@ def _as_hyper(b, s: int) -> HyperVector:
 
 
 def _qkv_hyper(X: HyperVector, w: AttentionWeights, cfg: ModelConfig):
-    """Q, K and V in the input profile: one pipeline call pads X to the
-    nominal length once and applies Wq, Wk and Wv to the one padded matrix
-    (three products, three unpads)."""
+    """Q, K and V in the input profile, from one pad of X to the nominal length."""
     pipeline = proj_pad_pipeline if cfg.padding == "projection" else zero_pad_pipeline
     return pipeline(X, (w.wq, w.wk, w.wv), cfg.nominal_dim, X.dims)
 

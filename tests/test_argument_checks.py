@@ -183,3 +183,39 @@ def test_the_budget_is_checked_only_in_check_budget():
         sites += visitor.sites
     assert sites == [("algebra.py", "_check_budget", "compare"),
                      ("algebra.py", "_check_budget", "raise")]
+
+
+def _loaded_names(tree):
+    """Every name that tree reads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+            or isinstance(n, ast.Attribute)}
+
+
+def _top_level_names(tree):
+    """(bound name, is an import) of each top-level definition, assignment and
+    import of tree, except the __future__ imports."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, False
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, False) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                              and node.module != "__future__"):
+            yield from (((a.asname or a.name).split(".")[0], True) for a in node.names)
+
+
+def test_every_import_is_used_and_every_private_name_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), path.name)
+             for path in sorted(Path(stpdft.__file__).parent.glob("*.py"))}
+    loaded = {module: _loaded_names(tree) for module, tree in trees.items()}
+    in_src = set().union(*loaded.values())
+    unused_imports, unreferenced = [], []
+    for module, tree in trees.items():
+        for name, imported in _top_level_names(tree):
+            if imported and module != "__init__.py" and name not in loaded[module]:
+                unused_imports.append((module, name))
+            if not imported and re.fullmatch("_[^_].*", name) and name not in in_src:
+                unreferenced.append((module, name))
+    assert unused_imports == []
+    assert unreferenced == []

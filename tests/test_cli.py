@@ -710,6 +710,11 @@ class TestInputErrors:
                                "field 'matrices.W1.data' is missing"),
         "matrix-rows-zero": (BATCH, _weights_doc({"W1": {"rows": 0, "cols": 3, "data": []}}), 2,
                              "field 'matrices.W1': rows/cols must be positive"),
+        # JSON true is no integer, though Python's bool is an int.
+        "matrix-rows-true": (BATCH, _weights_doc({"W1": {"rows": True, "cols": 1, "data": [1]}}),
+                             2, "field 'matrices.W1': rows/cols must be positive integers"),
+        "matrix-cols-true": (BATCH, _weights_doc({"W1": {"rows": 1, "cols": True, "data": [1]}}),
+                             2, "field 'matrices.W1': rows/cols must be positive integers"),
         "matrix-data-short": (BATCH, _weights_doc({"W1": {"rows": 3, "cols": 3, "data": [1]}}), 2,
                               "field 'matrices.W1.data' must hold exactly rows*cols = 9"),
     }

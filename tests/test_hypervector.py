@@ -24,7 +24,7 @@ from stpdft import (
     vinner,
 )
 from stpdft.algebra import bridge_band
-from stpdft.hypervector import _BAND_CHUNK, _gram_layout, _gram_plan
+from stpdft.projection import _BAND_CHUNK, _gram_layout, _gram_plan
 from test_projection import repeat_vinner
 
 

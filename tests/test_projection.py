@@ -25,8 +25,7 @@ from stpdft import (
     vnorm,
 )
 from stpdft.algebra import as_lengths, bridge_band
-from stpdft.hypervector import _gram_layout, _gram_plan
-from stpdft.projection import _resample, _resample_band, pair_band
+from stpdft.projection import _gram_layout, _gram_plan, _resample, _resample_band, pair_band
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
 from test_algebra import LENGTH_PAIRS, assert_fractions_equal, kron_bridge, kron_bridge_exact
 
