@@ -9,7 +9,6 @@ projecting in, multiplying, and projecting back out.
 import numpy as np
 
 from stpdft import (
-    DiamondPlan,
     HyperVector,
     diamond,
     diamond_vectorized,
@@ -58,9 +57,8 @@ out = diamond(W, X, 3)
 print("diamond(W, X) keeps the profile:", out.dims)
 print("components:", [np.round(c, 4).tolist() for c in out.components])
 
-plan = DiamondPlan.build(X.dims, 3)
 print("\nThe same map as one matrix on the addition form:")
-op = plan.unpad @ np.kron(W, np.eye(3)) @ plan.pad
+op = np.column_stack([diamond_vectorized(W, HyperVector(e, X.dims), 3) for e in np.eye(5)])
 print(np.round(op, 4))
 vec = diamond_vectorized(W, X, 3)
 print("vectorized path agrees with the stepwise path:",

@@ -21,7 +21,6 @@ from .errors import (
     SizeBudgetError,
 )
 from .hypervector import (
-    DiamondPlan,
     HyperVector,
     diamond,
     diamond_vectorized,

@@ -34,6 +34,7 @@ import math
 import re
 import sys
 import time
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -291,19 +292,11 @@ _MATRIX_NAME = re.compile("|".join(key + ("[1-9][0-9]*" if numbering else "")
                                    for key, (_, _, numbering, _) in WEIGHT_MATRICES.items()))
 
 
-def _parse_weights(path: str) -> tuple[dict, dict]:
-    """The config and the matrices of the weights file at path, as fresh dicts.
-
-    The file is read on every call, but decoded only when (path, bytes)
-    differs from the last decode, so a rewritten file is never served stale,
-    whatever its mtime.  The matrices are shared with that cache, so they are
-    read-only."""
-    config, matrices = _decode_weights(path, _read_bytes(path))
-    return dict(config), dict(matrices)
-
-
 @functools.lru_cache(maxsize=1)
-def _decode_weights(path: str, data: bytes) -> tuple[dict, dict]:
+def _decode_weights(path: str, data: bytes) -> tuple:
+    """The config and the matrices of the weights file path whose bytes are
+    data, as read-only mappings: cached by (path, bytes), so a rewritten file
+    is never served stale, whatever its mtime."""
     doc = _load_json(path, data)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
@@ -321,7 +314,7 @@ def _decode_weights(path: str, data: bytes) -> tuple[dict, dict]:
         if not _MATRIX_NAME.fullmatch(name):
             raise SchemaError(f"{path}: field 'matrices.{name}' is not a recognized matrix name")
         parsed[name] = _parse_matrix(path, name, spec)
-    return config, parsed
+    return types.MappingProxyType(config), types.MappingProxyType(parsed)
 
 
 def _names(key: str, numbering, s: int, heads: int) -> tuple:
@@ -414,19 +407,19 @@ def cmd_forward(args) -> int:
     s = X.batch_size
     dims = X.dims
 
-    config, mats = _parse_weights(args.weights) if args.weights is not None else ({}, {})
-    settings = {"batch_size": s, "nominal_dim": max(dims), **config}
+    config, mats = ({}, {}) if args.weights is None else _decode_weights(
+        args.weights, _read_bytes(args.weights))
     # A flag whose dest is a ModelConfig field overrides the file.
-    settings.update((k, v) for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None)
+    flags = {k: v for k, v in vars(args).items() if k in CONFIG_KEYS and v is not None}
     try:
-        cfg = ModelConfig(**settings)
-    except ShapeError:
-        raise
+        cfg = ModelConfig(**{"batch_size": s, "nominal_dim": max(dims), **config, **flags})
     except (TypeError, ValueError) as exc:
-        # argparse checks the flags, so the bad value came from the file; the
-        # message starts with the ModelConfig field, which is the config key.
+        # The message starts with the ModelConfig field.  argparse checks the
+        # choices of every flag but --layers, so a bad field names --layers
+        # or the config key of the file.
         key = str(exc).split()[0]
-        raise SchemaError(f"{args.weights}: field 'config.{key}': {exc}") from exc
+        where = f"--{key}" if key in flags else f"{args.weights}: field 'config.{key}'"
+        raise SchemaError(f"{where}: {exc}") from exc
     if cfg.batch_size != s:
         raise ShapeError(
             f"weights file declares batch size {cfg.batch_size},"

@@ -23,7 +23,6 @@ over the bridge bands of all their length pairs, from the Gram plan of the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -252,37 +251,6 @@ def _lcm_scale(X: HyperVector, Y: HyperVector):
     return _gram_layout(X.dims, Y.dims)[2] if d is None else d
 
 
-@dataclass(frozen=True)
-class DiamondPlan:
-    """Explicit pad/unpad matrices of diamond over a fixed dimension profile.
-
-    ``pad`` is block-diagonal in the per-component projections to the nominal
-    length (shape s*n0 x sum(dims)); ``unpad`` is block-diagonal in the
-    reverse projections (shape sum(dims) x s*n0); both pass the element
-    budget before anything is allocated.  Only diamond_vectorized builds them.
-    """
-
-    dims: tuple
-    n0: int
-    pad: np.ndarray = field(repr=False)
-    unpad: np.ndarray = field(repr=False)
-
-    @classmethod
-    def build(cls, dims, n0: int | None = None) -> "DiamondPlan":
-        dims = as_lengths(dims, "component dims")
-        n0 = max(dims) if n0 is None else as_lengths((n0,), "nominal dim")[0]
-        s, total = len(dims), sum(dims)
-        _check_budget(s * n0, total)
-        pad = np.zeros((s * n0, total))
-        unpad = np.zeros((total, s * n0))
-        col = 0
-        for i, d in enumerate(dims):
-            pad[i * n0 : (i + 1) * n0, col : col + d] = proj_matrix(d, n0)
-            unpad[col : col + d, i * n0 : (i + 1) * n0] = proj_matrix(n0, d)
-            col += d
-        return cls(dims=dims, n0=n0, pad=pad, unpad=unpad)
-
-
 def _pad(X: HyperVector, d: int, padding: str = "projection") -> np.ndarray:
     """The s x d matrix of X's components brought to length d: each resampled
     by project_batch ("projection"), or followed by zeros ("zero", d at least
@@ -328,13 +296,18 @@ def diamond(A, X: HyperVector, n0: int | None = None, out_dims=None) -> HyperVec
 
 def diamond_vectorized(A, X: HyperVector, n0: int | None = None) -> np.ndarray:
     """Addition form of diamond(A, X) as one explicit matrix product,
-    unpad @ (A kron I_{n0}) @ pad @ X.to_addition_form(), with the
-    block-diagonal maps of DiamondPlan: the independent oracle of the
-    stepwise diamond, which it matches to roundoff."""
-    s = X.batch_size
+    unpad @ (A kron I_{n0}) @ pad @ X.to_addition_form(): pad (s*n0 x
+    sum(dims)) is block-diagonal in the projections of each component to n0,
+    unpad (sum(dims) x s*n0) in the projections back, and both maps pass the
+    element budget before anything is allocated.  The independent oracle of
+    the stepwise diamond, which it matches to roundoff."""
+    s, total = X.batch_size, sum(X.dims)
     A = as_matrix(A, "diamond matrix", (s, s))
     n0 = max(X.dims) if n0 is None else as_lengths((n0,), "nominal dim")[0]
     _check_budget(s * n0, s * n0)
-    plan = DiamondPlan.build(X.dims, n0)
-    op = plan.unpad @ np.kron(A, np.eye(plan.n0)) @ plan.pad
-    return op @ X.to_addition_form()
+    _check_budget(s * n0, total, what="the pad map size")
+    pad, unpad = np.zeros((s * n0, total)), np.zeros((total, s * n0))
+    for i, (d, col) in enumerate(zip(X.dims, np.cumsum((0,) + X.dims).tolist())):
+        pad[i * n0 : (i + 1) * n0, col : col + d] = proj_matrix(d, n0)
+        unpad[col : col + d, i * n0 : (i + 1) * n0] = proj_matrix(n0, d)
+    return unpad @ np.kron(A, np.eye(n0)) @ pad @ X.to_addition_form()

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpdft import HyperVector, ModelConfig, SplitMix64, encoder_stack
-from stpdft.cli import (CONFIG_KEYS, WEIGHT_MATRICES, _parse_weights, build_parser, main,
+from stpdft.cli import (CONFIG_KEYS, WEIGHT_MATRICES, _decode_weights, build_parser, main,
                         padding_batch_stats, random_weights)
 from stpdft.transformer import MASK_MODES, NORM_MODES, PADDING_MODES, SCALING_MODES
 
@@ -326,6 +326,22 @@ class TestForwardCommand:
         weights.write_text(json.dumps({"config": {key: value}}))
         code, _, err = run_cli("forward", batch, "--weights", str(weights))
         assert code == 2 and f"config.{key}" in err
+
+    @pytest.mark.parametrize("config,flags,source", [
+        ({"heads": 0}, (), "w.json: field 'config.heads'"),
+        ({"batch_size": 0}, (), "w.json: field 'config.batch_size'"),
+        ({"nominal_dim": 0}, (), "w.json: field 'config.nominal_dim'"),
+        ({"layers": 2}, ("--layers", "-1"), "input error: --layers"),
+    ], ids=["heads", "batch_size", "nominal_dim", "--layers"])
+    def test_out_of_range_setting_exit_2_names_its_source(self, tmp_path, capsys, config,
+                                                           flags, source):
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"config": config}))
+        assert main(["forward", batch, "--weights", str(weights), *flags,
+                     "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "input error: " in err and f"{source}: " in err and "config.layers" not in err
 
     @pytest.mark.parametrize("field", dataclasses.fields(ModelConfig), ids=lambda f: f.name)
     def test_every_config_key_rejects_a_wrong_json_type(self, tmp_path, field):
@@ -637,16 +653,22 @@ class TestInProcessReuse:
         assert run_cli("forward", batch, "--weights", weights, "--out", str(fresh))[0] == 0
         assert second.read_bytes() == fresh.read_bytes() != first.read_bytes()
 
-    def test_cached_matrices_are_read_only_and_dicts_fresh(self, tmp_path):
+    def test_cached_weights_are_read_only_and_unchanged_by_forward(self, tmp_path):
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
         weights = _eye_weights(tmp_path / "w.json")
-        config, mats = _parse_weights(weights)
+        config, mats = _decode_weights(weights, Path(weights).read_bytes())
         with pytest.raises(ValueError):
             mats["Wq"][0, 0] = 5.0
-        config["nominal_dim"] = 7
-        del mats["Wq"]
-        again_config, again = _parse_weights(weights)
-        assert again_config == {"nominal_dim": 3}
-        assert again["Wq"][0, 0] == 1.0
+        with pytest.raises(TypeError):
+            config["nominal_dim"] = 7
+        with pytest.raises(TypeError):
+            del mats["Wq"]
+        before = dict(config), {name: M.tobytes() for name, M in mats.items()}
+        assert main(["forward", batch, "--weights", weights, "--layers", "2",
+                     "--out", str(tmp_path / "o.json")]) == 0
+        again_config, again = _decode_weights(weights, Path(weights).read_bytes())
+        assert again_config is config and again is mats  # the cached decode
+        assert (dict(config), {name: M.tobytes() for name, M in mats.items()}) == before
 
 
 class TestUnreadableFiles:

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpdft import (
-    DiamondPlan,
     HyperVector,
     NonFactorizableError,
     NonFiniteError,
@@ -23,6 +22,7 @@ from stpdft import (
     proj_matrix,
     vinner,
 )
+from stpdft import hypervector
 from stpdft.algebra import bridge_band
 from stpdft.projection import _BAND_CHUNK, _gram_layout, _gram_plan
 from test_projection import repeat_vinner
@@ -473,26 +473,43 @@ class TestDiamondVectorized:
             step = diamond(A, X, n0).to_addition_form()
             np.testing.assert_allclose(v, step, atol=1e-12)
 
-    def test_plan_blocks_for_walkthrough(self):
-        plan = DiamondPlan.build((2, 3), 3)
-        np.testing.assert_allclose(plan.pad[:3, :2], [[1, 0], [0.5, 0.5], [0, 1]], atol=0)
-        np.testing.assert_allclose(plan.pad[3:, 2:], np.eye(3), atol=0)
-        np.testing.assert_allclose(
-            plan.unpad[:2, :3], [[2 / 3, 1 / 3, 0], [0, 1 / 3, 2 / 3]], atol=1e-15
-        )
-        np.testing.assert_allclose(plan.unpad[2:, 3:], np.eye(3), atol=0)
+    @staticmethod
+    def _operator(A, dims, n0):
+        """The matrix of diamond_vectorized(A, ., n0) on the profile dims."""
+        return np.column_stack([diamond_vectorized(A, HyperVector(e, dims), n0)
+                                for e in np.eye(sum(dims))])
 
-    def test_plan_shapes(self):
-        plan = DiamondPlan.build((2, 3, 5), 4)
-        assert plan.pad.shape == (3 * 4, 10)
-        assert plan.unpad.shape == (10, 3 * 4)
+    def test_plan_blocks_for_walkthrough(self):
+        # The unit maps E_10 and E_01 expose the pad block of length 2 (rows
+        # 2:5, cols 0:2) and the unpad block back to it (rows 0:2, cols 2:5);
+        # E_11 the identity blocks of length 3.
+        E10, E01 = np.array([[0.0, 0], [1, 0]]), np.array([[0.0, 1], [0, 0]])
+        pad = self._operator(E10, (2, 3), 3)
+        unpad = self._operator(E01, (2, 3), 3)
+        np.testing.assert_array_equal(self._operator(np.diag([0.0, 1]), (2, 3), 3)[2:, 2:],
+                                      np.eye(3))
+        np.testing.assert_allclose(pad[2:, :2], [[1, 0], [0.5, 0.5], [0, 1]], atol=0)
+        np.testing.assert_allclose(unpad[:2, 2:], [[2 / 3, 1 / 3, 0], [0, 1 / 3, 2 / 3]],
+                                   atol=1e-15)
+        assert not pad[:2].any() and not pad[:, 2:].any()
+        assert not unpad[2:].any() and not unpad[:, :2].any()
+
+    def test_plan_shapes(self, monkeypatch):
+        # The pad map is s*n0 x sum(dims), checked after A kron I_{n0}.
+        counts = []
+        monkeypatch.setattr(hypervector, "_check_budget", lambda *c, **kw: counts.append(c))
+        X = HyperVector(np.ones(10), (2, 3, 5))
+        assert diamond_vectorized(np.eye(3), X, 4).shape == (10,)
+        assert counts == [(12, 12), (12, 10)]
 
     def test_plan_over_budget_rejected_before_allocating(self):
-        dims = (2**16,) * 2**15
+        # s*n0 x sum(dims) = 2**32 entries (32 GiB) while A kron I is 2**20.
+        X = HyperVector(np.ones(2**22), (4096,) * 1024)
+        A = np.eye(1024)
         tracemalloc.start()
         try:
-            with pytest.raises(SizeBudgetError):
-                DiamondPlan.build(dims)
+            with pytest.raises(SizeBudgetError, match="4294967296"):
+                diamond_vectorized(A, X, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
