@@ -17,7 +17,9 @@ It is defined by lcm-sized Kronecker factors, but its entries are interval
 overlaps, which the private ``_band_rows`` alone computes, row by row for
 many length pairs at once; every bridge and projection matrix and every
 band plan is expanded from its rows.  Only stp and sta, whose results are
-lcm-sized by definition, expand to the lcm.
+lcm-sized by definition, expand to the lcm.  The bridge factors of a pair
+read one memoised band (``_pair_band``), which retains the last pair's band,
+at most n + p entries of 24 B; ``bridge_band`` itself stays uncached.
 
 Matrices are plain 2-D float ndarrays, vectors 1-D.  Every function is pure;
 nothing here mutates its inputs.  Lengths are never truncated: every length
@@ -27,6 +29,7 @@ passes ``as_lengths``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -155,15 +158,33 @@ def _scatter_bridge(n, p, scale=None):
     """bridge_matrix(n, p) with scale applied to its band values v = w // gcd
     (integer arrays) before they are scattered into n x p zeros.  The scale
     never meets a zero entry, and a positive scale keeps a zero +0.0, so the
-    bytes are those of scale applied to the whole matrix."""
+    bytes are those of scale applied to the whole matrix.  The memo (_band)
+    is read after the checks, so a failing pair is never cached."""
     if n < 1 or p < 1:
         raise ShapeError(f"bridge_matrix dims must be positive, got ({n}, {p})")
     _check_budget(n, p)
-    _, i, j, w = bridge_band(n, p)
+    i, j, w = _band(n, p)
     v = w // math.gcd(n, p)
     out = np.zeros((n, p))
     out[i, j] = v if scale is None else scale(v)
     return out
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _pair_band(n, p):
+    """Read-only int64 (i, j, w) of bridge_band(n, p), n <= p, memoised; typed,
+    so a bool length still misses and raises."""
+    band = bridge_band(n, p)[1:]
+    for arr in band:
+        arr.flags.writeable = False
+    return band
+
+
+def _band(n, p):
+    """(i, j, w) of bridge_band(n, p) from _pair_band of the unordered pair,
+    i and j swapped when n > p: the same bytes, by pair_band's swap rule."""
+    i, j, w = _pair_band(min(n, p), max(n, p))
+    return (i, j, w) if n <= p else (j, i, w)
 
 
 def bridge_band(n, p):

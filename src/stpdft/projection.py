@@ -31,8 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (_band_rows, _check_budget, _scatter_bridge, as_lengths, as_vector,
-                      bridge_band, bridge_matrix_exact, lcm)
+from .algebra import (_band, _band_rows, _check_budget, _scatter_bridge, as_lengths,
+                      as_vector, bridge_matrix_exact, lcm)
 from .errors import ShapeError
 
 
@@ -40,14 +40,14 @@ def vinner(x, y) -> float:
     """Replication-averaged inner product of vectors of any lengths.
 
     Equal lengths give x @ y / m; otherwise the sum of x_i y_j w over the
-    band (k, i, j, w) = bridge_band(m, n), divided by m n.
+    memoised band (i, j, w) of bridge_band(m, n) (algebra._band), over m n.
     """
     x = as_vector(x)
     y = as_vector(y)
     m, n = len(x), len(y)
     if m == n:
         return float(x @ y) / m
-    _, i, j, w = bridge_band(m, n)
+    i, j, w = _band(m, n)
     return float(np.dot(x[i] * y[j], w)) / (m * n)
 
 
@@ -59,15 +59,15 @@ def vnorm(x) -> float:
 def vdist(x, y) -> float:
     """Norm of the replicated difference; zero iff x and y replicate equally.
 
-    Unequal lengths sum (x_i - y_j)^2 w over bridge_band(m, n), so a vector
-    and its replication differ by exact zeros.
+    Unequal lengths sum (x_i - y_j)^2 w over the memoised bridge_band(m, n),
+    so a vector and its replication differ by exact zeros.
     """
     x = as_vector(x)
     y = as_vector(y)
     m, n = len(x), len(y)
     if m == n:
         return vnorm(x - y)
-    _, i, j, w = bridge_band(m, n)
+    i, j, w = _band(m, n)
     d = x[i] - y[j]
     return math.sqrt(float(np.dot(d * d, w)) / (m * n))
 

@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,23 @@ def src_on_child_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         yield
+
+
+def stpdft_caches() -> dict:
+    """Every functools cache (lru_cache, cache) on an imported stpdft module,
+    by qualified name."""
+    return {f"{name}.{attr}": obj for name, module in list(sys.modules.items())
+            if name == "stpdft" or name.startswith("stpdft.")
+            for attr, obj in vars(module).items() if hasattr(obj, "cache_clear")}
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Clear every stpdft cache before each test, so that no test passes on
+    state an earlier test warmed; tests that count hits or misses still
+    clear their own cache."""
+    for cache in stpdft_caches().values():
+        cache.cache_clear()
 
 
 @pytest.fixture

@@ -20,7 +20,9 @@ from stpdft import (
     weighted_bridge_matrix,
     weighted_dk_stp,
 )
+from stpdft import algebra, projection
 from stpdft.algebra import as_lengths
+from stpdft.projection import proj_matrix, project, vdist, vinner
 from stpdft.stochastic import is_stochastic_matrix, is_stochastic_vector
 
 
@@ -385,3 +387,32 @@ class TestSizeBudget:
         B = np.zeros((2**17, 1))
         with pytest.raises(SizeBudgetError):
             stp(A, B)
+
+
+class TestBandReuse:
+    def test_kernels_of_one_pair_build_two_bands(self, monkeypatch):
+        # The seven band readers of perfbench's kernels_coprime workload on one
+        # coprime pair: proj_matrix, vinner, vdist, bridge_matrix, dk_stp and
+        # weighted_dk_stp share the memoised band; project builds its resample
+        # band.  Rebuilt per call, that was seven bands.
+        built = []
+        band_rows = algebra._band_rows
+
+        def counting(n, p):
+            built.append((n, p))
+            return band_rows(n, p)
+
+        monkeypatch.setattr(algebra, "_band_rows", counting)
+        monkeypatch.setattr(projection, "_band_rows", counting)
+        m, n = 89, 97
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=m), rng.normal(size=n)
+        A, B = rng.normal(size=(8, m)), rng.normal(size=(n, 8))
+        proj_matrix(m, n)
+        project(x, n)
+        vinner(x, y)
+        vdist(x, y)
+        bridge_matrix(m, n)
+        dk_stp(A, B)
+        weighted_dk_stp(A, B)
+        assert len(built) == 2, built

@@ -13,6 +13,8 @@ from stpdft import (
     HyperVector,
     ShapeError,
     SizeBudgetError,
+    bridge_matrix,
+    dk_stp,
     hyper_inner,
     nominal_add,
     proj_matrix,
@@ -23,10 +25,13 @@ from stpdft import (
     vdist,
     vinner,
     vnorm,
+    weighted_bridge_matrix,
+    weighted_dk_stp,
 )
-from stpdft.algebra import as_lengths, bridge_band
+from stpdft.algebra import _band, _pair_band, as_lengths, bridge_band
 from stpdft.projection import _gram_layout, _gram_plan, _resample, _resample_band, pair_band
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
+from conftest import stpdft_caches
 from test_algebra import LENGTH_PAIRS, assert_fractions_equal, kron_bridge, kron_bridge_exact
 
 
@@ -471,6 +476,12 @@ class TestBandOracle:
         for got, want in zip(bridge_band(np.array(dims_x), np.array(dims_y)),
                              (pair, want_i, want_j, w), strict=True):
             assert_same_array(got, want, np.int64, writeable=True)
+        for n, p in zip(dims_x, dims_y):  # the memoised band, in both orientations
+            want_i, want_j, want_w = zip(*overlap_band(n, p))
+            for got, want in ((_band(n, p), (want_i, want_j, want_w)),
+                              (_band(p, n), (want_j, want_i, want_w))):
+                for arr, vals in zip(got, want, strict=True):
+                    assert_same_array(arr, vals, np.int64)
 
         rows = np.arange(s * len(dims_y)) // len(dims_y)
         cols = np.arange(s * len(dims_y)) % len(dims_y)
@@ -505,3 +516,118 @@ class TestBandOracle:
                 for arr, vals, dtype in zip(got, want, (np.int32, np.int32, np.int32,
                                                         np.float64), strict=True):
                     assert_same_array(arr, vals, dtype)
+
+
+# Every pair of lengths up to 40, and a coprime pair whose i p exceeds 2**31.
+MEMO_PAIRS = [(n, p) for n in range(1, 41) for p in range(1, 41)] + [(99_991, 100_003)]
+
+
+def memo_readers(n, p):
+    """The kernels that read the memoised band of the pair (n, p), as
+    name -> call with fixed operands; the dense ones only while n p is small."""
+    rng = np.random.default_rng([n, p])
+    x, y = rng.normal(size=n), rng.normal(size=p)
+    A, B = rng.normal(size=(3, n)), rng.normal(size=(p, 2))
+    calls = {"vinner": lambda: vinner(x, y), "vdist": lambda: vdist(x, y)}
+    if n * p <= 2**20:
+        calls.update({
+            "bridge_matrix": lambda: bridge_matrix(n, p),
+            "weighted_bridge_matrix": lambda: weighted_bridge_matrix(n, p),
+            "proj_matrix": lambda: proj_matrix(n, p),
+            "dk_stp": lambda: dk_stp(A, B),
+            "weighted_dk_stp": lambda: weighted_dk_stp(A, B),
+        })
+    return calls
+
+
+class TestPairBandMemo:
+    """algebra._pair_band, the one band memoised per unordered length pair,
+    and the kernels that read it."""
+
+    def test_memo_equals_a_fresh_band_in_both_orientations(self):
+        for n, p in MEMO_PAIRS:
+            _pair_band.cache_clear()
+            for a, b in ((n, p), (p, n)):  # the first cold, the second from the memo
+                got, fresh = _band(a, b), bridge_band(a, b)[1:]
+                for arr, want in zip(got, fresh, strict=True):
+                    assert arr.dtype == want.dtype == np.int64, (a, b)
+                    assert not arr.flags.writeable and arr.flags.c_contiguous
+                    assert arr.tobytes() == want.tobytes(), (a, b)
+
+    def test_kernels_give_the_same_bytes_cold_and_warm(self):
+        for n, p in MEMO_PAIRS:
+            calls = memo_readers(n, p)
+            cold = {}
+            for name, call in calls.items():
+                _pair_band.cache_clear()
+                cold[name] = np.asarray(call()).tobytes()
+            for order in (list(calls), list(calls)[::-1]):  # a cold start, then warm
+                _pair_band.cache_clear()
+                for name in order:
+                    assert np.asarray(calls[name]()).tobytes() == cold[name], (n, p, name)
+
+    @pytest.mark.parametrize("n, p", [(5, 7), (7, 5), (12, 18), (1, 4), (6, 6)])
+    def test_results_stay_fresh_and_writable(self, n, p):
+        for name, call in memo_readers(n, p).items():
+            out = call()
+            if name in ("vinner", "vdist"):
+                assert type(out) is float
+                continue
+            want = out.tobytes()
+            assert out.flags.writeable, name
+            out[...] = np.nan
+            assert call().tobytes() == want, name
+        if n != p:
+            with pytest.raises(ValueError):
+                _band(n, p)[2][0] = 0
+
+    def test_memo_retains_one_band_until_the_next_pair(self):
+        x, y = np.ones(2**16 + 1), np.ones(2**16)
+        tracemalloc.start()
+        try:
+            assert vinner(x, y) == 1.0
+            kept = tracemalloc.get_traced_memory()[0]
+            nbytes = sum(arr.nbytes for arr in _pair_band(2**16, 2**16 + 1))  # a hit
+            assert _pair_band.cache_info()[:2] == (1, 1)  # (hits, misses)
+            assert vinner(x[:3], y[:2]) == 1.0
+            released = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert nbytes == 24 * 2**17  # n + p - gcd entries of (i, j, w), 8 B each
+        assert nbytes <= kept <= nbytes + 2**16
+        assert released < 2**16
+
+    def test_failing_calls_leave_the_memo_unchanged(self):
+        for warm in (False, True):
+            _pair_band.cache_clear()
+            if warm:
+                bridge_matrix(2, 3)
+            before = _pair_band.cache_info()
+            with pytest.raises(ShapeError):
+                proj_matrix(0, 3)
+            with pytest.raises(SizeBudgetError):
+                bridge_matrix(2**16, 2**16)
+            assert _pair_band.cache_info() == before
+            assert before.currsize == warm
+
+    def test_bool_length_still_raises_when_its_int_is_cached(self):
+        bridge_matrix(1, 3)
+        with pytest.raises(TypeError):
+            bridge_matrix(True, 3)
+
+
+class TestColdCaches:
+    """The autouse fixture in conftest clears every stpdft cache between tests."""
+
+    def test_warm_every_band_cache(self):
+        hyper_inner(HyperVector([np.ones(3), np.ones(5)]), HyperVector([np.ones(4)]))
+        project_batch(np.ones(8), (3, 5), (4, 4))
+        vinner(np.ones(3), np.ones(5))
+        assert _resample_band.cache_info().currsize == 1
+        assert _pair_band.cache_info().currsize == 1
+
+    def test_every_cache_starts_cold(self):
+        caches = stpdft_caches()
+        assert {"stpdft.algebra._pair_band", "stpdft.projection._resample_band",
+                "stpdft.projection._gram_plan"} <= set(caches)
+        assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
