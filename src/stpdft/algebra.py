@@ -18,13 +18,13 @@ overlaps, which the private ``_band_rows`` alone computes, row by row for
 many length pairs at once; every bridge and projection matrix and every
 band plan is expanded from its rows.  Only stp and sta, whose results are
 lcm-sized by definition, expand to the lcm.  The bridge factors of a pair
-read one memoised band (``_pair_band``), which retains the last pair's band,
-at most n + p entries of 24 B; ``bridge_band`` itself stays uncached.
+read one memoised band (``_pair_band``) that holds the last pair's n + p
+entries of 24 B at most, bounded by no budget; ``bridge_band`` is uncached.
 
-Matrices are plain 2-D float ndarrays, vectors 1-D.  Every function is pure;
-nothing here mutates its inputs.  Lengths are never truncated: every length
-profile (the per-component lengths of a ragged batch) and nominal length
-passes ``as_lengths``.
+Matrices are plain 2-D float ndarrays, vectors 1-D.  Results depend on the
+arguments alone; nothing here mutates its inputs.  Lengths are never
+truncated: every length profile (the per-component lengths of a ragged
+batch) and nominal length passes ``as_lengths``.
 """
 
 from __future__ import annotations
@@ -181,8 +181,11 @@ def _pair_band(n, p):
 
 
 def _band(n, p):
-    """(i, j, w) of bridge_band(n, p) from _pair_band of the unordered pair,
-    i and j swapped when n > p: the same bytes, by pair_band's swap rule."""
+    """(i, j, w) of bridge_band(n, p) from _pair_band of the unordered pair
+    (0-d array lengths keyed by their items), i and j swapped when n > p: the
+    same bytes, by pair_band's swap rule."""
+    if isinstance(n, np.ndarray) or isinstance(p, np.ndarray):
+        n, p = np.asarray(n).item(), np.asarray(p).item()
     i, j, w = _pair_band(min(n, p), max(n, p))
     return (i, j, w) if n <= p else (j, i, w)
 

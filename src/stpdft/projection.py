@@ -40,7 +40,8 @@ def vinner(x, y) -> float:
     """Replication-averaged inner product of vectors of any lengths.
 
     Equal lengths give x @ y / m; otherwise the sum of x_i y_j w over the
-    memoised band (i, j, w) of bridge_band(m, n) (algebra._band), over m n.
+    memoised band (i, j, w) of bridge_band(m, n) (algebra._band), over m n;
+    no budget is checked, and the band stays held until another pair's call.
     """
     x = as_vector(x)
     y = as_vector(y)
@@ -59,8 +60,8 @@ def vnorm(x) -> float:
 def vdist(x, y) -> float:
     """Norm of the replicated difference; zero iff x and y replicate equally.
 
-    Unequal lengths sum (x_i - y_j)^2 w over the memoised bridge_band(m, n),
-    so a vector and its replication differ by exact zeros.
+    Unequal lengths sum (x_i - y_j)^2 w over the memoised bridge_band(m, n)
+    (held as in vinner): a vector and its replication differ by exact zeros.
     """
     x = as_vector(x)
     y = as_vector(y)

@@ -63,7 +63,15 @@ def test_summary_medians_quartiles_and_wins():
 
 
 def test_single_pair_and_directions_from_the_benchmark_file():
+    better = paired_bench.directions(paired_bench.load_benchmark())
     pairs = [({"latency_p50_ms": 2.0}, {"latency_p50_ms": 1.0})]
-    (row,) = paired_bench.summarise(pairs, paired_bench.directions())
+    (row,) = paired_bench.summarise(pairs, better)
     assert row["parent"] == (2.0, 2.0, 2.0) and row["wins"] == 1 and row["beyond_iqr"]
-    assert paired_bench.directions()["throughput_tok_s"] == "higher"
+    assert better["throughput_tok_s"] == "higher"
+
+
+def test_run_command_is_the_benchmark_command_at_its_run_length():
+    doc = paired_bench.load_benchmark()
+    cmd = paired_bench.run_command(doc, "kernels_coprime", 7, 1)
+    assert cmd == [*doc["command"], "--workload", "kernels_coprime", "--seed", "7",
+                   "--seconds", str(doc["run_seconds"]), "--trace", "1"]

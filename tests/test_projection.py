@@ -451,6 +451,15 @@ def assert_same_array(got, values, dtype, writeable=False):
     assert got.tobytes() == want.tobytes()
 
 
+def length_grid_examples(test):
+    """Profiles that pair every two lengths in [1, 40]: 1..40 against its
+    rotations by 0..20, which meet every difference of lengths mod 40."""
+    grid = list(range(1, 41))
+    for k in range(21):
+        test = example((grid, grid[k:] + grid[:k], 0))(test)
+    return test
+
+
 class TestBandOracle:
     """bridge_band, pair_band, _resample_band and _gram_plan against the
     entry-level overlap definition, built fresh: values, dtypes, byte order
@@ -464,6 +473,7 @@ class TestBandOracle:
     @example(([4, 9, 6], [4, 3, 6], 0))  # equal lengths in a ragged profile
     @example(([12, 18, 8], [8, 12, 18], 0))  # gcd > 1
     @example(([99_991], [100_003], 0))  # coprime, i p above 2**31
+    @length_grid_examples
     def test_bands_match_overlap_definition(self, profiles):
         dims_x, dims_y, _ = profiles
         dims_x, dims_y = tuple(dims_x), tuple(dims_y)
@@ -478,6 +488,7 @@ class TestBandOracle:
             assert_same_array(got, want, np.int64, writeable=True)
         for n, p in zip(dims_x, dims_y):  # the memoised band, in both orientations
             want_i, want_j, want_w = zip(*overlap_band(n, p))
+            _pair_band.cache_clear()  # the first call cold, the second from the memo
             for got, want in ((_band(n, p), (want_i, want_j, want_w)),
                               (_band(p, n), (want_j, want_i, want_w))):
                 for arr, vals in zip(got, want, strict=True):
@@ -544,16 +555,6 @@ class TestPairBandMemo:
     """algebra._pair_band, the one band memoised per unordered length pair,
     and the kernels that read it."""
 
-    def test_memo_equals_a_fresh_band_in_both_orientations(self):
-        for n, p in MEMO_PAIRS:
-            _pair_band.cache_clear()
-            for a, b in ((n, p), (p, n)):  # the first cold, the second from the memo
-                got, fresh = _band(a, b), bridge_band(a, b)[1:]
-                for arr, want in zip(got, fresh, strict=True):
-                    assert arr.dtype == want.dtype == np.int64, (a, b)
-                    assert not arr.flags.writeable and arr.flags.c_contiguous
-                    assert arr.tobytes() == want.tobytes(), (a, b)
-
     def test_kernels_give_the_same_bytes_cold_and_warm(self):
         for n, p in MEMO_PAIRS:
             calls = memo_readers(n, p)
@@ -614,6 +615,16 @@ class TestPairBandMemo:
         bridge_matrix(1, 3)
         with pytest.raises(TypeError):
             bridge_matrix(True, 3)
+
+    @pytest.mark.parametrize("kernel", [bridge_matrix, weighted_bridge_matrix, proj_matrix,
+                                        proj_matrix_exact])
+    def test_zero_d_array_lengths_give_the_bytes_of_ints(self, kernel):
+        want = np.asarray(kernel(3, 5), dtype=float).tobytes()
+        for n in (np.asarray(3), np.asarray(3, dtype=np.uint8), np.int64(3)):
+            _pair_band.cache_clear()
+            assert np.asarray(kernel(n, 5), dtype=float).tobytes() == want
+        with pytest.raises(TypeError):
+            kernel(True, 5)
 
 
 class TestColdCaches:

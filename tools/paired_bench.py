@@ -5,12 +5,13 @@ and for each metric the medians, quartiles and wins of the change.
 Usage:
 
     python tools/paired_bench.py PARENT_DIR CHANGE_DIR --workload W \\
-        --seeds 501 502 503 [--seconds 30] [--trace 0|1]
+        --seeds 501 502 503 [--trace 0|1]
 
-Pair k runs `python3 perfbench/run.py --workload W --seed S --seconds T
---trace X` in PARENT_DIR and in CHANGE_DIR, each from its own directory, the
-parent first for even k and the change first for odd k, so a slow stretch of
-a shared machine does not fall on one side only.  The last line a run prints
+Pair k runs BENCHMARK.json's command (`python3 perfbench/run.py`) with
+`--workload W --seed S --seconds T --trace X`, T its `run_seconds`, in
+PARENT_DIR and in CHANGE_DIR, each from its own directory, the parent first
+for even k and the change first for odd k, so a slow stretch of a shared
+machine does not fall on one side only.  The last line a run prints
 is its result object; a run that fails its checks is reported and kept.
 
 Per metric the table gives each side's median and quartiles (inclusive
@@ -31,10 +32,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def directions(benchmark=ROOT / "BENCHMARK.json") -> dict:
+def load_benchmark(path=ROOT / "BENCHMARK.json") -> dict:
+    return json.loads(Path(path).read_text())
+
+
+def directions(doc) -> dict:
     """Metric name -> "higher" or "lower", the better direction, from the
-    end-to-end and per-layer lists of BENCHMARK.json."""
-    doc = json.loads(Path(benchmark).read_text())
+    end-to-end and per-layer lists of a BENCHMARK.json document."""
     return {m["name"]: m["better"] for key in ("end_to_end", "per_layer") for m in doc.get(key, [])}
 
 
@@ -105,9 +109,13 @@ def format_rows(rows) -> str:
     return "\n".join(lines)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run_command(doc: dict, workload: str, seed: int, trace: int) -> list:
+    """The benchmark's command for one run, from a BENCHMARK.json document."""
+    return [*doc["command"], "--workload", workload, "--seed", str(seed),
+            "--seconds", str(doc["run_seconds"]), "--trace", str(trace)]
+
+
+def run_once(checkout: Path, cmd: list, seed: int) -> dict:
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if not proc.stdout.strip():
         raise SystemExit(f"paired_bench: no result from {checkout} seed {seed}:\n{proc.stderr}")
@@ -120,14 +128,14 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path)
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    doc = load_benchmark()
     pairs, bad = [], 0
     for seed, order in schedule(args.seeds):
-        got = {side: run_once(dirs[side], args.workload, seed, args.seconds, args.trace)
-               for side in order}
+        cmd = run_command(doc, args.workload, seed, args.trace)
+        got = {side: run_once(dirs[side], cmd, seed) for side in order}
         for side in order:
             res = got[side]
             bad += not res["correct"]
@@ -136,7 +144,7 @@ def main(argv=None) -> int:
         pairs.append((got["parent"]["metrics"], got["change"]["metrics"]))
     print(f"\n{args.workload}: {len(pairs)} pairs, seeds {' '.join(map(str, args.seeds))},"
           f" {bad} runs failing their checks")
-    print(format_rows(summarise(pairs, directions())))
+    print(format_rows(summarise(pairs, directions(doc))))
     return 1 if bad else 0
 
 
