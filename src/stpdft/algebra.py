@@ -17,9 +17,10 @@ It is defined by lcm-sized Kronecker factors, but its entries are interval
 overlaps, which the private ``_band_rows`` alone computes, row by row for
 many length pairs at once; every bridge and projection matrix and every
 band plan is expanded from its rows.  Only stp and sta, whose results are
-lcm-sized by definition, expand to the lcm.  The bridge factors of a pair
-read one memoised band (``_pair_band``) that holds the last pair's n + p
-entries of 24 B at most, bounded by no budget; ``bridge_band`` is uncached.
+lcm-sized by definition, expand to the lcm, and sta builds only its result.
+The bridge factors and ``projection.project`` of a pair read one memoised
+band (``_pair_band``) that holds the last pair's n + p entries of 24 B at
+most, bounded by no budget; ``bridge_band`` is uncached.
 
 Matrices are plain 2-D float ndarrays, vectors 1-D.  Results depend on the
 arguments alone; nothing here mutates its inputs.  Lengths are never
@@ -261,10 +262,11 @@ def sta(x, y, sign: int = 1) -> np.ndarray:
 
     Each entry of x is replicated t/len(x) times (likewise y) so both live
     in R^t, t = lcm of the lengths; the replicated vectors are then added or
-    subtracted entrywise.  Commutative and associative for sign=+1.  The
-    second replication is added or subtracted into the first in place; in
-    IEEE arithmetic a - b equals a + (-b), so for non-NaN input the bytes are
-    those of repeat(x) + sign * repeat(y).
+    subtracted entrywise.  Commutative and associative for sign=+1.  Only
+    the first replication is built: y is added or subtracted in place through
+    its (n, t/n) view, broadcast along the rows, so entry k meets y[k // (t/n)]
+    as in repeat(y).  In IEEE arithmetic a - b equals a + (-b), so for non-NaN
+    input the bytes are those of repeat(x) + sign * repeat(y).
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -274,7 +276,9 @@ def sta(x, y, sign: int = 1) -> np.ndarray:
     t = lcm(m, n)
     _check_budget(t)
     out = np.repeat(x, t // m)
-    return (np.add if sign == 1 else np.subtract)(out, np.repeat(y, t // n), out=out)
+    rows = out.reshape(n, t // n)
+    (np.add if sign == 1 else np.subtract)(rows, y[:, None], out=rows)
+    return out
 
 
 # --- exact-arithmetic twins -------------------------------------------------

@@ -15,6 +15,8 @@ whose rows are convex averages of source coordinates (each row sums to 1).
 Nothing is replicated to length t: the replicated vectors are constant on
 the pieces of [0, t) where one entry of x meets one entry of y, the
 nonzeros of ``algebra.bridge_band(m, n)``, and everything here sums over them.
+The one-pair kernels (vinner, vdist, proj_matrix, project) read that band
+from ``algebra._band``, memoised for the last pair.
 
 This module owns the band plans: ``pair_band`` lays out the bands of many
 component pairs as int32 indices, and the resample plan (``_resample_band``)
@@ -92,9 +94,17 @@ def proj_matrix_exact(m: int, n: int) -> np.ndarray:
 
 def project(x, n: int) -> np.ndarray:
     """Closest vector in R^n to x under vdist: proj_matrix(len(x), n) @ x,
-    computed as project_batch of the one component, so no dense matrix is built."""
+    with no dense matrix.  Equal lengths copy x; otherwise entry j sums
+    x[i] * w / m over the memoised band (i, j, w) of bridge_band(m, n)
+    (algebra._band, read after the budget check): the band, order and
+    coefficients of project_batch of the one component, so the same bytes."""
     x = as_vector(x)
-    return project_batch(x, (len(x),), (n,))
+    (n,), m = as_lengths((n,), "output profile"), len(x)
+    if m == n:
+        return x.copy()
+    _check_budget(m + n)  # the band has at most m + n entries
+    i, j, w = _band(m, n)
+    return np.bincount(j, weights=x.take(i) * (w / m), minlength=n)
 
 
 def project_batch(P, dims_in, dims_out) -> np.ndarray:

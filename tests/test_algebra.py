@@ -293,16 +293,32 @@ class TestSta:
         np.testing.assert_allclose(sta(x, y), sta(y, x), atol=1e-12)
 
     def test_bytes_match_replicated_sum(self, rng):
-        # Added or subtracted in place, sta keeps the bytes of the sum of the
-        # two replications, signed zeros included.
-        for m, n in LENGTH_PAIRS:
+        # Built from one replication, sta keeps the bytes, dtype and write
+        # flag of the sum of the two replications, signed zeros included.
+        for m, n in LENGTH_PAIRS + [(1025, 1024)]:
             x, y = rng.normal(size=m), rng.normal(size=n)
-            x[rng.random(m) < 0.2] = 0.0
+            x[rng.random(m) < 0.2] = rng.choice([0.0, -0.0])
             y[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
             t = lcm(m, n)
             for sign in (1, -1):
                 expected = np.repeat(x, t // m) + sign * np.repeat(y, t // n)
-                assert sta(x, y, sign).tobytes() == expected.tobytes(), (m, n, sign)
+                got = sta(x, y, sign)
+                assert got.dtype == expected.dtype and got.flags.writeable, (m, n, sign)
+                assert got.tobytes() == expected.tobytes(), (m, n, sign)
+
+    def test_holds_one_lcm_length_buffer(self):
+        # t = 1,049,600: the result is the only t-length array; a second
+        # replication of y would double the peak to 16 t B.
+        x, y = np.ones(1025), np.ones(1024)
+        t = lcm(1025, 1024)
+        tracemalloc.start()
+        try:
+            out = sta(x, y, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (t,) and not out.any()
+        assert peak <= 8 * t + 2**16
 
     def test_associativity_random_dims(self, rng):
         for _ in range(100):
@@ -390,11 +406,11 @@ class TestSizeBudget:
 
 
 class TestBandReuse:
-    def test_kernels_of_one_pair_build_two_bands(self, monkeypatch):
+    def test_kernels_of_one_pair_build_one_band(self, monkeypatch):
         # The seven band readers of perfbench's kernels_coprime workload on one
-        # coprime pair: proj_matrix, vinner, vdist, bridge_matrix, dk_stp and
-        # weighted_dk_stp share the memoised band; project builds its resample
-        # band.  Rebuilt per call, that was seven bands.
+        # coprime pair: proj_matrix, project, vinner, vdist, bridge_matrix,
+        # dk_stp and weighted_dk_stp share the memoised band.  Rebuilt per
+        # call, that was seven bands.
         built = []
         band_rows = algebra._band_rows
 
@@ -415,4 +431,4 @@ class TestBandReuse:
         bridge_matrix(m, n)
         dk_stp(A, B)
         weighted_dk_stp(A, B)
-        assert len(built) == 2, built
+        assert len(built) == 1, built

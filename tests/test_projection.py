@@ -187,6 +187,18 @@ class TestProject:
         assert y.shape == (1024,)
         assert np.mean(y) == pytest.approx(np.mean(x), abs=1e-12)
 
+    def test_bytes_match_project_batch(self):
+        # project reads the memoised pair band, project_batch its resample
+        # plan: the same band, order and coefficients, so the same bytes.
+        for m, n in MEMO_PAIRS:
+            rng = np.random.default_rng([m, n])
+            x = rng.normal(size=m)
+            x[rng.random(m) < 0.2] = -0.0
+            got, want = project(x, n), project_batch(x, (m,), (n,))
+            assert got.dtype == want.dtype and got.flags.writeable, (m, n)
+            assert got.tobytes() == want.tobytes(), (m, n)
+            assert not np.shares_memory(got, x)
+
     def test_non_integer_length_rejected(self):
         with pytest.raises(TypeError):
             project(np.ones(3), 2.5)
@@ -539,7 +551,8 @@ def memo_readers(n, p):
     rng = np.random.default_rng([n, p])
     x, y = rng.normal(size=n), rng.normal(size=p)
     A, B = rng.normal(size=(3, n)), rng.normal(size=(p, 2))
-    calls = {"vinner": lambda: vinner(x, y), "vdist": lambda: vdist(x, y)}
+    calls = {"vinner": lambda: vinner(x, y), "vdist": lambda: vdist(x, y),
+             "project": lambda: project(x, p)}
     if n * p <= 2**20:
         calls.update({
             "bridge_matrix": lambda: bridge_matrix(n, p),
