@@ -144,9 +144,8 @@ def test_argument_checks_name_the_argument(call, kind, words):
     assert words in str(info.value)
 
 
-class _BudgetSites(ast.NodeVisitor):
-    """(module, innermost function, "compare" or "raise") of each comparison
-    with SIZE_BUDGET and each raise of SizeBudgetError in one module."""
+class _Sites(ast.NodeVisitor):
+    """Collects (module, innermost function, what) sites of one module."""
 
     def __init__(self, module):
         self.module, self.scope, self.sites = module, "<module>", []
@@ -157,6 +156,11 @@ class _BudgetSites(ast.NodeVisitor):
         self.scope = outer
 
     visit_AsyncFunctionDef = visit_FunctionDef
+
+
+class _BudgetSites(_Sites):
+    """(module, innermost function, "compare" or "raise") of each comparison
+    with SIZE_BUDGET and each raise of SizeBudgetError in one module."""
 
     def visit_Compare(self, node):
         if any(_mentions(x, "SIZE_BUDGET") for x in (node.left, *node.comparators)):
@@ -183,6 +187,53 @@ def test_the_budget_is_checked_only_in_check_budget():
         sites += visitor.sites
     assert sites == [("algebra.py", "_check_budget", "compare"),
                      ("algebra.py", "_check_budget", "raise")]
+
+
+class _WriteSites(_Sites):
+    """(module, innermost function, callee) of each call in one module that
+    can open a file for writing: os.open, a write_text or write_bytes, and an
+    open or fdopen whose mode is not a literal without w, a, x and +."""
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open" and isinstance(func, ast.Attribute) and _mentions(func.value, "os"):
+            writes = True
+        elif name in ("open", "fdopen"):
+            at = 0 if isinstance(func, ast.Attribute) and name == "open" else 1  # Path.open(mode)
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        node.args[at] if len(node.args) > at else ast.Constant("r"))
+            writes = not (isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+"))
+        else:
+            writes = name in ("write_text", "write_bytes")
+        if writes:
+            self.sites.append((self.module, self.scope, ast.unparse(func)))
+        self.generic_visit(node)
+
+
+def _write_sites(source, module="m.py"):
+    visitor = _WriteSites(module)
+    visitor.visit(ast.parse(source, module))
+    return visitor.sites
+
+
+def test_the_write_sites_are_found():
+    source = """
+def f(p, m):
+    open(p, "w"); open(p, mode="a"); open(p, m); os.open(p, 1); p.write_text("")
+    p.write_bytes(b""); p.open("x"); os.fdopen(3, "r+"); open(p); open(p, "rb"); p.open()
+"""
+    assert [callee for _, _, callee in _write_sites(source)] == [
+        "open", "open", "open", "os.open", "p.write_text", "p.write_bytes", "p.open",
+        "os.fdopen"]
+
+
+def test_only_write_text_opens_a_file_for_writing():
+    # _write_text rewrites a file in place; a second writer could truncate.
+    sites = []
+    for path in sorted(Path(stpdft.__file__).parent.glob("*.py")):
+        sites += _write_sites(path.read_text(), path.name)
+    assert sites == [("cli.py", "_write_text", "open"), ("cli.py", "_write_text", "os.open")]
 
 
 def _loaded_names(tree):

@@ -7,9 +7,11 @@ import json
 import os
 import platform
 import re
+import stat
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stpdft import HyperVector, ModelConfig, SplitMix64, encoder_stack
-from stpdft.cli import (CONFIG_KEYS, WEIGHT_MATRICES, _decode_weights, build_parser, main,
-                        padding_batch_stats, random_weights)
+from stpdft import HyperVector, ModelConfig, SplitMix64, cli, encoder_stack
+from stpdft.cli import (CONFIG_KEYS, WEIGHT_MATRICES, _decode_weights, _weights_from_file,
+                        build_parser, main, padding_batch_stats, random_weights)
 from stpdft.transformer import MASK_MODES, NORM_MODES, PADDING_MODES, SCALING_MODES
 
 
@@ -670,6 +672,68 @@ class TestInProcessReuse:
         assert again_config is config and again is mats  # the cached decode
         assert (dict(config), {name: M.tobytes() for name, M in mats.items()}) == before
 
+    def test_one_changed_entry_of_a_same_size_file_is_built_again(self, tmp_path):
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        path = tmp_path / "w.json"
+        doc = json.loads(Path(_eye_weights(path)).read_text())
+        first, second, fresh = (tmp_path / f"{name}.json" for name in ("a", "b", "fresh"))
+        assert main(["forward", batch, "--weights", str(path), "--out", str(first)]) == 0
+        doc["matrices"]["Wv"]["data"][1] = 3  # one entry, one digit for another
+        size = path.stat().st_size
+        path.write_text(json.dumps(doc))
+        assert path.stat().st_size == size
+        assert main(["forward", batch, "--weights", str(path), "--out", str(second)]) == 0
+        assert run_cli("forward", batch, "--weights", str(path), "--out", str(fresh))[0] == 0
+        assert second.read_bytes() == fresh.read_bytes() != first.read_bytes()
+
+    def test_unchanged_bytes_build_the_weights_once(self, tmp_path):
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        weights = _eye_weights(tmp_path / "w.json")
+        outs = [tmp_path / f"o{k}.json" for k in range(3)]
+        for out in outs:
+            assert main(["forward", batch, "--weights", weights, "--out", str(out)]) == 0
+        assert _weights_from_file.cache_info()[:2] == (2, 1)  # (hits, misses)
+        assert len({out.read_bytes() for out in outs}) == 1
+
+    @pytest.mark.parametrize("matrices,code", [
+        ({"OM4": _matrix_spec(np.eye(3))}, 2),  # a SchemaError: no fourth sequence
+        ({"W1": _matrix_spec(np.eye(2))}, 3),  # a ShapeError: W1 must be 3 x 3
+    ], ids=["schema", "shape"])
+    def test_a_table_that_raises_is_never_cached(self, tmp_path, matrices, code):
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        good = _eye_weights(tmp_path / "w.json")
+        bad = tmp_path / "bad.json"
+        eye3 = _matrix_spec(np.eye(3))
+        bad.write_text(json.dumps({"matrices": {"Wq": eye3, "Wk": eye3, "Wv": eye3, **matrices}}))
+        out = tmp_path / "o.json"
+        assert main(["forward", batch, "--weights", good, "--out", str(out)]) == 0
+        before = _weights_from_file.cache_info()
+        for _ in range(2):  # a second try builds again: the failure was not kept
+            assert main(["forward", batch, "--weights", str(bad), "--out", str(out)]) == code
+            # lru_cache counts the call that raised as a miss, and keeps nothing.
+            assert _weights_from_file.cache_info() == before._replace(misses=before.misses + 1)
+            before = _weights_from_file.cache_info()
+        assert main(["forward", batch, "--weights", good, "--out", str(out)]) == 0
+        assert _weights_from_file.cache_info().hits == before.hits + 1
+
+    def test_the_built_weights_cannot_be_changed(self, tmp_path):
+        batch = write_batch(tmp_path / "batch.json", HOMOG)
+        weights = _eye_weights(tmp_path / "w.json")
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["forward", batch, "--weights", weights, "--out", str(first)]) == 0
+        fields = _weights_from_file(weights, Path(weights).read_bytes(), 3, 3, 1)
+        with pytest.raises(TypeError):
+            fields["wq"] = np.zeros((3, 3))
+        with pytest.raises(TypeError):
+            fields["gamma"] = 2.0
+        with pytest.raises(TypeError):
+            del fields["ffn_w1"]
+        with pytest.raises(ValueError):
+            fields["wv"][0, 0] = 5.0
+        assert _weights_from_file.cache_info().hits == 1  # the object the run used
+        assert main(["forward", batch, "--weights", weights, "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+
 
 class TestUnreadableFiles:
     """A file that cannot be read or written is an input error naming the path."""
@@ -706,6 +770,88 @@ class TestUnreadableFiles:
     def test_out_in_a_missing_folder(self, tmp_path, capsys, files):
         files["out"] = str(tmp_path / "missing" / "o.json")
         self._assert_input_error(files, capsys, files["out"])
+
+
+
+# (argv before --out) of each subcommand that writes --out; {batch} stands for
+# a ragged batch file.
+OUT_COMMANDS = {
+    "forward": ["forward", "{batch}", "--seed", "42"],
+    "examples": ["examples", "--seed", "42"],
+    "compare-padding": ["compare-padding", "--batches", "3", "--seed", "5"],
+}
+
+
+@pytest.mark.parametrize("command", list(OUT_COMMANDS))
+class TestOutFile:
+    """--out is rewritten in place: opened without truncation, written, and
+    cut to the new length when it is a regular file."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, monkeypatch, command):
+        # compare-padding's timing columns read zero, so its bytes repeat.
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        batch = write_batch(tmp_path / "batch.json", ACCEPTANCE_11)
+        return [arg.format(batch=batch) for arg in OUT_COMMANDS[command]]
+
+    @pytest.fixture
+    def expected(self, tmp_path, argv):
+        """The bytes that --out gets when it does not exist."""
+        out = tmp_path / "fresh.out"
+        assert main([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("old", ["longer", "shorter"])
+    def test_an_existing_file_holds_exactly_the_new_bytes(self, tmp_path, argv, expected, old):
+        out = tmp_path / "o.out"
+        out.write_bytes(b"old " * len(expected) if old == "longer" else b"old")
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+
+    def test_dev_null_is_written_without_a_truncate(self, argv):
+        assert main([*argv, "--out", os.devnull]) == 0
+
+    def test_an_existing_file_keeps_its_mode(self, tmp_path, argv):
+        out = tmp_path / "o.out"
+        out.write_text("old")
+        out.chmod(0o604)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o604
+
+    def test_a_new_file_gets_the_mode_of_open_w(self, tmp_path, argv):
+        reference, out = tmp_path / "reference", tmp_path / "o.out"
+        with open(reference, "w"):
+            pass
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.stat().st_mode == reference.stat().st_mode
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="root writes a read-only file")
+    def test_a_read_only_existing_file_exits_2_naming_it(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.out"
+        out.write_text("old")
+        out.chmod(0o444)
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and str(out) in err and "internal error" not in err
+        assert out.read_text() == "old"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("where", ["full", "directory", "missing folder"])
+    def test_a_failed_write_exits_2_and_leaks_no_descriptor(self, tmp_path, capsys, argv,
+                                                           where):
+        # /dev/full takes the open and fails the write (ENOSPC) at the flush;
+        # the other two fail the open.
+        out = {"full": "/dev/full", "directory": str(tmp_path),
+               "missing folder": str(tmp_path / "missing" / "o.out")}[where]
+        if where == "full" and not os.path.exists(out):
+            pytest.skip("needs /dev/full")
+        main([*argv, "--out", os.devnull])  # so what a process opens once is open already
+        before = len(os.listdir("/proc/self/fd"))
+        assert main([*argv, "--out", out]) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
+        err = capsys.readouterr().err
+        assert "input error" in err and out in err and "internal error" not in err
 
 
 def _weights_doc(matrices):

@@ -75,3 +75,34 @@ def test_run_command_is_the_benchmark_command_at_its_run_length():
     cmd = paired_bench.run_command(doc, "kernels_coprime", 7, 1)
     assert cmd == [*doc["command"], "--workload", "kernels_coprime", "--seed", "7",
                    "--seconds", str(doc["run_seconds"]), "--trace", "1"]
+
+
+def test_verdicts_against_the_bounds_of_the_benchmark_file():
+    doc = paired_bench.load_benchmark()
+    bound = {m["name"]: m["bound"] for m in doc["end_to_end"]}
+    assert bound["throughput_tok_s"] == bound["latency_p50_ms"] == bound["setup_s"] == 0.25
+    # (parent, change) per pair: throughput up, p50 30% worse on a tight
+    # parent, setup_s 10% better on a parent that spreads over 50%.
+    runs = [({"throughput_tok_s": 100, "latency_p50_ms": 1.00, "setup_s": 0.1},
+             {"throughput_tok_s": 110, "latency_p50_ms": 1.30, "setup_s": 0.09}),
+            ({"throughput_tok_s": 102, "latency_p50_ms": 1.02, "setup_s": 0.2},
+             {"throughput_tok_s": 113, "latency_p50_ms": 1.33, "setup_s": 0.18}),
+            ({"throughput_tok_s": 98, "latency_p50_ms": 0.98, "setup_s": 0.3},
+             {"throughput_tok_s": 108, "latency_p50_ms": 1.27, "setup_s": 0.27})]
+    per_layer = ({"cli.overhead_ms": 1.0}, {"cli.overhead_ms": 2.0})
+    pairs = [({**a, **per_layer[0]}, {**b, **per_layer[1]}) for a, b in runs]
+    rows = paired_bench.summarise(pairs, paired_bench.directions(doc))
+    assert paired_bench.verdicts(rows, doc) == {
+        "throughput_tok_s": "ok", "latency_p50_ms": "worse", "setup_s": "unresolved"}
+    table = paired_bench.format_verdicts(rows, doc).splitlines()
+    assert [line.split()[:2] for line in table[1:]] == [
+        ["throughput_tok_s", "ok"], ["latency_p50_ms", "worse"], ["setup_s", "unresolved"]]
+    assert table[2].split()[2:] == ["+30.0%", "2.0%", "25.0%"]
+
+
+def test_a_worse_median_is_worse_even_when_the_parent_spreads_wide():
+    doc = {"end_to_end": [{"name": "peak_rss_mb", "better": "lower", "bound": 0.25}]}
+    pairs = [({"peak_rss_mb": a}, {"peak_rss_mb": b}) for a, b in [(10, 20), (30, 40), (50, 70)]]
+    rows = paired_bench.summarise(pairs, paired_bench.directions(doc))
+    assert rows[0]["parent_iqr"] > 0.25
+    assert paired_bench.verdicts(rows, doc) == {"peak_rss_mb": "worse"}

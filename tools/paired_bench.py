@@ -18,8 +18,11 @@ Per metric the table gives each side's median and quartiles (inclusive
 method of statistics.quantiles), the change of the medians, the parent's
 IQR as a share of its median, the pairs the change won (strictly better, in
 the direction BENCHMARK.json gives the metric) and whether the medians
-differ by more than the parent's IQR.  Nothing under either perfbench/ is
-edited.
+differ by more than the parent's IQR.  Below it, each end-to-end metric gets
+a verdict against its `bound` in BENCHMARK.json: `worse` when the median is
+worse by more than the bound, `unresolved` when the parent's IQR is wider
+than the bound (the runs spread too widely to tell), `ok` otherwise.
+Nothing under either perfbench/ is edited.
 """
 
 import argparse
@@ -92,6 +95,10 @@ def _pct(x):
     return "-" if x is None else f"{100 * x:+.1f}%"
 
 
+def _share(x):
+    return "-" if x is None else f"{100 * x:.1f}%"
+
+
 def _num(x):
     return f"{x:,.0f}" if abs(x) >= 1e4 else f"{x:.4g}"
 
@@ -103,9 +110,43 @@ def format_rows(rows) -> str:
     for r in rows:
         old, new = (" / ".join(map(_num, r[side])) for side in ("parent", "change"))
         wins = "-" if r["wins"] is None else f"{r['wins']}/{r['pairs']}"
-        iqr = "-" if r["parent_iqr"] is None else f"{100 * r['parent_iqr']:.1f}%"
+        beyond = "yes" if r["beyond_iqr"] else "no"
         lines.append(f"{r['metric']:<22} {old:>32} {new:>32} {_pct(r['delta']):>7}"
-                     f" {iqr:>6} {wins:>6}  {'yes' if r['beyond_iqr'] else 'no'}")
+                     f" {_share(r['parent_iqr']):>6} {wins:>6}  {beyond}")
+    return "\n".join(lines)
+
+
+def verdicts(rows, doc) -> dict:
+    """End-to-end metric -> "worse", "unresolved" or "ok", for the summary
+    rows of its runs, against its better direction and bound in the
+    BENCHMARK.json document doc.  A median of 0 leaves the change unknown,
+    so the verdict is unresolved."""
+    bounds = {m["name"]: (m["better"], m["bound"]) for m in doc.get("end_to_end", [])}
+    out = {}
+    for r in rows:
+        if r["metric"] not in bounds:
+            continue
+        better, bound = bounds[r["metric"]]
+        sign = 1 if better == "higher" else -1
+        if r["delta"] is not None and sign * r["delta"] < -bound:
+            out[r["metric"]] = "worse"
+        elif r["parent_iqr"] is None or r["parent_iqr"] > bound:
+            out[r["metric"]] = "unresolved"
+        else:
+            out[r["metric"]] = "ok"
+    return out
+
+
+def format_verdicts(rows, doc) -> str:
+    """One line per end-to-end metric: its verdict, the change of the medians,
+    the parent's IQR and the bound, each as a share of the parent's median."""
+    found = verdicts(rows, doc)
+    bounds = {m["name"]: m["bound"] for m in doc.get("end_to_end", [])}
+    lines = [f"{'metric':<22} {'verdict':<10} {'delta':>7} {'IQR':>6} {'bound':>6}"]
+    for r in rows:
+        if r["metric"] in found:
+            lines.append(f"{r['metric']:<22} {found[r['metric']]:<10} {_pct(r['delta']):>7}"
+                         f" {_share(r['parent_iqr']):>6} {_share(bounds[r['metric']]):>6}")
     return "\n".join(lines)
 
 
@@ -144,7 +185,9 @@ def main(argv=None) -> int:
         pairs.append((got["parent"]["metrics"], got["change"]["metrics"]))
     print(f"\n{args.workload}: {len(pairs)} pairs, seeds {' '.join(map(str, args.seeds))},"
           f" {bad} runs failing their checks")
-    print(format_rows(summarise(pairs, directions(doc))))
+    rows = summarise(pairs, directions(doc))
+    print(format_rows(rows))
+    print("\n" + format_verdicts(rows, doc))
     return 1 if bad else 0
 
 
