@@ -40,18 +40,11 @@ from .projection import (
     vnorm,
 )
 from .prng import SplitMix64
-from .stochastic import (
-    is_stochastic_matrix,
-    is_stochastic_vector,
-    softmax,
-    softmax_rows,
-)
+from .stochastic import softmax_rows
 from .transformer import (
     AttentionWeights,
     ModelConfig,
     add_norm,
-    assembled_attention,
-    assembled_attention_qk,
     attention_nominal,
     causal_mask,
     df_add_norm,
@@ -61,7 +54,6 @@ from .transformer import (
     encoder_block,
     encoder_stack,
     ffn_nominal,
-    multi_head_nominal,
     positional_encoding,
     proj_pad_pipeline,
     qkv_nominal,

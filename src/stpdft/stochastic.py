@@ -1,28 +1,19 @@
-"""Softmax and stochasticity predicates.
+"""The row softmax of attention.
 
-softmax_rows is the one masked softmax and softmax its one-row case; -inf
-entries are mask sentinels that map to exact zeros, while every other
-operation in the library rejects non-finite input.
+softmax_rows is the one masked softmax; -inf entries are mask sentinels
+that map to exact zeros, while every other operation in the library rejects
+non-finite input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import as_matrix, as_vector
 from .errors import DegenerateRowError, NonFiniteError
 
 # A shifted score at or below this is a dead lane: np.exp(x) is +0.0 for
 # every x <= -745.1332191019412 (below ln 2**-1075), -inf included.
 _EXP_CUT = -750.0
-
-
-def softmax(x) -> np.ndarray:
-    """Stable softmax of a vector: softmax_rows of the one-row matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or len(x) < 1:
-        raise ValueError(f"softmax expects a nonempty 1-D vector, got shape {x.shape}")
-    return softmax_rows(x[None, :])[0]
 
 
 def softmax_rows(E) -> np.ndarray:
@@ -53,15 +44,3 @@ def softmax_rows(E) -> np.ndarray:
     live = D > _EXP_CUT
     e = np.exp(D, out=D) if live.all() else np.exp(D, out=np.zeros(D.shape), where=live)
     return np.divide(e, e.sum(axis=1, keepdims=True), out=e)
-
-
-def is_stochastic_vector(x, tol: float = 1e-9) -> bool:
-    """Entries >= -tol and total within tol of 1."""
-    x = as_vector(x)
-    return bool(np.all(x >= -tol) and abs(x.sum() - 1.0) <= tol)
-
-
-def is_stochastic_matrix(A, tol: float = 1e-9) -> bool:
-    """Every column is a stochastic vector (nonnegative, unit sum)."""
-    A = as_matrix(A)
-    return all(is_stochastic_vector(A[:, j], tol) for j in range(A.shape[1]))

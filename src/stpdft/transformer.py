@@ -2,10 +2,10 @@
 
 The fixed-length ("nominal") half is the textbook stack: sinusoidal
 positional encoding, Q/K/V maps, scaled dot-product attention with an
-optional additive mask, multi-head concat, residual add + normalization,
-and a two-layer feed-forward.  The ragged half replaces every linear stage
-with its projection-based counterpart so each sequence keeps its own
-length end to end:
+optional additive mask, residual add + normalization, and a two-layer
+feed-forward.  The ragged half replaces every linear stage with its
+projection-based counterpart so each sequence keeps its own length end to
+end:
 
     zero_pad_pipeline   pad with zeros, transform, truncate (the baseline)
     proj_pad_pipeline   resample via least-distance projection instead
@@ -19,7 +19,7 @@ length end to end:
 When every sequence already has the nominal length, proj_pad_pipeline,
 dv_attention, df_add_norm and df_ffn agree with qkv_nominal,
 attention_nominal, add_norm and ffn_nominal to roundoff; dv_multi_head sums
-the heads, which multi_head_nominal Kronecker-concatenates instead.
+the heads and has no fixed-length counterpart here.
 """
 
 from __future__ import annotations
@@ -108,11 +108,10 @@ class AttentionWeights:
     """All learnable matrices of one encoder block (forward-only).
 
     wq/wk/wv act on individual sequence vectors (nominal-dim square).
-    head_q/head_k/head_v are optional per-head maps: feature-space maps
-    (r_i x n) in the nominal multi-head, batch-mixing (s x s) maps applied
-    through diamond in the ragged block.  out_map is the single linear map
-    after the nominal concat; out_maps are the per-component maps after the
-    ragged combine.  ffn_* and the norm parameters feed the tail of a block.
+    head_q/head_k/head_v are optional per-head batch-mixing (s x s) maps,
+    applied through diamond; out_maps are the per-component maps after the
+    combine of the heads.  ffn_* and the norm parameters feed the tail of a
+    block.
 
     eps is a setting, not a weight: encoder_block reads ModelConfig.eps.  It
     stays here as a class constant equal to that default because perfbench's
@@ -125,7 +124,6 @@ class AttentionWeights:
     head_q: tuple | None = None
     head_k: tuple | None = None
     head_v: tuple | None = None
-    out_map: np.ndarray | None = None
     out_maps: tuple | None = None
     ffn_w1: np.ndarray | None = None
     ffn_w2: np.ndarray | None = None
@@ -207,46 +205,6 @@ def attention_nominal(Q, K, V, scale: str = "sqrt-n", mask=None,
     return (out, A) if return_weights else out
 
 
-def multi_head_nominal(Q, K, V, w: AttentionWeights, scale: str = "sqrt-n",
-                       mask=None) -> np.ndarray:
-    """Per-head feature maps, attention per head, Kronecker concat, output map.
-
-    Head i applies w.head_q[i] (shape r_i x n) to every row of Q (likewise
-    K, V), runs attention_nominal with the scale mode scale, and contributes
-    a row block of length r_i; the concat of sequence j is the Kronecker
-    product of the heads' rows j, of length r = prod(r_i).  w.out_map (shape r0*s x r*s) then maps the stacked
-    concat to the stacked output; None means identity.
-    """
-    Q, K, V = as_matrix(Q, "Q"), as_matrix(K, "K"), as_matrix(V, "V")
-    s, n = Q.shape
-    if _head_count(w) is None:
-        heads = [(Q, K, V)]
-    else:
-        heads = []
-        for i, maps in enumerate(zip(w.head_q, w.head_k, w.head_v)):
-            heads.append(tuple(P @ as_matrix(T, f"head {i + 1} {name} map", (None, n)).T
-                               for P, name, T in zip((Q, K, V), "qkv", maps)))
-
-    outs = [attention_nominal(q, k, v, scale=scale, mask=mask) for q, k, v in heads]
-    r = math.prod(o.shape[1] for o in outs)
-    _check_budget(r, s, what="concat size")
-    rows = []
-    for j in range(s):
-        c = outs[0][j]
-        for o in outs[1:]:
-            c = np.kron(c, o[j])
-        rows.append(c)
-    C = np.stack(rows)
-    if w.out_map is None:
-        return C
-    M = as_matrix(w.out_map, "out_map")
-    if M.shape[1] != r * s or M.shape[0] % s != 0:
-        raise ShapeError(
-            f"out_map is {M.shape[0]} x {M.shape[1]}, expected (r0*{s}) x {r * s}"
-        )
-    return (M @ C.reshape(-1)).reshape(s, -1)
-
-
 def _head_count(w: AttentionWeights):
     """How many head maps w carries: None when head_q, head_k and head_v are
     all None, else their one count; ShapeError when the three differ."""
@@ -257,12 +215,13 @@ def _head_count(w: AttentionWeights):
 
 
 def _normalize(v, gamma: float, beta: float, eps: float) -> np.ndarray:
-    """Center, then divide by sqrt(spread + eps) where the spread is the
-    root of the centered sum of squares divided by the entry count."""
+    """Center over the last axis, then divide by sqrt(spread + eps) where the
+    spread is the root of the centered sum of squares over that axis divided
+    by its length: each row of a matrix on its own, a 1-D v as a whole."""
     v = np.asarray(v, dtype=float)
-    e = v.mean()
-    spread = math.sqrt(float(((v - e) ** 2).sum())) / v.size
-    return (v - e) / math.sqrt(spread + eps) * gamma + beta
+    c = v - v.mean(axis=-1, keepdims=True)
+    spread = np.sqrt((c ** 2).sum(axis=-1, keepdims=True)) / v.shape[-1]
+    return c / np.sqrt(spread + eps) * gamma + beta
 
 
 def add_norm(X, F, mode: str = "vector-wise", gamma: float = 1.0, beta: float = 0.0,
@@ -274,12 +233,11 @@ def add_norm(X, F, mode: str = "vector-wise", gamma: float = 1.0, beta: float = 
     """
     X = as_matrix(X, "X")
     F = as_matrix(F, "F", X.shape)
+    if mode not in NORM_MODES:
+        raise ValueError(f"norm mode must be one of {NORM_MODES}, got {mode!r}")
     Y = relu(X + F)
-    if mode == "vector-wise":
-        return np.stack([_normalize(row, gamma, beta, eps) for row in Y])
-    if mode == "layer-wise":
-        return _normalize(Y, gamma, beta, eps)
-    raise ValueError(f"norm mode must be one of {NORM_MODES}, got {mode!r}")
+    pooled = Y if mode == "vector-wise" else Y.reshape(-1)
+    return _normalize(pooled, gamma, beta, eps).reshape(Y.shape)
 
 
 def ffn_nominal(X, w1, w2, b1=None, b2=None) -> np.ndarray:
@@ -299,24 +257,6 @@ def ffn_nominal(X, w1, w2, b1=None, b2=None) -> np.ndarray:
     if b2 is not None:
         out = out + project(as_vector(b2, "ffn b2"), w2.shape[0])[:, None]
     return out
-
-
-def assembled_attention(X, wq, wk, wv) -> np.ndarray:
-    """One-shot self-attention with the softmax taken last:
-    softmax_rows(X Wq^T Wk X^T X Wv^T).  Only Wq^T Wk matters, and scaling
-    that product by c while scaling Wv by 1/c changes nothing."""
-    X = as_matrix(X, "X")
-    n = X.shape[1]
-    wq, wk, wv = (as_matrix(W, name, (n, n)) for name, W in (("wq", wq), ("wk", wk), ("wv", wv)))
-    return assembled_attention_qk(X, wq.T @ wk, wv)
-
-
-def assembled_attention_qk(X, wqk, wv) -> np.ndarray:
-    """assembled_attention parameterized directly by the product Wq^T Wk."""
-    X = as_matrix(X, "X")
-    wqk = as_matrix(wqk, "wqk")
-    wv = as_matrix(wv, "wv")
-    return softmax_rows(X @ wqk @ X.T @ X @ wv.T)
 
 
 # --- ragged (dimension-free) stages -----------------------------------------

@@ -13,8 +13,6 @@ import numpy as np
 from stpdft import (
     HyperVector,
     attention_nominal,
-    assembled_attention,
-    assembled_attention_qk,
     bridge_matrix,
     diamond,
     diamond_vectorized,
@@ -39,6 +37,7 @@ from stpdft.worked_examples import (
     recomputed_table,
     walkthrough_a_result,
 )
+from paper_forms import assembled_attention, assembled_attention_qk
 
 RNG_SEED = 987654321
 

@@ -23,7 +23,7 @@ from stpdft import (
 from stpdft import algebra, projection
 from stpdft.algebra import as_lengths
 from stpdft.projection import proj_matrix, project, vdist, vinner
-from stpdft.stochastic import is_stochastic_matrix, is_stochastic_vector
+from paper_forms import is_stochastic_matrix, is_stochastic_vector
 
 
 def kron_bridge(n, p):

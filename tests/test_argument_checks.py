@@ -10,13 +10,11 @@ import pytest
 
 import stpdft
 from stpdft import (
-    AttentionWeights,
     HyperVector,
     ModelConfig,
     ShapeError,
     SizeBudgetError,
     add_norm,
-    assembled_attention,
     attention_nominal,
     causal_mask,
     df_add_norm,
@@ -27,11 +25,11 @@ from stpdft import (
     encoder_block,
     encoder_stack,
     ffn_nominal,
-    multi_head_nominal,
     positional_encoding,
     proj_pad_pipeline,
     zero_pad_pipeline,
 )
+from paper_forms import AttentionWeights, assembled_attention, multi_head_nominal
 
 
 def _ones(*shape):
@@ -270,3 +268,22 @@ def test_every_import_is_used_and_every_private_name_is_referenced():
                 unreferenced.append((module, name))
     assert unused_imports == []
     assert unreferenced == []
+
+
+# project_batch is the checked public form of projection._resample, which
+# every stage calls instead; README defines project's bytes against it.
+EXPORTED_FOR_THE_README = {"project_batch"}
+
+
+def test_every_export_is_read_outside_the_tests():
+    # A public name that only the tests read is a paper form: it belongs
+    # in tests/paper_forms.py, not in the package.
+    package = Path(stpdft.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {a.asname or a.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    readers = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    readers += sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    read = set().union(*(_loaded_names(ast.parse(p.read_text(), p.name)) for p in readers))
+    assert sorted(exported - read - EXPORTED_FOR_THE_README) == []

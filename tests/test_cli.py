@@ -1,5 +1,6 @@
 import argparse
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import io
@@ -38,12 +39,25 @@ def write_batch(path, sequences):
     return str(path)
 
 
+def _blas_kernel() -> str:
+    """The GEMM kernel OpenBLAS picked for this CPU at run time, read from
+    numpy's bundled scipy-openblas; "unknown" when it has no such library."""
+    for path in sorted(Path(np.__file__).parent.parent.glob(
+            "numpy.libs/libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
 def _environment() -> str:
-    """The Python, numpy and BLAS versions and the machine this process runs on."""
+    """The Python, numpy and BLAS versions, the BLAS kernel and the machine
+    this process runs on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (f"Python {platform.python_version()}, numpy {np.__version__} and"
-            f" {blas.get('name')} {blas.get('version')} on {platform.machine()}"
-            f" ({platform.platform()})")
+            f" {blas.get('name')} {blas.get('version')} (kernel {_blas_kernel()})"
+            f" on {platform.machine()} ({platform.platform()})")
 
 
 RAGGED = [[0.1, -0.3, 0.5], [0.2, 0.4, -0.1, 0.7], [1.0, -1.0], [0.0, 0.5, 0.25]]
@@ -126,9 +140,11 @@ class TestForwardCommand:
     # SHA-256 of `stpdft forward --seed 42` on the acceptance-11 batch.  A
     # speed-up must keep every output byte, so an edit that moves a float sum
     # (association, summation order, a fused GEMM) fails here.  The digests
-    # depend on the environment (numpy and its BLAS, the CPU); elsewhere than
-    # RECORDED_UNDER, record them again from an unchanged checkout.
-    RECORDED_UNDER = "Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31 on x86_64"
+    # depend on the environment (numpy, its BLAS and the kernel OpenBLAS
+    # picks for the CPU); elsewhere than RECORDED_UNDER, record them again
+    # from an unchanged checkout.
+    RECORDED_UNDER = ("Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31"
+                      " (kernel SkylakeX) on x86_64")
     PINNED_DIGESTS = {
         (): "837308b3e3366bcab310c555e56afd76e33add2101197ebafb41fb7ac31b8c23",
         ("--mask", "causal", "--layers", "3"):

@@ -10,13 +10,11 @@ from stpdft import (
     DegenerateRowError,
     NonFiniteError,
     causal_mask,
-    is_stochastic_matrix,
-    is_stochastic_vector,
-    softmax,
     softmax_rows,
     stochastic,
     weighted_dk_stp,
 )
+from paper_forms import is_stochastic_matrix, is_stochastic_vector, softmax
 
 
 def masked_softmax_oracle(row):

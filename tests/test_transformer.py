@@ -7,18 +7,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpdft import (
-    AttentionWeights,
     HyperVector,
     ModelConfig,
     NonFiniteError,
     ShapeError,
     add_norm,
-    assembled_attention,
-    assembled_attention_qk,
     attention_nominal,
     causal_mask,
     df_add_norm,
@@ -34,7 +31,6 @@ from stpdft import (
     hyper_add_listwise,
     hyper_inner,
     hyper_inner_weighted,
-    multi_head_nominal,
     nominal_add,
     positional_encoding,
     proj_matrix,
@@ -49,6 +45,8 @@ from stpdft import algebra, hypervector, projection, transformer
 from stpdft.transformer import PADDING_MODES, _normalize, _qkv_hyper, relu
 from test_hypervector import cauchy_schwarz_scale, oracle_gram
 from test_projection import resample_profiles
+from paper_forms import (AttentionWeights, add_norm_rows, assembled_attention,
+                         assembled_attention_qk, multi_head_nominal)
 
 
 class TestPositionalEncoding:
@@ -234,6 +232,31 @@ class TestAddNorm:
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             add_norm(rng.normal(size=(2, 3)), rng.normal(size=(3, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 140), st.integers(0, 2**32 - 1),
+           st.sampled_from(["vector-wise", "layer-wise"]),
+           st.one_of(st.sampled_from([1.0, -1.0, 0.0, -0.0]), st.floats(-1e3, 1e3)),
+           st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+           st.one_of(st.just(1e-3), st.floats(1e-300, 1e3)))
+    @example(1, 140, 1, "vector-wise", 1.0, -0.0, 1e-3)
+    @example(70, 1, 2, "vector-wise", -0.0, 0.0, 1e-3)
+    @example(1, 1, 3, "layer-wise", 1.5, -0.0, 1e-300)
+    def test_bytes_match_the_per_row_loop(self, s, n, seed, mode, gamma, beta, eps):
+        # Signed zeros, rows of equal entries and rows relu clears entirely
+        # are mixed in, so both the centring and the zero spread are reached.
+        rng = np.random.default_rng(seed)
+        X, F = rng.normal(size=(2, s, n))
+        kind = rng.integers(0, 4, size=(s, n))
+        X[kind == 1], F[kind == 1] = -0.0, -0.0
+        X[kind == 2], F[kind == 2] = 0.0, -0.0
+        X[rng.random(s) < 0.2] = -50.0  # relu clears the row
+        flat = rng.random(s) < 0.2
+        X[flat], F[flat] = 2.5, 0.0
+        got = add_norm(X, F, mode, gamma, beta, eps)
+        want = add_norm_rows(X, F, mode, gamma, beta, eps)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFfnNominal:
