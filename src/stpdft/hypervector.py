@@ -73,7 +73,8 @@ class HyperVector:
 
     def _adopt(self, buf, dims):
         finite = np.isfinite(buf)
-        if not finite.all():
+        # ndarray.all would reduce through numpy's Python-level _methods.
+        if not np.logical_and.reduce(finite):
             bad = int(np.searchsorted(np.cumsum(dims), np.argmin(finite), "right"))
             raise NonFiniteError(f"component {bad + 1} contains non-finite entries")
         buf.flags.writeable = False

@@ -24,6 +24,7 @@ the heads and has no fixed-length counterpart here.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -224,17 +225,29 @@ def _normalize(v, gamma: float, beta: float, eps: float) -> np.ndarray:
     return c / np.sqrt(spread + eps) * gamma + beta
 
 
+def _check_gamma_beta(gamma, beta):
+    """ShapeError naming gamma or beta when it is not a real scalar, a Python
+    or numpy int or float but not a bool: the two scale and shift every
+    entry alike, and an array would broadcast against the entries."""
+    for name, v in (("gamma", gamma), ("beta", beta)):
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            shape = f" of shape {v.shape}" if isinstance(v, np.ndarray) else ""
+            raise ShapeError(f"{name} must be a real scalar, got {type(v).__name__}{shape}")
+
+
 def add_norm(X, F, mode: str = "vector-wise", gamma: float = 1.0, beta: float = 0.0,
              eps: float = 1e-3) -> np.ndarray:
     """relu(X + F), then normalization, for same-shape stacked batches.
 
     vector-wise normalizes each sequence (row) over its own entries;
-    layer-wise pools every entry of the batch.
+    layer-wise pools every entry of the batch.  gamma and beta are real
+    scalars.
     """
     X = as_matrix(X, "X")
     F = as_matrix(F, "F", X.shape)
     if mode not in NORM_MODES:
         raise ValueError(f"norm mode must be one of {NORM_MODES}, got {mode!r}")
+    _check_gamma_beta(gamma, beta)
     Y = relu(X + F)
     pooled = Y if mode == "vector-wise" else Y.reshape(-1)
     return _normalize(pooled, gamma, beta, eps).reshape(Y.shape)
@@ -296,9 +309,10 @@ def _pipeline(X: HyperVector, W, d: int, dims_out, padding: str) -> HyperVector 
         dims_out = as_lengths(dims_out, "output dims", count=X.batch_size)
     d = as_lengths((d,), "nominal dim")[0]
     Ws = [as_matrix(Wk, "transform", (d, d)) for Wk in (W if isinstance(W, tuple) else (W,))]
-    d_min = max(max(X.dims), max(dims_out))
-    if padding == "zero" and d < d_min:
-        raise ShapeError(f"zero padding cannot shrink: d={d} < required {d_min}")
+    if padding == "zero":
+        d_min = max(max(X.dims), max(dims_out))
+        if d < d_min:
+            raise ShapeError(f"zero padding cannot shrink: d={d} < required {d_min}")
     padded = _pad(X, d, padding)
     outs = tuple(HyperVector._owned(_unpad(padded @ Wk.T, dims_out, padding), dims_out)
                  for Wk in Ws)
@@ -348,7 +362,8 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
 
     Component k of the result is sum_i weights[i] * project(head_i[k],
     target_dims[k]) (weights default to all ones), optionally followed by a
-    per-component linear map out_maps[k].
+    per-component linear map out_maps[k].  A weight of exactly 1.0 is not
+    multiplied in, since x * 1.0 is x, bit for bit.
     """
     heads = list(heads)
     if not heads:
@@ -370,7 +385,8 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
         raise ValueError("head weights must be nonnegative")
     acc = 0.0  # not the first term: 0.0 + x turns each -0.0 into +0.0
     for wgt, h in zip(weights, heads):
-        acc = acc + wgt * _resample(h.buffer, h.dims, target_dims)
+        term = _resample(h.buffer, h.dims, target_dims)
+        acc = acc + (term if wgt == 1.0 else wgt * term)
     if out_maps is None:
         return HyperVector._owned(acc, target_dims)
     if len(out_maps) != s:
@@ -390,38 +406,60 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
     return HyperVector(mapped)
 
 
+@functools.lru_cache(maxsize=1)
+def _segments(dims: tuple):
+    """Read-only (n, starts, d) of a profile, memoised for the last one: the
+    lengths, the offsets np.add.reduceat sums each component from, and the
+    shared length d, or None when the lengths differ."""
+    n = np.array(dims)
+    starts = np.cumsum(n) - n
+    n.flags.writeable = starts.flags.writeable = False
+    return n, starts, (dims[0] if dims == (dims[0],) * len(dims) else None)
+
+
 def df_add_norm(X: HyperVector, F: HyperVector, mode: str = "vector-wise",
                 gamma: float = 1.0, beta: float = 0.0, eps: float = 1e-3) -> HyperVector:
     """Ragged residual add-and-norm: the skip input is projected onto the
     branch profile, added, rectified, and normalized (per component or
-    pooled over every entry).
+    pooled over every entry).  gamma and beta are real scalars.
 
     Everything runs on the addition form: vector-wise mode applies
     _normalize's formula to every component at once, in place on the sum,
     taking the per-component sums with np.add.reduceat; layer-wise mode
-    applies _normalize to it.
+    applies _normalize to it.  Two shortcuts keep every byte.  With equal
+    lengths d the per-component mean and scale act on the (s, d) view of
+    the sum by broadcasting, which performs the same subtract or divide on
+    each entry as one against the repeated array.  A gamma of exactly 1.0
+    is not multiplied in, since x * 1.0 is x.
     """
     if X.batch_size != F.batch_size:
         raise ShapeError(
             f"batch sizes differ: {X.batch_size} skip vs {F.batch_size} branch"
         )
+    _check_gamma_beta(gamma, beta)
     Z = _resample(X.buffer, X.dims, F.dims) + F.buffer
     np.maximum(Z, 0.0, out=Z)
     if mode == "vector-wise":
-        n = np.array(F.dims)
-        starts = np.cumsum(n) - n
-        Z -= np.repeat(np.add.reduceat(Z, starts) / n, n)
+        n, starts, d = _segments(F.dims)
+        rows = Z if d is None else Z.reshape(-1, d)
+        rows -= _per_entry(np.add.reduceat(Z, starts) / n, n, d)
         spread = np.sqrt(np.add.reduceat(Z * Z, starts)) / n
-        Z /= np.repeat(np.sqrt(spread + eps), n)
-        Z *= gamma  # the bits of Z / r * gamma + beta; a gamma or beta
-        Z += beta  # that does not fit Z raises here
+        rows /= _per_entry(np.sqrt(spread + eps), n, d)
+        if gamma != 1.0:  # the bits of Z / r * gamma + beta
+            Z *= gamma
+        Z += beta
     elif mode == "layer-wise":
         Z = _normalize(Z, gamma, beta, eps)
-        if Z.shape != F.buffer.shape:
-            raise ShapeError(f"gamma or beta widens the output to shape {Z.shape}")
     else:
         raise ValueError(f"norm mode must be one of {NORM_MODES}, got {mode!r}")
     return HyperVector._owned(Z, F.dims)
+
+
+def _per_entry(v, n, d):
+    """v, one value per component, spread over the entries of the rows
+    df_add_norm normalizes: a column for the (s, d) view of equal lengths
+    d, else np.repeat(v, n) over the addition form."""
+    return np.repeat(v, n) if d is None else v[:, None]
 
 
 def df_ffn(X: HyperVector, w1, w2, b1=None, b2=None) -> HyperVector:

@@ -142,6 +142,36 @@ def test_argument_checks_name_the_argument(call, kind, words):
     assert words in str(info.value)
 
 
+# Both add-norms on a 4 x 3 batch, stacked (add_norm) or as a hypervector.
+ADD_NORMS = {"add_norm": lambda mode, g, b: add_norm(_ones(4, 3), _ones(4, 3), mode, g, b),
+             "df_add_norm": lambda mode, g, b: df_add_norm(_hyper(3, 3, 3, 3),
+                                                           _hyper(3, 3, 3, 3), mode, g, b)}
+
+
+@pytest.mark.parametrize("mode", ["vector-wise", "layer-wise"])
+@pytest.mark.parametrize("function", ADD_NORMS)
+@pytest.mark.parametrize("name", ["gamma", "beta"])
+@pytest.mark.parametrize("bad", [_ones(3), _ones(4, 1), _ones(1, 1), True],
+                         ids=["n", "s-by-1", "1-by-1", "bool"])
+def test_gamma_and_beta_must_be_real_scalars(mode, function, name, bad):
+    args = {"gamma": 1.0, "beta": 0.0, name: bad}
+    with pytest.raises(ShapeError) as info:
+        ADD_NORMS[function](mode, args["gamma"], args["beta"])
+    assert type(info.value) is ShapeError
+    assert str(info.value).startswith(f"{name} must be a real scalar")
+
+
+@pytest.mark.parametrize("mode", ["vector-wise", "layer-wise"])
+@pytest.mark.parametrize("function", ADD_NORMS)
+def test_python_and_numpy_reals_are_accepted(mode, function):
+    def run(gamma, beta):
+        out = ADD_NORMS[function](mode, gamma, beta)
+        return getattr(out, "buffer", out).tobytes()
+
+    for gamma, beta in ((2, np.float32(0.5)), (np.float64(2.0), np.int64(0)), (np.int8(2), -1)):
+        assert run(gamma, beta) == run(float(gamma), float(beta))
+
+
 class _Sites(ast.NodeVisitor):
     """Collects (module, innermost function, what) sites of one module."""
 

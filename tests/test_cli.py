@@ -163,6 +163,39 @@ class TestForwardCommand:
         assert digest == self.PINNED_DIGESTS[flags], (
             f"digests recorded under {self.RECORDED_UNDER}; this run: {_environment()}")
 
+    # OpenBLAS kernels a child can be forced onto, with the CPU flag each needs.
+    KERNEL_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx"}
+
+    @pytest.mark.parametrize("kernel", list(KERNEL_FLAGS))
+    def test_seeded_runs_agree_within_each_blas_kernel(self, tmp_path, kernel):
+        # The bytes may differ between kernels, never between two runs on one.
+        if _blas_kernel() == "unknown":
+            pytest.skip("numpy's BLAS reports no kernel (no corename symbol)")
+        try:
+            cpuinfo = Path("/proc/cpuinfo").read_text()
+        except OSError:
+            pytest.skip("no /proc/cpuinfo to read the CPU flags from")
+        flags = {f for line in cpuinfo.splitlines() if line.startswith("flags")
+                 for f in line.partition(":")[2].split()}
+        if self.KERNEL_FLAGS[kernel] not in flags:
+            pytest.skip(f"the CPU lacks {self.KERNEL_FLAGS[kernel]}, which {kernel} needs")
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel}
+        child = subprocess.run(
+            [sys.executable, "-c", "from test_cli import _blas_kernel; print(_blas_kernel())"],
+            cwd=Path(__file__).resolve().parent, env=env, capture_output=True, text=True)
+        assert child.stdout.strip() == kernel, child.stderr
+        batch = write_batch(tmp_path / "batch.json", RAGGED)
+        outs = []
+        for k in range(2):
+            out = tmp_path / f"o{k}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "stpdft", "forward", batch, "--seed", "42", "--mask",
+                 "causal", "--layers", "2", "--out", str(out)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     # SHA-256 of the examples report at two seeds, of `forward` with a weights
     # file that uses every matrix name, of a seeded two-head `forward`, and of
     # a seeded causal two-layer `forward` on an all-equal-lengths batch in each

@@ -1121,6 +1121,42 @@ class TestSkippedResamples:
         assert bands == [((3, 3), (4, 4))]
 
 
+class TestEqualLengthPath:
+    """On an all-equal-length batch at the nominal length every resample is
+    the identity and every score a plain product, so a forward pass builds no
+    band plan of any kind."""
+
+    PLANS = ("_resample_band", "_gram_layout", "_gram_plan", "_band_rows")
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("norm_mode", ["vector-wise", "layer-wise"])
+    @pytest.mark.parametrize("padding", PADDING_MODES)
+    def test_encoder_stack_builds_no_band_plan(self, rng, monkeypatch, padding, norm_mode,
+                                               heads):
+        s, d = 5, 4
+        w = two_head_weights(rng, s, d, d)
+        if heads == 1:
+            w = dataclasses.replace(w, head_q=None, head_k=None, head_v=None)
+        cfg = ModelConfig(batch_size=s, nominal_dim=d, heads=heads, padding=padding,
+                          mask="causal", layers=2, norm_mode=norm_mode)
+        X = HyperVector.from_matrix(rng.normal(size=(s, d)))
+        want = encoder_stack(X, [w], cfg)
+
+        def refuse(*args):
+            raise AssertionError(f"a band plan was built for {args}")
+
+        # Every module that binds a plan builder, so no alias escapes.
+        for module in (algebra, projection, hypervector, transformer):
+            for name in self.PLANS:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert same_bytes(encoder_stack(X, [w], cfg), want)
+        # The patches are live: one component of another length reaches them.
+        ragged = HyperVector(rng.normal(size=s * d - 1), (d,) * (s - 1) + (d - 1,))
+        with pytest.raises(AssertionError, match="band plan"):
+            encoder_stack(ragged, [w], cfg)
+
+
 class TestAdoptedOutputs:
     """Stage outputs adopt the buffer the stage computed: each is fresh,
     read-only and checked for non-finite entries in that stage."""
@@ -1178,8 +1214,15 @@ class TestAdoptedOutputs:
         assert info.traceback[-1].name == "_adopt"
 
     @settings(max_examples=60, deadline=None)
-    @given(stage_profiles(), st.floats(0.1, 3.0), st.floats(-2.0, 2.0),
-           st.sampled_from([1e-3, 1e-6]))
+    @given(stage_profiles(), st.one_of(st.just(1.0), st.floats(0.1, 3.0)),
+           st.floats(-2.0, 2.0), st.sampled_from([1e-3, 1e-6]))
+    # Equal lengths take the broadcast branch, and a gamma of 1.0 skips its
+    # multiply: both against the out-of-place formula of the ragged branch.
+    @example(((4,) * 5, 7), 1.0, 0.0, 1e-3)
+    @example(((1,) * 3, 8), 1.0, -0.0, 1e-6)
+    @example(((9,), 9), 2.5, 0.5, 1e-3)
+    @example(((6,) * 6, 10), 0.5, -1.5, 1e-6)
+    @example(((3, 5, 3), 11), 1.0, 0.25, 1e-3)
     def test_in_place_vector_wise_keeps_the_bits(self, case, gamma, beta, eps):
         # The out-of-place formula, one fresh array per step.
         dims, seed = case
