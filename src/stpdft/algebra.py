@@ -14,13 +14,17 @@ All of them reduce to the ordinary product/sum when the shapes already
 conform.  ``bridge_matrix(n, p)`` is the fixed middle factor that turns
 dk_stp into an ordinary triple product: dk_stp(A, B) == A @ bridge @ B.
 It is defined by lcm-sized Kronecker factors, but its entries are interval
-overlaps, which the private ``_band_rows`` alone computes, row by row for
-many length pairs at once; every bridge and projection matrix and every
-band plan is expanded from its rows.  Only stp and sta, whose results are
-lcm-sized by definition, expand to the lcm, and sta builds only its result.
-The bridge factors and ``projection.project`` of a pair read one memoised
-band (``_pair_band``) that holds the last pair's n + p entries of 24 B at
-most, bounded by no budget; ``bridge_band`` is uncached.
+overlaps, the band that ``bridge_band`` lists.  Two functions compute it,
+chosen by the input.  One pair of scalar lengths, the band of every bridge
+and projection matrix and of every one-pair kernel, takes the closed form
+of ``_one_pair_band``: a few integer operations per entry.  Arrays of
+pairs, the band plans of ``projection``, take the row-level ``_band_rows``:
+a few per row, cheaper there because a plan has fewer rows than entries.
+Only stp and sta, whose results are lcm-sized by definition, expand to the
+lcm, and sta builds only its result.  The bridge factors and
+``projection``'s one-pair kernels read one memoised band (``_pair_band``)
+that holds the last pair's n + p entries of 24 B at most, bounded by no
+budget; ``bridge_band`` is uncached.
 
 Matrices are plain 2-D float ndarrays, vectors 1-D.  Results depend on the
 arguments alone; nothing here mutates its inputs.  Lengths are never
@@ -78,12 +82,20 @@ def as_vector(x, name="vector") -> np.ndarray:
     return x
 
 
+def _length(d) -> int:
+    """d by operator.index, which takes True for 1, so a bool raises first."""
+    if type(d) is bool:
+        raise TypeError("a bool is not a length")
+    return operator.index(d)
+
+
 def as_lengths(dims, name="dims", count=None) -> tuple:
     """The profile dims as a tuple of positive Python ints, each converted by
-    operator.index: a non-integer length raises TypeError; an empty profile,
-    one of other than count lengths, or a length below 1 raises ShapeError."""
+    operator.index: a non-integer or bool length raises TypeError; an empty
+    profile, one of other than count lengths, or a length below 1 raises
+    ShapeError."""
     try:
-        lengths = tuple(map(operator.index, dims))
+        lengths = tuple(map(_length, dims))
     except TypeError as exc:
         raise TypeError(f"{name} must be integer lengths ({exc})") from None
     if not lengths:
@@ -171,10 +183,10 @@ def _scatter_bridge(n, p, scale=None):
     return out
 
 
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=1)
 def _pair_band(n, p):
-    """Read-only int64 (i, j, w) of bridge_band(n, p), n <= p, memoised; typed,
-    so a bool length still misses and raises."""
+    """Read-only int64 (i, j, w) of bridge_band(n, p), n <= p Python ints
+    (_band converts every length), memoised."""
     band = bridge_band(n, p)[1:]
     for arr in band:
         arr.flags.writeable = False
@@ -182,11 +194,12 @@ def _pair_band(n, p):
 
 
 def _band(n, p):
-    """(i, j, w) of bridge_band(n, p) from _pair_band of the unordered pair
-    (0-d array lengths keyed by their items), i and j swapped when n > p: the
-    same bytes, by pair_band's swap rule."""
-    if isinstance(n, np.ndarray) or isinstance(p, np.ndarray):
-        n, p = np.asarray(n).item(), np.asarray(p).item()
+    """(i, j, w) of bridge_band(n, p) from _pair_band of the unordered pair,
+    i and j swapped when n > p: the same bytes, by pair_band's swap rule.
+    Every integer length (a numpy integer or a 0-d array too) is keyed as a
+    Python int by as_lengths, so the kinds share one entry and a bool raises."""
+    if type(n) is not int or type(p) is not int:
+        n, p = as_lengths((n, p), "bridge_band lengths")
     i, j, w = _pair_band(min(n, p), max(n, p))
     return (i, j, w) if n <= p else (j, i, w)
 
@@ -194,17 +207,67 @@ def _band(n, p):
 def bridge_band(n, p):
     """Nonzeros of bridge_matrix(n[k], p[k]) for every length pair k at once.
 
-    n and p are equal-length integer arrays.  Returns integer arrays
-    (k, i, j, w), one entry per nonzero: pair k, row i, column j and the
-    overlap w = min((i+1) p, (j+1) n) - max(i p, j n) of [i p, (i+1) p) and
-    [j n, (j+1) n), the entry's share of [0, t) in units of 1/(n p); that is
-    bridge_matrix(n, p)[i, j] * gcd(n, p).  Row i of a pair spans columns
-    i p // n .. ((i+1) p - 1) // n, so pair k has n + p - gcd(n, p) entries.
-    They are listed pair by pair in the order they cover [0, n p).
+    n and p are equal-length integer arrays, or two integers for one pair.
+    Returns int64 arrays (k, i, j, w), one entry per nonzero: pair k, row i,
+    column j and the overlap w = min((i+1) p, (j+1) n) - max(i p, j n) of
+    [i p, (i+1) p) and [j n, (j+1) n), the entry's share of [0, t) in units
+    of 1/(n p); that is bridge_matrix(n, p)[i, j] * gcd(n, p).  Row i of a
+    pair spans columns i p // n .. ((i+1) p - 1) // n, so pair k has
+    n + p - gcd(n, p) entries.  They are listed pair by pair in the order
+    they cover [0, n p).
+
+    Two integers take the closed form (_one_pair_band), arrays the row-level
+    _band_rows; both give the same bytes.  With g = gcd(n, p),
+    a = n/g and b = p/g, the band is g copies of the coprime (a, b) band,
+    copy c shifted by (c a, c b) with w times g.  In [0, a b) no multiple of
+    b (a row boundary) meets a multiple of a (a column boundary), so row
+    boundary k is cut number floor(k (a+b) / a), after k - 1 row and
+    floor(k b / a) column boundaries, and entry e, which starts at cut e,
+    lies in row i = floor((e+1) a / (a+b)) and column j = e - i.  Every
+    intermediate product stays below (n + p)^2, so int64 cannot wrap while
+    n + p < 3e9; beyond that the band's three int64 arrays alone would take
+    more than 70 GB.  A float or bool length raises TypeError, a length
+    below 1 ShapeError.
     """
-    size, i, count, col0, w = _band_rows(n, p)
-    k = np.arange(len(size)).repeat(size)
-    return k, i.repeat(count), np.arange(len(w)) + col0.repeat(count), w
+    n, p = np.asarray(n), np.asarray(p)
+    if n.ndim or p.ndim:
+        size, i, count, col0, w = _band_rows(n, p)
+        k = np.arange(len(size)).repeat(size)
+        return k, i.repeat(count), np.arange(len(w)) + col0.repeat(count), w
+    n, p = map(int, _int64_lengths(n, p))
+    if n < 1 or p < 1:
+        raise ShapeError("bridge_band dims must be positive")
+    return _one_pair_band(n, p)
+
+
+def _int64_lengths(n, p):
+    """n and p as int64 arrays; TypeError unless both hold integers."""
+    if n.dtype.kind not in "iu" or p.dtype.kind not in "iu":  # never truncate a length
+        raise TypeError(f"bridge_band lengths must be integers, got {n.dtype} and {p.dtype}")
+    return n.astype(np.int64, copy=False), p.astype(np.int64, copy=False)
+
+
+def _one_pair_band(n, p):
+    """bridge_band of the one pair of positive ints n and p, in closed form:
+    a few integer operations per entry (bridge_band derives the formula),
+    in place where a temporary can take the result."""
+    g = math.gcd(n, p)
+    a, b = n // g, p // g
+    e = np.arange(n + p - g)
+    if g > 1:
+        c, e = np.divmod(e, a + b - 1)  # copy c, entry e of the coprime band
+    i = e + 1
+    i *= a
+    i //= a + b
+    j = e - i
+    ib, ja = i * b, j * a
+    w = np.minimum(ib + b, ja + a)
+    w -= np.maximum(ib, ja, out=ib)
+    if g > 1:
+        i += c * a
+        j += c * b
+        w *= g
+    return np.zeros(len(w), np.int64), i, j, w
 
 
 def _band_rows(n, p):
@@ -217,10 +280,7 @@ def _band_rows(n, p):
     its last column is lo' - 1 with overlap n when r' is 0, else lo' with r'.
     Its first overlap is n - r, or p in one column; the columns between take n.
     Array methods and per-pair repeats keep numpy's fixed costs per call down."""
-    n, p = np.atleast_1d(n), np.atleast_1d(p)
-    if n.dtype.kind not in "iu" or p.dtype.kind not in "iu":  # never truncate a length
-        raise TypeError(f"bridge_band lengths must be integers, got {n.dtype} and {p.dtype}")
-    n, p = n.astype(np.int64, copy=False), p.astype(np.int64, copy=False)
+    n, p = _int64_lengths(np.atleast_1d(n), np.atleast_1d(p))
     if n.shape != p.shape or n.ndim != 1:
         raise ShapeError(f"bridge_band needs two equal-length 1-D arrays, got {n.shape}, {p.shape}")
     if min(n.min(initial=1), p.min(initial=1)) < 1:

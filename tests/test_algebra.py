@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stpdft import (
@@ -20,7 +20,7 @@ from stpdft import (
     weighted_bridge_matrix,
     weighted_dk_stp,
 )
-from stpdft import algebra, projection
+from stpdft import algebra
 from stpdft.algebra import as_lengths
 from stpdft.projection import proj_matrix, project, vdist, vinner
 from paper_forms import is_stochastic_matrix, is_stochastic_vector
@@ -227,11 +227,47 @@ class TestBridgeMatrix:
         with pytest.raises(TypeError):
             bridge_band([3, 4], np.array([2.0, 3.0]))
 
+    def test_one_pair_rejects_bad_lengths(self):
+        for n, p in ((0, 3), (3, -1), (np.int64(0), 2)):
+            with pytest.raises(ShapeError):
+                bridge_band(n, p)
+        for n, p in ((True, 3), (3, np.True_), (np.float64(2.0), 3), (np.asarray(2.5), 3)):
+            with pytest.raises(TypeError):
+                bridge_band(n, p)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_one_pair_closed_form_matches_band_rows(self, n):
+        for p in range(1, 65):
+            assert_same_band(bridge_band(n, p), bridge_band(np.array([n]), np.array([p])))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 300).flatmap(lambda g: st.tuples(
+        st.integers(1, 10**5 // g).map(lambda a: g * a),
+        st.integers(1, 10**5 // g).map(lambda b: g * b))))
+    @example((99_991, 100_003))
+    @example((2**16, 2**16 + 1))
+    @example((1, 4099))
+    @example((4099, 1))
+    @example((1, 1))
+    @example((2**17, 2**17))
+    def test_one_pair_closed_form_matches_band_rows_at_large_lengths(self, pair):
+        n, p = pair
+        assert_same_band(bridge_band(n, p), bridge_band(np.array([n]), np.array([p])))
+
     def test_large_coprime_column_sums(self):
         n, p = 1023, 1024
         psi = bridge_matrix(n, p)
         assert psi.shape == (n, p)
         np.testing.assert_array_equal(psi.sum(axis=0), np.full(p, lcm(n, p) // p))
+
+
+def assert_same_band(got, want):
+    """Two bridge_band results hold arrays of one dtype, bytes and writeability."""
+    assert len(got) == len(want) == 4
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        assert a.tobytes() == b.tobytes()
+        assert a.flags.writeable and b.flags.writeable
 
 
 class TestWeightedDkStp:
@@ -340,6 +376,16 @@ class TestAsLengths:
         with pytest.raises(TypeError, match="dims"):
             as_lengths(dims, "dims")
 
+    @pytest.mark.parametrize("dims", [(True, 3), (3, False), [np.True_], np.array([True])])
+    def test_bool_length_raises_type_error(self, dims):
+        with pytest.raises(TypeError, match="dims"):
+            as_lengths(dims, "dims")
+
+    def test_reads_an_iterator_once(self):
+        assert as_lengths(iter([3, 1]), "dims") == (3, 1)
+        with pytest.raises(TypeError, match="dims"):
+            as_lengths(iter([3, True]), "dims")
+
     @pytest.mark.parametrize("dims, count, message", [
         ((), None, "at least one"),
         ((2, 3), 3, "has 2 lengths, expected 3"),
@@ -411,15 +457,7 @@ class TestBandReuse:
         # coprime pair: proj_matrix, project, vinner, vdist, bridge_matrix,
         # dk_stp and weighted_dk_stp share the memoised band.  Rebuilt per
         # call, that was seven bands.
-        built = []
-        band_rows = algebra._band_rows
-
-        def counting(n, p):
-            built.append((n, p))
-            return band_rows(n, p)
-
-        monkeypatch.setattr(algebra, "_band_rows", counting)
-        monkeypatch.setattr(projection, "_band_rows", counting)
+        built = count_one_pair_bands(monkeypatch)
         m, n = 89, 97
         rng = np.random.default_rng(0)
         x, y = rng.normal(size=m), rng.normal(size=n)
@@ -432,3 +470,33 @@ class TestBandReuse:
         dk_stp(A, B)
         weighted_dk_stp(A, B)
         assert len(built) == 1, built
+
+    def test_integer_kinds_of_a_length_share_one_band(self, monkeypatch):
+        # A Python int, numpy integers and a 0-d array of the same length
+        # key one memo entry.
+        built = count_one_pair_bands(monkeypatch)
+        d = np.array([89, 97])
+        rng = np.random.default_rng(0)
+        x, y = rng.normal(size=89), rng.normal(size=97)
+        A, B = rng.normal(size=(8, 89)), rng.normal(size=(97, 8))
+        for _ in range(2):
+            proj_matrix(np.int64(89), 97)
+            vinner(x, y)
+            bridge_matrix(d[0], d[1])
+            dk_stp(A, B)
+            bridge_matrix(np.asarray(89, dtype=np.uint8), np.int32(97))
+            project(x, np.asarray(97))
+        assert algebra._pair_band.cache_info().misses == 1
+        assert len(built) == 1, built
+
+
+def count_one_pair_bands(monkeypatch) -> list:
+    """The (n, p) of every one-pair band built from here on."""
+    built, one_pair_band = [], algebra._one_pair_band
+
+    def counting(n, p):
+        built.append((n, p))
+        return one_pair_band(n, p)
+
+    monkeypatch.setattr(algebra, "_one_pair_band", counting)
+    return built

@@ -19,6 +19,7 @@ from stpdft import (
     causal_mask,
     df_add_norm,
     df_ffn,
+    diamond,
     diamond_vectorized,
     dv_attention,
     dv_multi_head,
@@ -27,6 +28,8 @@ from stpdft import (
     ffn_nominal,
     positional_encoding,
     proj_pad_pipeline,
+    project,
+    project_batch,
     zero_pad_pipeline,
 )
 from paper_forms import AttentionWeights, assembled_attention, multi_head_nominal
@@ -140,6 +143,32 @@ def test_argument_checks_name_the_argument(call, kind, words):
         call()
     assert type(info.value) is kind
     assert words in str(info.value)
+
+
+# (id, call, the words that name the argument): a bool is not a length,
+# although operator.index(True) is 1.
+BOOL_LENGTHS = [
+    ("project", lambda: project(_ones(3), True), "output profile"),
+    ("project-batch-in", lambda: project_batch(_ones(3), (True, 2), (2, 2)), "input profile"),
+    ("project-batch-out", lambda: project_batch(_ones(5), (2, 3), (True, 2)), "output profile"),
+    ("hypervector-dims", lambda: HyperVector(_ones(3), (True, 2)), "component lengths"),
+    ("diamond-n0", lambda: diamond(np.eye(2), _hyper(2, 3), n0=True), "nominal dim"),
+    ("diamond-out-dims", lambda: diamond(np.eye(2), _hyper(2, 3), out_dims=(2, True)),
+     "output profile"),
+    ("zero-pad-d", lambda: zero_pad_pipeline(_hyper(1, 1), _ones(1, 1), True, (1, 1)),
+     "nominal dim"),
+    ("proj-pad-d", lambda: proj_pad_pipeline(_hyper(1, 1), _ones(1, 1), True, (1, 1)),
+     "nominal dim"),
+]
+
+
+@pytest.mark.parametrize("call,words", [case[1:] for case in BOOL_LENGTHS],
+                         ids=[case[0] for case in BOOL_LENGTHS])
+def test_a_bool_is_not_a_length(call, words):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert type(info.value) is TypeError
+    assert words in str(info.value) and "bool" in str(info.value)
 
 
 # Both add-norms on a 4 x 3 batch, stacked (add_norm) or as a hypervector.

@@ -18,17 +18,19 @@ the medians can still differ by a few percent between two trees whose timed
 code is the same, so read it beside a run of the parent against itself.
 
 It prints each side's median ms per request, the ratio of the medians
-(change / parent), the requests the change served faster, and whether the
-converted outputs of every request are byte-identical; the last line is the
-same as one JSON object.  The exit code is 0 only when every output is
-byte-identical and passed its checks.  Nothing under either perfbench/ is
-edited.
+(change / parent), the requests the change served faster, the exact
+two-sided sign-test p-value of those wins against the requests the parent
+served faster (ties count for neither), and whether the converted outputs
+of every request are byte-identical; the last line is the same as one JSON
+object.  The exit code is 0 only when every output is byte-identical and
+passed its checks.  Nothing under either perfbench/ is edited.
 """
 
 import argparse
 import importlib
 import importlib.util
 import json
+import math
 import statistics
 import sys
 import tempfile
@@ -83,6 +85,14 @@ def as_bytes(out) -> bytes:
     return repr(out).encode()
 
 
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of wins against losses: the chance,
+    under a fair coin, of a split at least as uneven; 1.0 with no trials."""
+    n = wins + losses
+    tail = sum(math.comb(n, k) for k in range(min(wins, losses) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
 class Side:
     """One tree's modules, workload and state, set up in its own directory."""
 
@@ -129,14 +139,18 @@ def main(argv=None) -> int:
                 got["parent"] == got["change"])
     parent, change = (statistics.median(side.ms) for side in sides)
     wins = sum(c < a for a, c in zip(sides[0].ms, sides[1].ms))
+    losses = sum(c > a for a, c in zip(sides[0].ms, sides[1].ms))
+    p_value = sign_test_p(wins, losses)
     for msg in problems:
         print(msg)
     print(f"{args.workload}: {args.requests} requests, seed {args.seed}: parent {parent:.4f} ms,"
           f" change {change:.4f} ms (median per request), ratio {change / parent:.4f},"
-          f" change faster in {wins}/{args.requests}, outputs byte-identical: {identical}")
+          f" change faster in {wins}/{args.requests} (sign test p = {p_value:.3g}),"
+          f" outputs byte-identical: {identical}")
     print(json.dumps({"workload": args.workload, "requests": args.requests, "seed": args.seed,
                       "parent_ms": parent, "change_ms": change, "ratio": change / parent,
-                      "change_wins": wins, "identical": identical, "problems": len(problems)}))
+                      "change_wins": wins, "sign_test_p": p_value, "identical": identical,
+                      "problems": len(problems)}))
     return 0 if identical and not problems else 1
 
 
