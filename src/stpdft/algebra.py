@@ -241,9 +241,15 @@ def bridge_band(n, p):
 
 
 def _int64_lengths(n, p):
-    """n and p as int64 arrays; TypeError unless both hold integers."""
-    if n.dtype.kind not in "iu" or p.dtype.kind not in "iu":  # never truncate a length
+    """n and p as int64 arrays; TypeError unless both hold integers, and
+    ShapeError for a uint64 length of 2**63 or more (numpy reads a Python int
+    that large as one), which the cast would wrap negative."""
+    kinds = n.dtype.kind, p.dtype.kind
+    if kinds[0] not in "iu" or kinds[1] not in "iu":  # never truncate a length
         raise TypeError(f"bridge_band lengths must be integers, got {n.dtype} and {p.dtype}")
+    if "u" in kinds and max(n.max(initial=0), p.max(initial=0)) >= 2**63:
+        raise ShapeError(f"bridge_band length {max(n.max(initial=0), p.max(initial=0))} is"
+                         " too large: lengths must be below 2**63")
     return n.astype(np.int64, copy=False), p.astype(np.int64, copy=False)
 
 

@@ -22,19 +22,26 @@ This module owns the band plans: ``pair_band`` lays out the bands of many
 component pairs as int32 indices, and the resample plan (``_resample_band``)
 and the Gram plan (``_gram_layout``, ``_gram_plan``) are cached read-only per
 pair of profiles, since every stage of a forward pass resamples and scores
-the same profiles.
+the same profiles.  A band depends on its two lengths alone, and a ragged
+batch draws its lengths from a bounded range, so its length pairs recur
+from batch to batch even when its profile does not: ``pair_band`` reads
+every band from one process-wide store keyed by unordered length pair,
+which holds each pair once, up to ``_STORE_CAP`` band entries (about 4 MiB)
+before it starts over, and builds only the pairs it lacks.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (_band, _band_rows, _check_budget, _scatter_bridge, as_lengths,
-                      as_vector, bridge_matrix_exact, lcm)
+from .algebra import (_band, _band_rows, _check_budget, _int64_lengths, _scatter_bridge,
+                      as_lengths, as_vector, bridge_matrix_exact, lcm)
 from .errors import ShapeError
 
 
@@ -139,17 +146,130 @@ def pair_band(dims_x, dims_y, rows, cols):
     pieces of [0, n p) from left to right).  So a sum over the band of pair
     (b, a), computed from the band of (a, b) with the operands swapped, adds
     the same products in the same order and has the same bits.
+
+    The bands come from one process-wide store of bands keyed by unordered
+    length pair (n, p), n <= p, as n << 32 | p: both lengths are below 2**31,
+    since an addition form passes the element budget.  A call finds all its
+    pairs with one searchsorted, builds the pairs the store lacks with one
+    _band_rows call, reads a pair with n > p as (j, i) by the swap rule, and
+    gathers each array of its result from the store, so the pairs a fresh
+    profile shares with earlier ones cost no build.  The store holds at most
+    _STORE_CAP band entries; pair_band.cache_info() counts the listed pairs
+    found (hits) and built (misses) and the entries held (currsize), and
+    pair_band.cache_clear() empties the store.
     """
-    dx, dy = np.asarray(dims_x), np.asarray(dims_y)
-    n = dx[rows]
-    size, i, count, col0, w = _band_rows(n, dy[cols])
-    row_x = ((dx.cumsum() - dx)[rows].repeat(n) + i).astype(np.int32)  # idx_x of each row
-    col_y = ((dy.cumsum() - dy)[cols].repeat(n) + col0).astype(np.int32)  # idx_y - e in each row
-    band = (row_x.repeat(count), np.arange(len(w), dtype=np.int32) + col_y.repeat(count),
-            np.arange(len(size), dtype=np.int32).repeat(size), w)
+    dx, dy = _int64_lengths(np.asarray(dims_x), np.asarray(dims_y))
+    n, p = dx[rows], dy[cols]
+    swap, keys = n > p, np.minimum(n, p) << 32 | np.maximum(n, p)
+    with _store_lock:
+        (_, start, size, ij, w_all, _), at = _stored_bands(keys)
+        size = size.take(at)
+        take = (start.take(at) + size - size.cumsum()).repeat(size)
+        take += np.arange(len(take))  # entry e of pair k is entry start[k] + e of the store
+        w = w_all.take(take)
+        flat, cap = ij.ravel(), len(w_all)  # flat[cap:] holds the columns j
+        take += (cap * swap).repeat(size)
+        idx_x = flat.take(take)
+        take += (cap - 2 * cap * swap).repeat(size)
+        idx_y = flat.take(take)
+    idx_x += (dx.cumsum() - dx).astype(np.int32)[rows].repeat(size)
+    idx_y += (dy.cumsum() - dy).astype(np.int32)[cols].repeat(size)
+    band = idx_x, idx_y, np.arange(len(size), dtype=np.int32).repeat(size), w
     for arr in band:
         arr.flags.writeable = False
     return band
+
+
+# pair_band's store holds at most this many band entries, 16 B each (int32 i
+# and j, int64 w): about 4 MiB of arrays, allocated once and uninitialised,
+# so a page takes memory only once an entry on it is written, and the store
+# never copies itself to grow.  ragged_coprime's 1,035 length pairs take
+# 76,540 entries.
+_STORE_CAP = 1 << 18
+
+# The keys, starts and sizes of a store that holds no pair: one sentinel key
+# above every key of lengths below 2**31, so searchsorted stays in bounds.
+_NO_PAIRS = (np.array([np.iinfo(np.int64).max]), np.zeros(1, np.int64), np.zeros(1, np.int64))
+
+
+def _clear_store():
+    """Empty the store: (keys, start, size, ij, w, used), the sorted keys of
+    its pairs and each pair's first entry and entry count in ij (rows i, then
+    columns j, int32) and w (int64), of _STORE_CAP entries, whose first used
+    entries are written."""
+    global _store
+    with _store_lock:
+        _store = (*_NO_PAIRS, np.empty((2, _STORE_CAP), np.int32),
+                  np.empty(_STORE_CAP, np.int64), 0)
+        _store_counts[:] = 0, 0
+
+
+# pair_band reads and writes the store under the lock, since a store that
+# starts over rewrites its arrays from the start.
+_store_counts = [0, 0]  # hits, misses, in listed pairs
+_store_lock = threading.Lock()
+_clear_store()
+
+
+def _stored_bands(keys):
+    """(store, at): a store that holds the band of every pair in keys
+    (n << 32 | p, n <= p) at store[0][at], counting the hits and misses."""
+    store = _store
+    at = store[0].searchsorted(keys)
+    missing = store[0].take(at) != keys
+    misses = int(np.count_nonzero(missing))
+    _store_counts[0] += len(keys) - misses
+    _store_counts[1] += misses
+    if misses:
+        store = _add_bands(keys, missing)
+        at = store[0].searchsorted(keys)
+    return store, at
+
+
+def _add_bands(keys, missing):
+    """The store with the pairs keys[missing] written after its used entries,
+    published.  A store they would overflow starts over with the pairs of
+    keys; if those overflow it too, the store is not changed and the call is
+    served from arrays of its own."""
+    global _store
+    old_keys, start, size, ij, w, used = _store
+    new = _distinct(keys[missing])
+    n, p = new >> 32, new & 0xFFFFFFFF
+    extra = int((n + p - np.gcd(n, p)).sum())
+    if used + extra > len(w):
+        (old_keys, start, size), used = _NO_PAIRS, 0
+        new = _distinct(keys)
+        n, p = new >> 32, new & 0xFFFFFFFF
+        extra = int((n + p - np.gcd(n, p)).sum())
+    kept = extra <= len(w)
+    if not kept:
+        ij, w = np.empty((2, extra), np.int32), np.empty(extra, np.int64)
+    end = used + extra
+    new_size, i, count, col0, w[used:end] = _band_rows(n, p)
+    ij[0, used:end] = i.astype(np.int32).repeat(count)
+    ij[1, used:end] = col0.astype(np.int32).repeat(count)  # col0 + e is column j of entry e
+    ij[1, used:end] += np.arange(extra, dtype=np.int32)
+    all_keys = np.concatenate((old_keys, new))
+    order = all_keys.argsort(kind="stable")
+    store = (all_keys[order], np.concatenate((start, used + new_size.cumsum() - new_size))[order],
+             np.concatenate((size, new_size))[order], ij, w, end)
+    if kept:
+        _store = store
+    return store
+
+
+def _distinct(keys):
+    """The distinct values of keys, sorted: np.unique's first call imports
+    numpy.ma (about 1.7 MiB)."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]
+
+
+_StoreInfo = collections.namedtuple("StoreInfo", "hits misses maxsize currsize")
+pair_band.cache_clear = _clear_store
+pair_band.cache_info = lambda: _StoreInfo(*_store_counts, len(_store[4]), _store[5])
 
 
 @functools.lru_cache(maxsize=2)
@@ -203,12 +323,15 @@ def _gram_layout(dims_x: tuple, dims_y: tuple):
     by pair_band's swap rule), np.lcm.outer(dims_x, dims_y), and the
     listed-pair ranges [lo, hi) of the runs, from the band sizes
     n + p - gcd(n, p) of the listed pairs."""
-    s, t = len(dims_x), len(dims_y)
-    rows, cols = np.triu_indices(s) if dims_x == dims_y else np.divmod(np.arange(s * t), t)
-    lcm = np.lcm.outer(dims_x, dims_y)
+    x, y = np.array(dims_x), np.array(dims_y)
+    rows, cols = np.divmod(np.arange(len(x) * len(y)), len(y))
+    if dims_x == dims_y:
+        upper = rows <= cols
+        rows, cols = rows[upper], cols[upper]
+    lcm = np.lcm.outer(x, y)
     for a in (rows, cols, lcm):
         a.flags.writeable = False
-    n, p = np.asarray(dims_x)[rows], np.asarray(dims_y)[cols]
+    n, p = x[rows], y[cols]
     ends = np.cumsum(n + p - np.gcd(n, p))
     runs, lo = [], 0
     while lo < len(ends):

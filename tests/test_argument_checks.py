@@ -16,6 +16,7 @@ from stpdft import (
     SizeBudgetError,
     add_norm,
     attention_nominal,
+    bridge_band,
     causal_mask,
     df_add_norm,
     df_ffn,
@@ -169,6 +170,24 @@ def test_a_bool_is_not_a_length(call, words):
         call()
     assert type(info.value) is TypeError
     assert words in str(info.value) and "bool" in str(info.value)
+
+
+# A length of 2**63 or more, which numpy reads as uint64 and a cast to int64
+# would wrap negative.
+TOO_LARGE_LENGTHS = [
+    ("python-int", lambda: bridge_band(2**63, 3)),
+    ("numpy-uint64", lambda: bridge_band(np.uint64(2**63), 3)),
+    ("array", lambda: bridge_band(np.array([3]), np.array([2**63]))),
+]
+
+
+@pytest.mark.parametrize("call", [case[1] for case in TOO_LARGE_LENGTHS],
+                         ids=[case[0] for case in TOO_LARGE_LENGTHS])
+def test_a_length_of_2_to_the_63_is_too_large(call):
+    with pytest.raises(ShapeError) as info:
+        call()
+    assert type(info.value) is ShapeError
+    assert "too large" in str(info.value) and "9223372036854775808" in str(info.value)
 
 
 # Both add-norms on a 4 x 3 batch, stacked (add_norm) or as a hypervector.

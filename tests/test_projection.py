@@ -1,5 +1,7 @@
 import functools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -28,6 +30,7 @@ from stpdft import (
     weighted_bridge_matrix,
     weighted_dk_stp,
 )
+from stpdft import projection
 from stpdft.algebra import _band, _pair_band, as_lengths, bridge_band
 from stpdft.projection import _gram_layout, _gram_plan, _resample, _resample_band, pair_band
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
@@ -640,6 +643,131 @@ class TestPairBandMemo:
             kernel(True, 5)
 
 
+@st.composite
+def band_calls(draw):
+    """(dims_x, dims_y, rows, cols) of one pair_band call: profiles of lengths
+    in [1, 24], so that pairs recur from call to call in both orientations,
+    and up to 12 listed component pairs, repeats included."""
+    dims_x, dims_y = (tuple(draw(st.lists(st.integers(1, 24), min_size=1, max_size=5)))
+                      for _ in range(2))
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(dims_x) - 1),
+                                    st.integers(0, len(dims_y) - 1)), max_size=12))
+    return (dims_x, dims_y, np.array([a for a, _ in pairs], dtype=np.intp),
+            np.array([b for _, b in pairs], dtype=np.intp))
+
+
+def cold_bands(calls):
+    """pair_band of each call, each built from an empty store."""
+    bands = []
+    for call in calls:
+        pair_band.cache_clear()
+        bands.append(pair_band(*call))
+    pair_band.cache_clear()
+    return bands
+
+
+def assert_band(got, call, cold):
+    """got is the band of call that the overlap definition gives, with the
+    dtypes, bytes and flags of the cold build."""
+    dims_x, dims_y, rows, cols = call
+    want = oracle_pair_band(dims_x, dims_y, list(zip(rows.tolist(), cols.tolist())))[:4]
+    for arr, vals, c, dtype in zip(got, want, cold, (np.int32, np.int32, np.int32, np.int64),
+                                   strict=True):
+        assert_same_array(arr, vals, dtype)
+        assert arr.tobytes() == c.tobytes() and arr.flags == c.flags
+
+
+class TestBandStore:
+    """pair_band's store of length-pair bands: every call reads the bands of
+    a cold build, whatever the calls before it left in the store."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(band_calls(), min_size=1, max_size=8), st.sampled_from([None, 40, 200]))
+    @example([((3, 5), (4, 7), np.array([], np.intp), np.array([], np.intp))], None)
+    @example([((5, 9), (7, 4), np.array([0, 1, 1]), np.array([0, 1, 0]))] * 2, None)
+    @example([((5, 9), (7, 4), np.array([0, 1]), np.array([0, 1])),
+              ((7, 4), (5, 9), np.array([1, 0]), np.array([1, 0]))], 200)
+    def test_interleaved_calls_read_the_cold_bands(self, calls, cap):
+        cold = cold_bands(calls)
+        with pytest.MonkeyPatch.context() as mp:
+            if cap is not None:  # small enough to start the store over
+                mp.setattr(projection, "_STORE_CAP", cap)
+                pair_band.cache_clear()
+            for call, want in zip(calls, cold, strict=True):
+                assert_band(pair_band(*call), call, want)
+                assert pair_band.cache_info().currsize <= projection._STORE_CAP
+
+    def test_a_full_store_starts_over_with_the_call_s_pairs(self, monkeypatch):
+        monkeypatch.setattr(projection, "_STORE_CAP", 64)
+        pair_band.cache_clear()
+        one = np.arange(2)
+        calls = [((5, 9), (7, 11), one, one),  # 11 + 19 entries
+                 ((13,), (17,), one[:1], one[:1]),  # 29 more: 59
+                 ((23,), (19,), one[:1], one[:1]),  # 41 more: over 64, so 41
+                 ((5, 9), (7, 11), one, one),  # 30 more: over 64, so 30
+                 ((40,), (41,), one[:1], one[:1]),  # 80 alone: not kept
+                 ((9, 5), (11, 7), one, one)]  # both read from the store
+        cold = cold_bands(calls)
+        held = []
+        for call, want in zip(calls, cold):
+            assert_band(pair_band(*call), call, want)
+            held.append(pair_band.cache_info().currsize)
+        assert held == [30, 59, 41, 30, 30, 30]
+        assert pair_band.cache_info()[:2] == (2, 7)  # (hits, misses)
+
+    def test_stored_pairs_build_no_band(self, monkeypatch):
+        # Pairs (5, 4), (7, 11), (2, 9) and (3, 3), each read the other way
+        # round, and (2, 9) twice.
+        call = ((4, 11, 9, 3), (5, 7, 2, 3), np.array([0, 1, 2, 3, 2]),
+                np.array([0, 1, 2, 3, 2]))
+        cold = cold_bands([call])[0]
+        pair_band((7, 3, 5), (11, 3, 4), np.arange(3), np.arange(3))
+        pair_band((2,), (9,), np.arange(1), np.arange(1))  # a second build
+        before = pair_band.cache_info()
+        built, band_rows = [], projection._band_rows
+        monkeypatch.setattr(projection, "_band_rows",
+                            lambda n, p: built.append((n, p)) or band_rows(n, p))
+        assert_band(pair_band(*call), call, cold)
+        assert built == []
+        assert pair_band.cache_info() == before._replace(hits=before.hits + 5)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    def test_integer_arrays_read_the_bands_of_ints(self, dtype):
+        call = ((5, 9, 31), (7, 4, 31), np.array([0, 1, 2, 1]), np.array([0, 1, 2, 0]))
+        cold = cold_bands([call])[0]
+        pair_band((5,), (7,), np.arange(1), np.arange(1))  # the other pairs are stored after it
+        for _ in range(2):  # built, then read from the store
+            got = pair_band(np.array(call[0], dtype), np.array(call[1], dtype), *call[2:])
+            assert_band(got, call, cold)
+
+    def test_threads_read_whole_bands(self, monkeypatch):
+        monkeypatch.setattr(projection, "_STORE_CAP", 600)  # the store starts over often
+        rng = np.random.default_rng(7)
+        calls = [(tuple(rng.integers(1, 40, 4).tolist()), tuple(rng.integers(1, 40, 4).tolist()),
+                  rng.integers(0, 4, 6), rng.integers(0, 4, 6)) for _ in range(30)]
+        cold = cold_bands(calls)
+        wrong = []
+
+        def read(seed):
+            for k in np.random.default_rng(seed).permutation(len(calls) * 4) % len(calls):
+                got = pair_band(*calls[k])
+                if any(a.tobytes() != b.tobytes() for a, b in zip(got, cold[k])):
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+
 class TestColdCaches:
     """The autouse fixture in conftest clears every stpdft cache between tests."""
 
@@ -653,5 +781,5 @@ class TestColdCaches:
     def test_every_cache_starts_cold(self):
         caches = stpdft_caches()
         assert {"stpdft.algebra._pair_band", "stpdft.projection._resample_band",
-                "stpdft.projection._gram_plan"} <= set(caches)
+                "stpdft.projection._gram_plan", "stpdft.projection.pair_band"} <= set(caches)
         assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)

@@ -9,28 +9,34 @@ Each tree's stpdft package and its perfbench/workloads.py are imported into
 their own module namespaces of one process, and each side is set up with
 its own workloads module at the seed S.  Request i is then generated by
 both sides, and each side's request is timed through its own perfbench/run.py
-(`timed_call`) and checked there (`evaluate`), the parent first for even i
-and the change first for odd i.  Both sides run in the same process and in
+(`timed_call`) and checked there (`evaluate`), the tree loaded first serving
+first for even i and second for odd i.  Both sides run in the same process and in
 the same stretch of time, so a slow stretch of a shared machine falls on
 both, which perfbench runs in separate processes cannot ensure.  The count
 of requests the change served faster is the steadier figure: the ratio of
 the medians can still differ by a few percent between two trees whose timed
 code is the same, so read it beside a run of the parent against itself.
 
-It prints each side's median ms per request, the ratio of the medians
-(change / parent), the requests the change served faster, the exact
-two-sided sign-test p-value of those wins against the requests the parent
-served faster (ties count for neither), and whether the converted outputs
-of every request are byte-identical; the last line is the same as one JSON
-object.  The exit code is 0 only when every output is byte-identical and
-passed its checks.  Nothing under either perfbench/ is edited.
+Which tree is loaded second can bias the result, so after its run the tool
+runs again in a child process (multiprocessing, spawn) with the change's
+tree loaded, set up and served first.  For each order it prints each side's
+median ms per request, the ratio of the medians (change / parent), the
+requests the change served faster, the exact two-sided sign-test p-value of
+those wins against the requests the parent served faster (ties count for
+neither), and whether the converted outputs of every request are
+byte-identical.  The last line is one JSON object: the first order's
+figures, and the second order's under "swapped".  The exit code is 0 only
+when, in both orders, every output is byte-identical and passed its checks.
+Nothing under either perfbench/ is edited.
 """
 
 import argparse
+import concurrent.futures
 import importlib
 import importlib.util
 import json
 import math
+import multiprocessing
 import statistics
 import sys
 import tempfile
@@ -115,6 +121,34 @@ class Side:
         return out, problems
 
 
+def one_order(trees, workload: str, requests: int, seed: int) -> dict:
+    """The A/B of the (name, root) trees, "parent" and "change", loaded, set
+    up and served first in the order given: each side's median ms, the
+    ratio, the change's wins and their sign-test p-value, whether every
+    output is byte-identical, and the problems found."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = [Side(name, root.resolve(), workload, seed, Path(tmp) / name)
+                 for name, root in trees]
+        if sides[0].modules["stpdft"] is sides[1].modules["stpdft"]:
+            raise SystemExit("inproc_ab: both sides share one stpdft module")
+        identical, problems = True, []
+        for i in range(requests):
+            got = {}
+            for side in (sides if i % 2 == 0 else sides[::-1]):
+                out, found = side.serve(i)
+                got[side.name] = None if out is None else as_bytes(out)
+                problems += [f"request {i} {side.name}: {msg}" for msg in found]
+            identical = identical and got["parent"] is not None and (
+                got["parent"] == got["change"])
+    ms = {side.name: side.ms for side in sides}
+    parent, change = statistics.median(ms["parent"]), statistics.median(ms["change"])
+    wins = sum(c < a for a, c in zip(ms["parent"], ms["change"]))
+    losses = sum(c > a for a, c in zip(ms["parent"], ms["change"]))
+    return {"parent_ms": parent, "change_ms": change, "ratio": change / parent,
+            "change_wins": wins, "sign_test_p": sign_test_p(wins, losses),
+            "identical": identical, "problems": problems}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path)
@@ -123,35 +157,25 @@ def main(argv=None) -> int:
     p.add_argument("--requests", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     args = p.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        sides = [Side(name, root.resolve(), args.workload, args.seed, Path(tmp) / name)
-                 for name, root in (("parent", args.parent), ("change", args.change))]
-        if sides[0].modules["stpdft"] is sides[1].modules["stpdft"]:
-            raise SystemExit("inproc_ab: both sides share one stpdft module")
-        identical, problems = True, []
-        for i in range(args.requests):
-            got = {}
-            for side in (sides if i % 2 == 0 else sides[::-1]):
-                out, found = side.serve(i)
-                got[side.name] = None if out is None else as_bytes(out)
-                problems += [f"request {i} {side.name}: {msg}" for msg in found]
-            identical = identical and got["parent"] is not None and (
-                got["parent"] == got["change"])
-    parent, change = (statistics.median(side.ms) for side in sides)
-    wins = sum(c < a for a, c in zip(sides[0].ms, sides[1].ms))
-    losses = sum(c > a for a, c in zip(sides[0].ms, sides[1].ms))
-    p_value = sign_test_p(wins, losses)
-    for msg in problems:
-        print(msg)
-    print(f"{args.workload}: {args.requests} requests, seed {args.seed}: parent {parent:.4f} ms,"
-          f" change {change:.4f} ms (median per request), ratio {change / parent:.4f},"
-          f" change faster in {wins}/{args.requests} (sign test p = {p_value:.3g}),"
-          f" outputs byte-identical: {identical}")
+    trees = [("parent", args.parent), ("change", args.change)]
+    run = (args.workload, args.requests, args.seed)
+    first = one_order(trees, *run)
+    with concurrent.futures.ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        swapped = pool.submit(one_order, trees[::-1], *run).result()
+    for order, result in (("parent", first), ("change", swapped)):
+        for msg in result["problems"]:
+            print(f"{order} loaded first: {msg}")
+        print(f"{args.workload}: {args.requests} requests, seed {args.seed}, {order} loaded first:"
+              f" parent {result['parent_ms']:.4f} ms, change {result['change_ms']:.4f} ms"
+              f" (median per request), ratio {result['ratio']:.4f}, change faster in"
+              f" {result['change_wins']}/{args.requests} (sign test p ="
+              f" {result['sign_test_p']:.3g}), outputs byte-identical: {result['identical']}")
+        result["problems"] = len(result["problems"])
     print(json.dumps({"workload": args.workload, "requests": args.requests, "seed": args.seed,
-                      "parent_ms": parent, "change_ms": change, "ratio": change / parent,
-                      "change_wins": wins, "sign_test_p": p_value, "identical": identical,
-                      "problems": len(problems)}))
-    return 0 if identical and not problems else 1
+                      **first, "swapped": swapped}))
+    ok = all(r["identical"] and not r["problems"] for r in (first, swapped))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
