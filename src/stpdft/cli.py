@@ -41,7 +41,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import worked_examples as wx
 from .algebra import _check_budget
 from .errors import DegenerateRowError, NonFiniteError, SchemaError, ShapeError, SizeBudgetError
 from .hypervector import HyperVector, _pad, _unpad, diamond, diamond_vectorized
@@ -107,6 +106,8 @@ def _close(a, b, tol=1e-12) -> bool:
 
 
 def cmd_examples(args) -> int:
+    from . import worked_examples as wx  # only this subcommand reads the paper's tables
+
     # One (name, agrees, status when it does not, expected, actual) row per item.
     rows = []
 

@@ -19,15 +19,19 @@ The one-pair kernels (vinner, vdist, proj_matrix, project) read that band
 from ``algebra._band``, memoised for the last pair.
 
 This module owns the band plans: ``pair_band`` lays out the bands of many
-component pairs as int32 indices, and the resample plan (``_resample_band``)
-and the Gram plan (``_gram_layout``, ``_gram_plan``) are cached read-only per
-pair of profiles, since every stage of a forward pass resamples and scores
-the same profiles.  A band depends on its two lengths alone, and a ragged
-batch draws its lengths from a bounded range, so its length pairs recur
-from batch to batch even when its profile does not: ``pair_band`` reads
-every band from one process-wide store keyed by unordered length pair,
-which holds each pair once, up to ``_STORE_CAP`` band entries (about 4 MiB)
-before it starts over, and builds only the pairs it lacks.
+component pairs as int32 indices and float64 bridge entries v = w / gcd,
+and the resample plan (``_resample_band``) and the Gram plan
+(``_gram_layout``, ``_gram_plan``) are cached read-only per pair of
+profiles, since every stage of a forward pass resamples and scores the same
+profiles.  A band depends on its two lengths alone, and a ragged batch
+draws its lengths from a bounded range, so its length pairs recur from
+batch to batch even when its profile does not: ``pair_band`` reads every
+band from one process-wide store keyed by unordered length pair, which
+holds each pair once, with v in the form the plans consume, up to
+``_STORE_CAP`` band entries (about 4 MiB) before it starts over, and builds
+only the pairs it lacks.  So a fresh profile's plans cost about one gather
+per array: the Gram plan is the band as read, and lists each pair of equal
+profiles shorter length first, so no pair is read swapped.
 """
 
 from __future__ import annotations
@@ -133,15 +137,17 @@ def project_batch(P, dims_in, dims_out) -> np.ndarray:
 
 
 def pair_band(dims_x, dims_y, rows, cols):
-    """Read-only (idx_x, idx_y, pair, w) of the bridge bands of the component
+    """Read-only (idx_x, idx_y, pair, v) of the bridge bands of the component
     pairs (rows[e], cols[e]) of two profiles: entry (k, i, j, w) of
-    bridge_band(dims_x[rows], dims_y[cols]) gives pair = k, the overlap w and
-    the indices idx_x = off_x[rows[k]] + i and idx_y = off_y[cols[k]] + j
-    into addition forms of the two profiles, as int32: callers keep the
-    addition forms below the element budget.
+    bridge_band(n, p), n = dims_x[rows[k]] and p = dims_y[cols[k]], gives
+    pair = k, the indices idx_x = off_x[rows[k]] + i and idx_y =
+    off_y[cols[k]] + j into addition forms of the two profiles, as int32
+    (callers keep the addition forms below the element budget), and the
+    integer bridge entry v = w // gcd(n, p) = bridge_matrix(n, p)[i, j] as
+    float64, exact since w is below 2**53.
 
     Swap rule: pair_band(dims_y, dims_x, cols, rows) is (idx_y, idx_x, pair,
-    w) bit for bit, because bridge_band(p, n) lists the entries of
+    v) bit for bit, because bridge_band(p, n) lists the entries of
     bridge_band(n, p) with i and j swapped, in the same order (both list the
     pieces of [0, n p) from left to right).  So a sum over the band of pair
     (b, a), computed from the band of (a, b) with the operands swapped, adds
@@ -151,62 +157,89 @@ def pair_band(dims_x, dims_y, rows, cols):
     length pair (n, p), n <= p, as n << 32 | p: both lengths are below 2**31,
     since an addition form passes the element budget.  A call finds all its
     pairs with one searchsorted, builds the pairs the store lacks with one
-    _band_rows call, reads a pair with n > p as (j, i) by the swap rule, and
-    gathers each array of its result from the store, so the pairs a fresh
-    profile shares with earlier ones cost no build.  The store holds at most
-    _STORE_CAP band entries; pair_band.cache_info() counts the listed pairs
-    found (hits) and built (misses) and the entries held (currsize), and
-    pair_band.cache_clear() empties the store.
+    _band_rows call, gathers i, j and v with one take each, and reads a pair
+    with n > p as (j, i) by the swap rule, so the pairs a fresh profile
+    shares with earlier ones cost no build.  The plan builders call
+    _read_bands with the memoised arrays of their profiles.  The store
+    holds at most _STORE_CAP band entries; pair_band.cache_info() counts the
+    listed pairs found (hits) and built (misses), the entries held
+    (currsize) and the times the store started over to make room
+    (restarts), and pair_band.cache_clear() empties the store.
     """
     dx, dy = _int64_lengths(np.asarray(dims_x), np.asarray(dims_y))
+    return _read_bands((dx, _offsets(dx)), (dy, _offsets(dy)), rows, cols)
+
+
+def _read_bands(profile_x, profile_y, rows, cols):
+    """pair_band of two profiles given as (int64 lengths, int32 offsets),
+    as _profile returns them."""
+    (dx, off_x), (dy, off_y) = profile_x, profile_y
     n, p = dx[rows], dy[cols]
     swap, keys = n > p, np.minimum(n, p) << 32 | np.maximum(n, p)
     with _store_lock:
-        (_, start, size, ij, w_all, _), at = _stored_bands(keys)
+        (_, end, size, ij, v_all, _), at = _stored_bands(keys)
         size = size.take(at)
-        take = (start.take(at) + size - size.cumsum()).repeat(size)
-        take += np.arange(len(take))  # entry e of pair k is entry start[k] + e of the store
-        w = w_all.take(take)
-        flat, cap = ij.ravel(), len(w_all)  # flat[cap:] holds the columns j
-        take += (cap * swap).repeat(size)
-        idx_x = flat.take(take)
-        take += (cap - 2 * cap * swap).repeat(size)
-        idx_y = flat.take(take)
-    idx_x += (dx.cumsum() - dx).astype(np.int32)[rows].repeat(size)
-    idx_y += (dy.cumsum() - dy).astype(np.int32)[cols].repeat(size)
-    band = idx_x, idx_y, np.arange(len(size), dtype=np.int32).repeat(size), w
+        # Listed pair k's entries end at size.cumsum()[k] in the result and
+        # at end[k] in the store, so result entry e is store entry
+        # e + end[k] - size.cumsum()[k].
+        take = (end.take(at) - size.cumsum()).repeat(size)
+        take += np.arange(len(take))
+        v = v_all.take(take)
+        i, j = ij[0].take(take), ij[1].take(take)
+    if swap.any():
+        swapped = swap.repeat(size)
+        i, j = np.where(swapped, j, i), np.where(swapped, i, j)
+    i += off_x[rows].repeat(size)
+    j += off_y[cols].repeat(size)
+    band = i, j, np.arange(len(size), dtype=np.int32).repeat(size), v
     for arr in band:
         arr.flags.writeable = False
     return band
 
 
+def _offsets(dims):
+    """The int32 offsets of the components of int64 lengths dims in an
+    addition form."""
+    return (dims.cumsum() - dims).astype(np.int32)
+
+
+@functools.lru_cache(maxsize=4)
+def _profile(dims: tuple):
+    """Read-only (lengths, offsets) of a profile from as_lengths, as int64
+    and int32 arrays, memoised: the plan builders of one profile share them."""
+    lengths = np.array(dims, np.int64)
+    profile = lengths, _offsets(lengths)
+    for arr in profile:
+        arr.flags.writeable = False
+    return profile
+
+
 # pair_band's store holds at most this many band entries, 16 B each (int32 i
-# and j, int64 w): about 4 MiB of arrays, allocated once and uninitialised,
+# and j, float64 v): about 4 MiB of arrays, allocated once and uninitialised,
 # so a page takes memory only once an entry on it is written, and the store
 # never copies itself to grow.  ragged_coprime's 1,035 length pairs take
 # 76,540 entries.
 _STORE_CAP = 1 << 18
 
-# The keys, starts and sizes of a store that holds no pair: one sentinel key
+# The keys, ends and sizes of a store that holds no pair: one sentinel key
 # above every key of lengths below 2**31, so searchsorted stays in bounds.
 _NO_PAIRS = (np.array([np.iinfo(np.int64).max]), np.zeros(1, np.int64), np.zeros(1, np.int64))
 
 
 def _clear_store():
-    """Empty the store: (keys, start, size, ij, w, used), the sorted keys of
-    its pairs and each pair's first entry and entry count in ij (rows i, then
-    columns j, int32) and w (int64), of _STORE_CAP entries, whose first used
-    entries are written."""
+    """Empty the store: (keys, end, size, ij, v, used), the sorted keys of
+    its pairs, and where each pair's entries end and how many there are in
+    ij (int32 rows i and j) and v (float64), of _STORE_CAP entries, whose
+    first used entries are written."""
     global _store
     with _store_lock:
-        _store = (*_NO_PAIRS, np.empty((2, _STORE_CAP), np.int32),
-                  np.empty(_STORE_CAP, np.int64), 0)
-        _store_counts[:] = 0, 0
+        _store = (*_NO_PAIRS, np.empty((2, _STORE_CAP), np.int32), np.empty(_STORE_CAP), 0)
+        _store_counts[:] = 0, 0, 0
 
 
 # pair_band reads and writes the store under the lock, since a store that
 # starts over rewrites its arrays from the start.
-_store_counts = [0, 0]  # hits, misses, in listed pairs
+_store_counts = [0, 0, 0]  # hits and misses, in listed pairs, and restarts
 _store_lock = threading.Lock()
 _clear_store()
 
@@ -230,31 +263,36 @@ def _add_bands(keys, missing):
     """The store with the pairs keys[missing] written after its used entries,
     published.  A store they would overflow starts over with the pairs of
     keys; if those overflow it too, the store is not changed and the call is
-    served from arrays of its own."""
+    served from arrays of its own.  v = w // g is exact, g = n + p - size
+    being the pair's gcd."""
     global _store
-    old_keys, start, size, ij, w, used = _store
+    old_keys, end, size, ij, v, used = _store
     new = _distinct(keys[missing])
     n, p = new >> 32, new & 0xFFFFFFFF
     extra = int((n + p - np.gcd(n, p)).sum())
-    if used + extra > len(w):
-        (old_keys, start, size), used = _NO_PAIRS, 0
+    restart = used + extra > len(v)
+    if restart:
+        (old_keys, end, size), used = _NO_PAIRS, 0
         new = _distinct(keys)
         n, p = new >> 32, new & 0xFFFFFFFF
         extra = int((n + p - np.gcd(n, p)).sum())
-    kept = extra <= len(w)
+    kept = extra <= len(v)
     if not kept:
-        ij, w = np.empty((2, extra), np.int32), np.empty(extra, np.int64)
-    end = used + extra
-    new_size, i, count, col0, w[used:end] = _band_rows(n, p)
-    ij[0, used:end] = i.astype(np.int32).repeat(count)
-    ij[1, used:end] = col0.astype(np.int32).repeat(count)  # col0 + e is column j of entry e
-    ij[1, used:end] += np.arange(extra, dtype=np.int32)
+        ij, v = np.empty((2, extra), np.int32), np.empty(extra)
+    top = used + extra
+    new_size, i, count, col0, w = _band_rows(n, p)
+    ij[0, used:top] = i.astype(np.int32).repeat(count)
+    ij[1, used:top] = col0.astype(np.int32).repeat(count)  # col0 + e is column j of entry e
+    ij[1, used:top] += np.arange(extra, dtype=np.int32)
+    w //= (n + p - new_size).repeat(new_size)
+    v[used:top] = w
     all_keys = np.concatenate((old_keys, new))
     order = all_keys.argsort(kind="stable")
-    store = (all_keys[order], np.concatenate((start, used + new_size.cumsum() - new_size))[order],
-             np.concatenate((size, new_size))[order], ij, w, end)
+    store = (all_keys[order], np.concatenate((end, used + new_size.cumsum()))[order],
+             np.concatenate((size, new_size))[order], ij, v, top)
     if kept:
         _store = store
+        _store_counts[2] += restart
     return store
 
 
@@ -267,9 +305,10 @@ def _distinct(keys):
     return keys[keep]
 
 
-_StoreInfo = collections.namedtuple("StoreInfo", "hits misses maxsize currsize")
+_StoreInfo = collections.namedtuple("StoreInfo", "hits misses maxsize currsize restarts")
 pair_band.cache_clear = _clear_store
-pair_band.cache_info = lambda: _StoreInfo(*_store_counts, len(_store[4]), _store[5])
+pair_band.cache_info = lambda: _StoreInfo(*_store_counts[:2], len(_store[4]), _store[5],
+                                          _store_counts[2])
 
 
 @functools.lru_cache(maxsize=2)
@@ -279,15 +318,22 @@ def _resample_band(dims_a: tuple, dims_b: tuple):
     rule), over the pair_band of the components k whose length differs: a to
     b adds coef_ab[e] = w / a_k times entry idx_a[e] to entry idx_b[e], and b
     to a adds coef_ba[e] = w / b_k times entry idx_b[e] to entry idx_a[e];
-    keep_a and keep_b mask the components of equal length.  The band size
+    keep_a and keep_b mask the components of equal length.  The band holds
+    v = w / g, g = gcd(a_k, b_k), so coef_ab is v / (a_k / g): both are exact
+    integers below 2**53, one correctly rounded division of the rational
+    w / a_k, so the bits of w / a_k (and likewise for b).  The band size
     passes the budget first, so a profile that raises is never cached.
     """
-    a, b = np.array(dims_a), np.array(dims_b)
-    _check_budget((a + b).sum())  # a pair's band has at most a + b entries
+    _check_budget(sum(dims_a) + sum(dims_b))  # a pair's band has at most a + b entries
+    (a, _), (b, _) = profile_a, profile_b = _profile(dims_a), _profile(dims_b)
     same = a == b
-    u = np.flatnonzero(~same)
-    idx_a, idx_b, pair, w = pair_band(dims_a, dims_b, u, u)
-    band = (idx_a, idx_b, w / a[u].take(pair), w / b[u].take(pair), same.repeat(a), same.repeat(b))
+    u = (~same).nonzero()[0]
+    idx_a, idx_b, _, v = _read_bands(profile_a, profile_b, u, u)
+    a_u, b_u = a[u], b[u]
+    g = np.gcd(a_u, b_u)
+    size = a_u + b_u - g  # the entries of each pair
+    band = (idx_a, idx_b, v / (a_u // g).repeat(size), v / (b_u // g).repeat(size),
+            same.repeat(a), same.repeat(b))
     for arr in band:
         arr.flags.writeable = False
     return band
@@ -319,18 +365,26 @@ _BAND_CHUNK = 1 << 16
 @functools.lru_cache(maxsize=1)
 def _gram_layout(dims_x: tuple, dims_y: tuple):
     """(rows, cols, lcm, runs) of two profiles, memoised, arrays read-only:
-    the pairs a Gram plan lists, row-major (for equal profiles only a <= b,
-    by pair_band's swap rule), np.lcm.outer(dims_x, dims_y), and the
+    the pairs a Gram plan lists, np.lcm.outer(dims_x, dims_y), and the
     listed-pair ranges [lo, hi) of the runs, from the band sizes
-    n + p - gcd(n, p) of the listed pairs."""
-    x, y = np.array(dims_x), np.array(dims_y)
-    rows, cols = np.divmod(np.arange(len(x) * len(y)), len(y))
+    n + p - gcd(n, p) of the listed pairs; one run, with no size computed,
+    when the listing fits one at max(dims_x) + max(dims_y) entries a pair.
+    Unequal profiles list every pair, row-major.  Equal profiles list each
+    unordered pair once, row-major over the components sorted (stably) by
+    length, so shorter length first: hyper_inner reads the other orientation
+    by pair_band's swap rule, and pair_band reads no pair swapped.  Each Gram
+    entry sums its own pair's band, so the listing order moves no bit."""
+    x, y = _profile(dims_x)[0], _profile(dims_y)[0]
     if dims_x == dims_y:
-        upper = rows <= cols
-        rows, cols = rows[upper], cols[upper]
+        order = x.argsort(kind="stable")
+        rows, cols = (order.take(a) for a in _upper_pairs(len(x)))
+    else:
+        rows, cols = np.divmod(np.arange(len(x) * len(y)), len(y))
     lcm = np.lcm.outer(x, y)
-    for a in (rows, cols, lcm):
-        a.flags.writeable = False
+    for arr in (rows, cols, lcm):
+        arr.flags.writeable = False
+    if len(rows) * (max(dims_x) + max(dims_y)) <= _BAND_CHUNK:
+        return rows, cols, lcm, ((0, len(rows)),)
     n, p = x[rows], y[cols]
     ends = np.cumsum(n + p - np.gcd(n, p))
     runs, lo = [], 0
@@ -343,17 +397,25 @@ def _gram_layout(dims_x: tuple, dims_y: tuple):
 
 
 @functools.lru_cache(maxsize=1)
+def _upper_pairs(s: int):
+    """The pairs a <= b of s components, row-major, as two read-only arrays."""
+    a, b = np.divmod(np.arange(s * s), s)
+    upper = a <= b
+    pairs = a[upper], b[upper]
+    for arr in pairs:
+        arr.flags.writeable = False
+    return pairs
+
+
+@functools.lru_cache(maxsize=1)
 def _gram_plan(dims_x: tuple, dims_y: tuple, lo: int, hi: int):
     """Read-only (src_x, src_y, pair, coef) of the listed pairs [lo, hi) of
-    two profiles (_gram_layout), memoised: band entry e of their pair_band adds
-    P[src_x[e]] * Q[src_y[e]] * coef[e] to the Gram entry of pair[e] before
-    the division by the lcm; coef = w / gcd(m, n) is the integer bridge entry."""
+    two profiles (_gram_layout), memoised: their pair_band as it is, since
+    band entry e adds P[src_x[e]] * Q[src_y[e]] * coef[e] to the Gram entry
+    of pair[e] before the division by the lcm, coef = v being the integer
+    bridge entry."""
     rows, cols = (a[lo:hi] for a in _gram_layout(dims_x, dims_y)[:2])
-    src_x, src_y, pair, w = pair_band(dims_x, dims_y, rows, cols)
-    g = np.gcd(np.asarray(dims_x)[rows], np.asarray(dims_y)[cols])
-    coef = w / g.take(pair)  # exact: g divides w, and both are below 2**53
-    coef.flags.writeable = False
-    return src_x, src_y, pair, coef
+    return _read_bands(_profile(dims_x), _profile(dims_y), rows, cols)
 
 
 def nominal_add(x, y, r: int) -> np.ndarray:

@@ -292,9 +292,11 @@ class TestHyperInner:
     @example([4, 4, 4], 1)  # one length
     @example([4, 6, 4, 4], 1)  # pairs of equal lengths in a ragged profile
     @example([12, 18, 8, 12], 2)  # gcd > 1 pairs and a repeated length
+    @example([40, 17, 9, 2], 3)  # falling lengths: every pair a < b is listed as (b, a)
     def test_equal_profiles_match_rowmajor_listing_bit_for_bit(self, dims, seed):
-        # Equal profiles list only the pairs a <= b and read them again as
-        # (b, a); every entry must keep the bits of the full listing.
+        # Equal profiles list each unordered pair once, shorter length
+        # first, and read it again the other way round; every entry must
+        # keep the bits of the full row-major listing.
         rng = np.random.default_rng(seed)
         X = HyperVector(rng.normal(size=sum(dims)), dims)
         Y = HyperVector(rng.normal(size=sum(dims)), dims)

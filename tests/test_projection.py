@@ -438,6 +438,13 @@ def oracle_pair_band(dims_x, dims_y, pairs):
     return cols
 
 
+def oracle_plan_band(dims_x, dims_y, pairs):
+    """(idx_x, idx_y, pair, v) of oracle_pair_band, v = float(w // g) the
+    integer bridge entry: the arrays pair_band returns."""
+    idx_x, idx_y, pair, w, g = oracle_pair_band(dims_x, dims_y, pairs)
+    return idx_x, idx_y, pair, [float(v // d) for v, d in zip(w, g)]
+
+
 def oracle_resample(P, dims_in, dims_out):
     """The resample of P from dims_in to dims_out, entry by entry: each
     overlap band entry of a component whose length changes adds
@@ -511,9 +518,9 @@ class TestBandOracle:
 
         rows = np.arange(s * len(dims_y)) // len(dims_y)
         cols = np.arange(s * len(dims_y)) % len(dims_y)
-        want = oracle_pair_band(dims_x, dims_y, list(zip(rows.tolist(), cols.tolist())))[:4]
+        want = oracle_plan_band(dims_x, dims_y, list(zip(rows.tolist(), cols.tolist())))
         got = pair_band(dims_x, dims_y, rows, cols)
-        for arr, vals, dtype in zip(got, want, (np.int32, np.int32, np.int32, np.int64),
+        for arr, vals, dtype in zip(got, want, (np.int32, np.int32, np.int32, np.float64),
                                     strict=True):
             assert_same_array(arr, vals, dtype)
 
@@ -531,17 +538,39 @@ class TestBandOracle:
             assert_same_array(arr, vals, dtype)
 
         for dims_y in (dims_y, dims_x):  # the full and the mirrored listing
-            listed = [(a, b) for a in range(s) for b in range(len(dims_y))
-                      if dims_x != dims_y or a <= b]
+            listed = [(a, b) for a in range(s) for b in range(len(dims_y))]
+            if dims_x == dims_y:  # each pair once, row-major over the sorted lengths
+                order = sorted(range(s), key=dims_x.__getitem__)
+                listed = [(order[a], order[b]) for a in range(s) for b in range(a, s)]
             _gram_plan.cache_clear()
             for run_lo, run_hi in _gram_layout(dims_x, dims_y)[3]:
-                src_x, src_y, pair, w, g = oracle_pair_band(dims_x, dims_y,
-                                                            listed[run_lo:run_hi])
+                want = oracle_plan_band(dims_x, dims_y, listed[run_lo:run_hi])
                 got = _gram_plan(dims_x, dims_y, run_lo, run_hi)
-                want = (src_x, src_y, pair, [float(v // d) for v, d in zip(w, g)])
                 for arr, vals, dtype in zip(got, want, (np.int32, np.int32, np.int32,
                                                         np.float64), strict=True):
                     assert_same_array(arr, vals, dtype)
+
+
+@st.composite
+def reduced_quotients(draw):
+    """(w, a, g): integers up to 2**53 with g dividing both, a >= 1."""
+    g = draw(st.integers(1, 2**53))
+    return g * draw(st.integers(0, 2**53 // g)), g * draw(st.integers(1, 2**53 // g)), g
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_quotients())
+@example((2**53, 2**53, 1))
+@example((2**53 - 1, 3, 1))
+@example((3 * 2**51, 7 * 2**50, 2**50))
+def test_reduced_quotient_has_the_bits_of_the_plain_one(wag):
+    # The resample plan divides v = w // g by a // g for the bits of w / a:
+    # both operands are exact in float64, and one correctly rounded division
+    # of the same rational gives one result.
+    w, a, g = wag
+    reduced = np.array([w // g], dtype=float) / np.array([a // g])
+    plain = np.array([w]) / np.array([a])
+    assert reduced.tobytes() == plain.tobytes()
 
 
 # Every pair of lengths up to 40, and a coprime pair whose i p exceeds 2**31.
@@ -670,8 +699,8 @@ def assert_band(got, call, cold):
     """got is the band of call that the overlap definition gives, with the
     dtypes, bytes and flags of the cold build."""
     dims_x, dims_y, rows, cols = call
-    want = oracle_pair_band(dims_x, dims_y, list(zip(rows.tolist(), cols.tolist())))[:4]
-    for arr, vals, c, dtype in zip(got, want, cold, (np.int32, np.int32, np.int32, np.int64),
+    want = oracle_plan_band(dims_x, dims_y, list(zip(rows.tolist(), cols.tolist())))
+    for arr, vals, c, dtype in zip(got, want, cold, (np.int32, np.int32, np.int32, np.float64),
                                    strict=True):
         assert_same_array(arr, vals, dtype)
         assert arr.tobytes() == c.tobytes() and arr.flags == c.flags
@@ -739,6 +768,23 @@ class TestBandStore:
         for _ in range(2):  # built, then read from the store
             got = pair_band(np.array(call[0], dtype), np.array(call[1], dtype), *call[2:])
             assert_band(got, call, cold)
+
+    def test_restarts_count_the_times_the_store_started_over(self, monkeypatch):
+        monkeypatch.setattr(projection, "_STORE_CAP", 64)
+        pair_band.cache_clear()
+        one = np.arange(2)
+        restarts = []
+        for dims_x, dims_y, k in [((5, 9), (7, 11), 2),  # 30 entries
+                                  ((13,), (17,), 1),  # 59
+                                  ((23,), (19,), 1),  # over 64: starts over with 41
+                                  ((23,), (19,), 1),  # a hit
+                                  ((5, 9), (7, 11), 2),  # over 64: starts over with 30
+                                  ((40,), (41,), 1)]:  # 80 alone: served apart, no restart
+            pair_band(dims_x, dims_y, one[:k], one[:k])
+            restarts.append(pair_band.cache_info().restarts)
+        assert restarts == [0, 0, 1, 1, 2, 2]
+        pair_band.cache_clear()
+        assert pair_band.cache_info() == (0, 0, 64, 0, 0)
 
     def test_threads_read_whole_bands(self, monkeypatch):
         monkeypatch.setattr(projection, "_STORE_CAP", 600)  # the store starts over often
