@@ -16,8 +16,9 @@ an s-component hypervector.  ``_pad`` and ``_unpad`` are its two resampling
 steps, for both padding schemes, and the only code that pads or unpads a
 batch: diamond, the transformer's Q/K/V pipelines and the CLI's
 compare-padding all call them.  ``hyper_inner`` scores ragged operands
-over the bridge bands of all their length pairs, from the Gram plan of the
-``projection`` module.
+over the bridge bands of all their length pairs with ``projection._gram``.
+Every per-profile array (lengths, offsets, the shared length) comes from
+the one record ``projection._profile``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .algebra import _check_budget, as_lengths, as_matrix, as_vector
 from .errors import NonFactorizableError, NonFiniteError, ShapeError
-from .projection import _gram_layout, _gram_plan, _resample, proj_matrix
+from .projection import _gram, _gram_lcm, _profile, _resample, proj_matrix
 
 
 class HyperVector:
@@ -88,7 +89,7 @@ class HyperVector:
     @property
     def components(self):
         if self._components is None:
-            self._components = tuple(np.split(self._buffer, np.cumsum(self._dims[:-1])))
+            self._components = tuple(np.split(self._buffer, _profile(self._dims).offsets[1:]))
         return self._components
 
     @property
@@ -112,7 +113,7 @@ class HyperVector:
         return f"HyperVector(dims={self.dims})"
 
     def is_homogeneous(self) -> bool:
-        return len(set(self.dims)) == 1
+        return _profile(self._dims).shared is not None
 
     def to_matrix(self) -> np.ndarray:
         """Stack components as rows; defined only when all lengths agree."""
@@ -197,42 +198,24 @@ def hyper_add_listwise(X: HyperVector, Y: HyperVector, r) -> HyperVector:
     return HyperVector._owned(_resample(X.buffer, X.dims, r) + _resample(Y.buffer, Y.dims, r), r)
 
 
-def _shared_length(X: HyperVector, Y: HyperVector):
-    """d when every component of X and of Y has length d, else None."""
-    d = X.dims[0]
-    return d if X.dims == (d,) * X.batch_size and Y.dims == (d,) * Y.batch_size else None
-
-
 def hyper_inner(X: HyperVector, Y: HyperVector) -> np.ndarray:
     """Gram matrix of the replication-averaged inner product, shape s x t:
     entry (i, j) is vinner(X[i], Y[j]).  When every component of both
     operands has length d this is X.to_matrix() @ Y.to_matrix().T / d, one
     product, with the same bits for X and for a copy of X.  Otherwise every
     pair, equal lengths included, sums x_i y_j bridge_matrix(m, n)[i, j]
-    over its bridge band and divides by lcm(m, n): one gather and one
-    np.bincount per run of the Gram plan.
+    over its bridge band and divides by lcm(m, n) (projection._gram).
     """
     s, t = X.batch_size, Y.batch_size
     _check_budget(s, t)
-    d = _shared_length(X, Y)
-    if d is not None:
+    d = _profile(X.dims).shared
+    if d is not None and d == _profile(Y.dims).shared:
         # numpy multiplies one buffer by its own transpose with a symmetric
         # product that rounds differently, so X is Y takes a copy.
         Q = Y.buffer.copy() if X is Y else Y.buffer
         G = X.buffer.reshape(s, d) @ Q.reshape(t, d).T
         return np.divide(G, d, out=G)
-    rows, cols, lcm, runs = _gram_layout(X.dims, Y.dims)
-    P, Q = X.buffer, Y.buffer
-    mirrored = X.dims == Y.dims
-    G = np.empty((s, t))
-    # take reads the int32 plan as it is; P[src_x] would convert it to intp.
-    for lo, hi in runs:
-        src_x, src_y, pair, coef = _gram_plan(X.dims, Y.dims, lo, hi)
-        r, c = rows[lo:hi], cols[lo:hi]
-        G[r, c] = np.bincount(pair, P.take(src_x) * Q.take(src_y) * coef, hi - lo)
-        if mirrored:  # pairs (b, a) by pair_band's swap rule
-            G[c, r] = np.bincount(pair, P.take(src_y) * Q.take(src_x) * coef, hi - lo)
-    return np.divide(G, lcm, out=G)
+    return _gram(X.buffer, Y.buffer, X.dims, Y.dims)
 
 
 def hyper_inner_weighted(X: HyperVector, Y: HyperVector) -> np.ndarray:
@@ -248,8 +231,8 @@ def _lcm_scale(X: HyperVector, Y: HyperVector):
     """The s x t matrix of lcm(len x_i, len y_j), or the scalar d when every
     length is d: a product with either, or with its correctly rounded square
     root, has the same bits."""
-    d = _shared_length(X, Y)
-    return _gram_layout(X.dims, Y.dims)[2] if d is None else d
+    d = _profile(X.dims).shared
+    return d if d is not None and d == _profile(Y.dims).shared else _gram_lcm(X.dims, Y.dims)
 
 
 def _pad(X: HyperVector, d: int, padding: str = "projection") -> np.ndarray:
@@ -260,7 +243,7 @@ def _pad(X: HyperVector, d: int, padding: str = "projection") -> np.ndarray:
     s = X.batch_size
     if padding == "zero":
         padded = np.zeros((s, d))
-        padded[np.arange(d) < np.array(X.dims)[:, None]] = X.buffer
+        padded[np.arange(d) < _profile(X.dims).lengths[:, None]] = X.buffer
         return padded
     return _resample(X.buffer, X.dims, (d,) * s).reshape(s, d)
 
@@ -271,7 +254,7 @@ def _unpad(M: np.ndarray, dims: tuple, padding: str = "projection") -> np.ndarra
     its first dims[i] entries ("zero").  The result may be a view of M."""
     p, d = M.shape
     if padding == "zero":
-        return M[np.arange(d) < np.array(dims)[:, None]]
+        return M[np.arange(d) < _profile(dims).lengths[:, None]]
     return _resample(M.reshape(-1), (d,) * p, dims)
 
 

@@ -18,20 +18,13 @@ nonzeros of ``algebra.bridge_band(m, n)``, and everything here sums over them.
 The one-pair kernels (vinner, vdist, proj_matrix, project) read that band
 from ``algebra._band``, memoised for the last pair.
 
-This module owns the band plans: ``pair_band`` lays out the bands of many
-component pairs as int32 indices and float64 bridge entries v = w / gcd,
-and the resample plan (``_resample_band``) and the Gram plan
-(``_gram_layout``, ``_gram_plan``) are cached read-only per pair of
-profiles, since every stage of a forward pass resamples and scores the same
-profiles.  A band depends on its two lengths alone, and a ragged batch
-draws its lengths from a bounded range, so its length pairs recur from
-batch to batch even when its profile does not: ``pair_band`` reads every
-band from one process-wide store keyed by unordered length pair, which
-holds each pair once, with v in the form the plans consume, up to
-``_STORE_CAP`` band entries (about 4 MiB) before it starts over, and builds
-only the pairs it lacks.  So a fresh profile's plans cost about one gather
-per array: the Gram plan is the band as read, and lists each pair of equal
-profiles shorter length first, so no pair is read swapped.
+This module owns a length profile's arrays and the band plans.  ``_profile``
+is the one record of a profile's lengths, offsets and shared length, which
+every stage reads.  ``pair_band`` lays out the bands of many component pairs
+from one process-wide store (its docstring states the store's design), and
+the resample plan (``_resample_band``) and the Gram plan (``_gram_plan``,
+applied by ``_gram``) are cached read-only per pair of profiles, since every
+stage of a forward pass resamples and scores the same profiles.
 """
 
 from __future__ import annotations
@@ -153,31 +146,44 @@ def pair_band(dims_x, dims_y, rows, cols):
     (b, a), computed from the band of (a, b) with the operands swapped, adds
     the same products in the same order and has the same bits.
 
-    The bands come from one process-wide store of bands keyed by unordered
-    length pair (n, p), n <= p, as n << 32 | p: both lengths are below 2**31,
-    since an addition form passes the element budget.  A call finds all its
-    pairs with one searchsorted, builds the pairs the store lacks with one
-    _band_rows call, gathers i, j and v with one take each, and reads a pair
-    with n > p as (j, i) by the swap rule, so the pairs a fresh profile
-    shares with earlier ones cost no build.  The plan builders call
-    _read_bands with the memoised arrays of their profiles.  The store
-    holds at most _STORE_CAP band entries; pair_band.cache_info() counts the
-    listed pairs found (hits) and built (misses), the entries held
-    (currsize) and the times the store started over to make room
-    (restarts), and pair_band.cache_clear() empties the store.
+    The store: a band depends on its two lengths alone, and a ragged batch
+    draws its lengths from a bounded range, so its length pairs recur even
+    when its profile does not.  So every band is read from one process-wide
+    store keyed by unordered length pair (n, p), n <= p, as n << 32 | p (an
+    addition form passes the element budget, so both are below 2**31),
+    which holds each pair once, with v ready for the plans.  A call finds
+    its pairs with one searchsorted, builds those the store lacks with one
+    _band_rows call, gathers i, j and v with one take each and reads a pair
+    with n > p as (j, i) by the swap rule, so a fresh profile's plans cost
+    about one gather per array.  The store holds at most _STORE_CAP entries
+    of 16 B (int32 i and j, float64 v), about 4 MiB allocated once and
+    uninitialised, so it never copies itself to grow and a page takes memory
+    once written; ragged_coprime's 1,035 length pairs take 76,540 entries.
+    A call whose new pairs would overflow it starts it over with the call's
+    pairs.  pair_band.cache_info() counts the listed pairs found (hits) and
+    built (misses), the entries held (currsize) and the start-overs
+    (restarts); pair_band.cache_clear() empties the store.
     """
     dx, dy = _int64_lengths(np.asarray(dims_x), np.asarray(dims_y))
-    return _read_bands((dx, _offsets(dx)), (dy, _offsets(dy)), rows, cols)
+    return _read_bands(_Profile(dx, _offsets(dx), None), _Profile(dy, _offsets(dy), None),
+                       rows, cols)
 
 
-def _read_bands(profile_x, profile_y, rows, cols):
-    """pair_band of two profiles given as (int64 lengths, int32 offsets),
-    as _profile returns them."""
-    (dx, off_x), (dy, off_y) = profile_x, profile_y
-    n, p = dx[rows], dy[cols]
+def _read_bands(x, y, rows, cols):
+    """pair_band of two profiles given as _Profile records (lengths and
+    offsets are read)."""
+    n, p = x.lengths[rows], y.lengths[cols]
     swap, keys = n > p, np.minimum(n, p) << 32 | np.maximum(n, p)
     with _store_lock:
-        (_, end, size, ij, v_all, _), at = _stored_bands(keys)
+        store = _store
+        at = store[0].searchsorted(keys)
+        misses = int(np.count_nonzero(store[0].take(at) != keys))
+        _store_counts[0] += len(keys) - misses
+        _store_counts[1] += misses
+        if misses:
+            store = _add_bands(keys)
+            at = store[0].searchsorted(keys)
+        _, end, size, ij, v_all, _ = store
         size = size.take(at)
         # Listed pair k's entries end at size.cumsum()[k] in the result and
         # at end[k] in the store, so result entry e is store entry
@@ -189,8 +195,8 @@ def _read_bands(profile_x, profile_y, rows, cols):
     if swap.any():
         swapped = swap.repeat(size)
         i, j = np.where(swapped, j, i), np.where(swapped, i, j)
-    i += off_x[rows].repeat(size)
-    j += off_y[cols].repeat(size)
+    i += x.offsets[rows].repeat(size)
+    j += y.offsets[cols].repeat(size)
     band = i, j, np.arange(len(size), dtype=np.int32).repeat(size), v
     for arr in band:
         arr.flags.writeable = False
@@ -203,22 +209,23 @@ def _offsets(dims):
     return (dims.cumsum() - dims).astype(np.int32)
 
 
+_Profile = collections.namedtuple("Profile", "lengths offsets shared")
+
+
 @functools.lru_cache(maxsize=4)
-def _profile(dims: tuple):
-    """Read-only (lengths, offsets) of a profile from as_lengths, as int64
-    and int32 arrays, memoised: the plan builders of one profile share them."""
+def _profile(dims: tuple) -> _Profile:
+    """The _Profile record of a profile from as_lengths, memoised: read-only
+    int64 lengths and int32 offsets in the addition form, and the length
+    every component has, or None.  A pass reads at most three profiles
+    (ragged_coprime 2, homogeneous 1, cli_small 3), so four hold a pass's
+    profiles and the next pass's fresh one."""
     lengths = np.array(dims, np.int64)
-    profile = lengths, _offsets(lengths)
-    for arr in profile:
-        arr.flags.writeable = False
-    return profile
+    offsets = _offsets(lengths)
+    lengths.flags.writeable = offsets.flags.writeable = False
+    return _Profile(lengths, offsets, dims[0] if dims == (dims[0],) * len(dims) else None)
 
 
-# pair_band's store holds at most this many band entries, 16 B each (int32 i
-# and j, float64 v): about 4 MiB of arrays, allocated once and uninitialised,
-# so a page takes memory only once an entry on it is written, and the store
-# never copies itself to grow.  ragged_coprime's 1,035 length pairs take
-# 76,540 entries.
+# pair_band's store holds at most this many band entries (see pair_band).
 _STORE_CAP = 1 << 18
 
 # The keys, ends and sizes of a store that holds no pair: one sentinel key
@@ -244,47 +251,34 @@ _store_lock = threading.Lock()
 _clear_store()
 
 
-def _stored_bands(keys):
-    """(store, at): a store that holds the band of every pair in keys
-    (n << 32 | p, n <= p) at store[0][at], counting the hits and misses."""
-    store = _store
-    at = store[0].searchsorted(keys)
-    missing = store[0].take(at) != keys
-    misses = int(np.count_nonzero(missing))
-    _store_counts[0] += len(keys) - misses
-    _store_counts[1] += misses
-    if misses:
-        store = _add_bands(keys, missing)
-        at = store[0].searchsorted(keys)
-    return store, at
-
-
-def _add_bands(keys, missing):
-    """The store with the pairs keys[missing] written after its used entries,
-    published.  A store they would overflow starts over with the pairs of
-    keys; if those overflow it too, the store is not changed and the call is
-    served from arrays of its own.  v = w // g is exact, g = n + p - size
-    being the pair's gcd."""
+def _add_bands(keys):
+    """The store with the pairs of keys (n << 32 | p, n <= p) that it lacks
+    written after its used entries, published.  A store they would overflow
+    starts over with all the pairs of keys; if those overflow it too, the
+    store is not changed and the call is served from arrays of its own.
+    v = w // gcd(n, p) is exact."""
     global _store
     old_keys, end, size, ij, v, used = _store
-    new = _distinct(keys[missing])
+    new = _distinct(keys)
     n, p = new >> 32, new & 0xFFFFFFFF
-    extra = int((n + p - np.gcd(n, p)).sum())
-    restart = used + extra > len(v)
+    g = np.gcd(n, p)
+    new_size = n + p - g
+    lacked = old_keys.take(old_keys.searchsorted(new)) != new
+    restart = used + int(new_size[lacked].sum()) > len(v)
     if restart:
         (old_keys, end, size), used = _NO_PAIRS, 0
-        new = _distinct(keys)
-        n, p = new >> 32, new & 0xFFFFFFFF
-        extra = int((n + p - np.gcd(n, p)).sum())
+    else:
+        new, n, p, g, new_size = (a[lacked] for a in (new, n, p, g, new_size))
+    extra = int(new_size.sum())
     kept = extra <= len(v)
     if not kept:
         ij, v = np.empty((2, extra), np.int32), np.empty(extra)
     top = used + extra
-    new_size, i, count, col0, w = _band_rows(n, p)
+    _, i, count, col0, w = _band_rows(n, p)
     ij[0, used:top] = i.astype(np.int32).repeat(count)
     ij[1, used:top] = col0.astype(np.int32).repeat(count)  # col0 + e is column j of entry e
     ij[1, used:top] += np.arange(extra, dtype=np.int32)
-    w //= (n + p - new_size).repeat(new_size)
+    w //= g.repeat(new_size)
     v[used:top] = w
     all_keys = np.concatenate((old_keys, new))
     order = all_keys.argsort(kind="stable")
@@ -325,7 +319,8 @@ def _resample_band(dims_a: tuple, dims_b: tuple):
     passes the budget first, so a profile that raises is never cached.
     """
     _check_budget(sum(dims_a) + sum(dims_b))  # a pair's band has at most a + b entries
-    (a, _), (b, _) = profile_a, profile_b = _profile(dims_a), _profile(dims_b)
+    profile_a, profile_b = _profile(dims_a), _profile(dims_b)
+    a, b = profile_a.lengths, profile_b.lengths
     same = a == b
     u = (~same).nonzero()[0]
     idx_a, idx_b, _, v = _read_bands(profile_a, profile_b, u, u)
@@ -357,43 +352,49 @@ def _resample(P, dims_in, dims_out) -> np.ndarray:
 
 # A Gram plan lists one entry per band entry of every listed pair, in runs of
 # whole pairs of at most this many entries (a longer pair forms a run of its
-# own).  Only the last run applied is kept, so the band's working set stays
-# near 10 MiB however many long pairs there are.
+# own).  A plan of one run keeps its band; a longer one reads each run's band
+# as it is applied and keeps none, so the band's working set stays near
+# 10 MiB however many long pairs there are.
 _BAND_CHUNK = 1 << 16
 
 
 @functools.lru_cache(maxsize=1)
-def _gram_layout(dims_x: tuple, dims_y: tuple):
-    """(rows, cols, lcm, runs) of two profiles, memoised, arrays read-only:
-    the pairs a Gram plan lists, np.lcm.outer(dims_x, dims_y), and the
-    listed-pair ranges [lo, hi) of the runs, from the band sizes
-    n + p - gcd(n, p) of the listed pairs; one run, with no size computed,
-    when the listing fits one at max(dims_x) + max(dims_y) entries a pair.
-    Unequal profiles list every pair, row-major.  Equal profiles list each
-    unordered pair once, row-major over the components sorted (stably) by
-    length, so shorter length first: hyper_inner reads the other orientation
-    by pair_band's swap rule, and pair_band reads no pair swapped.  Each Gram
+def _gram_plan(dims_x: tuple, dims_y: tuple):
+    """(rows, cols, lcm, runs) of the Gram matrix of two profiles, memoised,
+    arrays read-only: the pairs the plan lists, np.lcm.outer(dims_x, dims_y)
+    and the runs (lo, hi, band) of the listed pairs [lo, hi), cut from the
+    band sizes n + p - gcd(n, p) of the listed pairs; one run, with no size
+    computed, when the listing fits one at max(dims_x) + max(dims_y) entries
+    a pair.  The band of a plan's only run is its pair_band (src_x, src_y,
+    pair, coef) as it is, since band entry e adds P[src_x[e]] * Q[src_y[e]] *
+    coef[e] to the Gram entry of pair[e] before the division by the lcm,
+    coef = v being the integer bridge entry; the runs of a longer plan hold
+    None.  Unequal profiles list every pair, row-major.  Equal profiles list
+    each unordered pair once, row-major over the components sorted (stably)
+    by length, so shorter length first: _gram reads the other orientation by
+    pair_band's swap rule, and pair_band reads no pair swapped.  Each Gram
     entry sums its own pair's band, so the listing order moves no bit."""
-    x, y = _profile(dims_x)[0], _profile(dims_y)[0]
+    x, y = _profile(dims_x), _profile(dims_y)
     if dims_x == dims_y:
-        order = x.argsort(kind="stable")
-        rows, cols = (order.take(a) for a in _upper_pairs(len(x)))
+        order = x.lengths.argsort(kind="stable")
+        rows, cols = (order.take(a) for a in _upper_pairs(len(dims_x)))
     else:
-        rows, cols = np.divmod(np.arange(len(x) * len(y)), len(y))
-    lcm = np.lcm.outer(x, y)
+        rows, cols = np.divmod(np.arange(len(dims_x) * len(dims_y)), len(dims_y))
+    lcm = np.lcm.outer(x.lengths, y.lengths)
     for arr in (rows, cols, lcm):
         arr.flags.writeable = False
-    if len(rows) * (max(dims_x) + max(dims_y)) <= _BAND_CHUNK:
-        return rows, cols, lcm, ((0, len(rows)),)
-    n, p = x[rows], y[cols]
-    ends = np.cumsum(n + p - np.gcd(n, p))
-    runs, lo = [], 0
-    while lo < len(ends):
-        start = ends[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(ends, start + _BAND_CHUNK, "right")), lo + 1)
-        runs.append((lo, hi))
-        lo = hi
-    return rows, cols, lcm, tuple(runs)
+    runs = [(0, len(rows))]
+    if len(rows) * (max(dims_x) + max(dims_y)) > _BAND_CHUNK:
+        n, p = x.lengths[rows], y.lengths[cols]
+        ends = np.cumsum(n + p - np.gcd(n, p))
+        runs, lo = [], 0
+        while lo < len(ends):
+            start = ends[lo - 1] if lo else 0
+            hi = max(int(np.searchsorted(ends, start + _BAND_CHUNK, "right")), lo + 1)
+            runs.append((lo, hi))
+            lo = hi
+    band = _read_bands(x, y, rows, cols) if len(runs) == 1 else None
+    return rows, cols, lcm, tuple((lo, hi, band) for lo, hi in runs)
 
 
 @functools.lru_cache(maxsize=1)
@@ -407,15 +408,28 @@ def _upper_pairs(s: int):
     return pairs
 
 
-@functools.lru_cache(maxsize=1)
-def _gram_plan(dims_x: tuple, dims_y: tuple, lo: int, hi: int):
-    """Read-only (src_x, src_y, pair, coef) of the listed pairs [lo, hi) of
-    two profiles (_gram_layout), memoised: their pair_band as it is, since
-    band entry e adds P[src_x[e]] * Q[src_y[e]] * coef[e] to the Gram entry
-    of pair[e] before the division by the lcm, coef = v being the integer
-    bridge entry."""
-    rows, cols = (a[lo:hi] for a in _gram_layout(dims_x, dims_y)[:2])
-    return _read_bands(_profile(dims_x), _profile(dims_y), rows, cols)
+def _gram(P, Q, dims_x: tuple, dims_y: tuple) -> np.ndarray:
+    """The Gram matrix of vinner between the components of the addition forms
+    P and Q of two profiles: per run of their _gram_plan one gather and one
+    np.bincount, and for equal profiles one more for the pairs (b, a), then
+    the division by the lcm."""
+    rows, cols, lcm, runs = _gram_plan(dims_x, dims_y)
+    mirrored = dims_x == dims_y
+    G = np.empty(lcm.shape)
+    # take reads the int32 plan as it is; P[src_x] would convert it to intp.
+    for lo, hi, band in runs:
+        r, c = rows[lo:hi], cols[lo:hi]
+        src_x, src_y, pair, coef = band or _read_bands(_profile(dims_x), _profile(dims_y), r, c)
+        G[r, c] = np.bincount(pair, P.take(src_x) * Q.take(src_y) * coef, hi - lo)
+        if mirrored:  # pairs (b, a) by pair_band's swap rule
+            G[c, r] = np.bincount(pair, P.take(src_y) * Q.take(src_x) * coef, hi - lo)
+    return np.divide(G, lcm, out=G)
+
+
+def _gram_lcm(dims_x: tuple, dims_y: tuple) -> np.ndarray:
+    """The read-only np.lcm.outer(dims_x, dims_y) of the _gram_plan of two
+    profiles."""
+    return _gram_plan(dims_x, dims_y)[2]
 
 
 def nominal_add(x, y, r: int) -> np.ndarray:

@@ -24,7 +24,6 @@ the heads and has no fixed-length counterpart here.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -44,7 +43,7 @@ from .hypervector import (
     hyper_inner,
     hyper_inner_weighted,
 )
-from .projection import _resample, project
+from .projection import _profile, _resample, project
 from .stochastic import softmax_rows
 
 SCALING_MODES = ("sqrt-n", "sqrt-s", "n")
@@ -392,7 +391,7 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
     if len(out_maps) != s:
         raise ShapeError(f"{len(out_maps)} output maps for batch size {s}")
     mapped = []
-    for k, (M, c) in enumerate(zip(out_maps, np.split(acc, np.cumsum(target_dims[:-1])))):
+    for k, (M, c) in enumerate(zip(out_maps, np.split(acc, _profile(target_dims).offsets[1:]))):
         if M is None:
             mapped.append(c)
             continue
@@ -404,17 +403,6 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
             )
         mapped.append(M @ c)
     return HyperVector(mapped)
-
-
-@functools.lru_cache(maxsize=1)
-def _segments(dims: tuple):
-    """Read-only (n, starts, d) of a profile, memoised for the last one: the
-    lengths, the offsets np.add.reduceat sums each component from, and the
-    shared length d, or None when the lengths differ."""
-    n = np.array(dims)
-    starts = np.cumsum(n) - n
-    n.flags.writeable = starts.flags.writeable = False
-    return n, starts, (dims[0] if dims == (dims[0],) * len(dims) else None)
 
 
 def df_add_norm(X: HyperVector, F: HyperVector, mode: str = "vector-wise",
@@ -440,7 +428,7 @@ def df_add_norm(X: HyperVector, F: HyperVector, mode: str = "vector-wise",
     Z = _resample(X.buffer, X.dims, F.dims) + F.buffer
     np.maximum(Z, 0.0, out=Z)
     if mode == "vector-wise":
-        n, starts, d = _segments(F.dims)
+        n, starts, d = _profile(F.dims)
         rows = Z if d is None else Z.reshape(-1, d)
         rows -= _per_entry(np.add.reduceat(Z, starts) / n, n, d)
         spread = np.sqrt(np.add.reduceat(Z * Z, starts)) / n

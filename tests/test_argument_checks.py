@@ -348,6 +348,25 @@ def test_every_import_is_used_and_every_private_name_is_referenced():
     assert unreferenced == []
 
 
+# projection owns the band store and the plans' layout: no other module reads
+# these names, and the stages memoise nothing of a profile on their own.
+PROJECTION_ONLY = {"_read_bands", "_upper_pairs", "_BAND_CHUNK", "_offsets"}
+
+
+def test_only_projection_reads_the_band_plans_and_no_stage_memoises():
+    readers, memoised = [], []
+    for path in sorted(Path(stpdft.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), path.name)
+        names = _loaded_names(tree) | {a.name for node in ast.walk(tree)
+                                       if isinstance(node, ast.ImportFrom) for a in node.names}
+        if path.name != "projection.py":
+            readers += [(path.name, name) for name in sorted(names & PROJECTION_ONLY)]
+        if path.name in ("hypervector.py", "transformer.py"):
+            memoised += [(path.name, name) for name in sorted(names & {"lru_cache", "cache"})]
+    assert readers == []
+    assert memoised == []
+
+
 # project_batch is the checked public form of projection._resample, which
 # every stage calls instead; README defines project's bytes against it.
 EXPORTED_FOR_THE_README = {"project_batch"}

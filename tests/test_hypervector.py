@@ -24,7 +24,8 @@ from stpdft import (
 )
 from stpdft import hypervector
 from stpdft.algebra import bridge_band
-from stpdft.projection import _BAND_CHUNK, _gram_layout, _gram_plan
+from stpdft.projection import _BAND_CHUNK, _gram_plan, pair_band
+from conftest import stpdft_caches
 from test_projection import repeat_vinner
 
 
@@ -44,6 +45,11 @@ def cauchy_schwarz_scale(X, Y, weighted=False):
     ny = np.array([math.sqrt(np.mean(y * y)) for y in Y.components])
     scale = np.outer(nx, ny)
     return scale * np.sqrt(np.lcm.outer(X.dims, Y.dims)) if weighted else scale
+
+
+def run_bounds(dims_x, dims_y):
+    """The listed-pair ranges (lo, hi) of the runs of a Gram plan."""
+    return tuple((lo, hi) for lo, hi, _ in _gram_plan(dims_x, dims_y)[3])
 
 
 def rowmajor_gram(X, Y):
@@ -309,7 +315,7 @@ class TestHyperInner:
     def test_long_equal_profile_matches_rowmajor_listing_bit_for_bit(self, rng):
         # Over _BAND_CHUNK entries the plan is applied run by run.
         dims = (40_000, 30_001, 7, 40_000, 12)
-        assert len(_gram_layout(dims, dims)[3]) > 1
+        assert len(run_bounds(dims, dims)) > 1
         X = HyperVector(rng.normal(size=sum(dims)), dims)
         Y = HyperVector(rng.normal(size=sum(dims)), dims)
         assert hyper_inner(X, Y).tobytes() == rowmajor_gram(X, Y).tobytes()
@@ -321,7 +327,7 @@ class TestHyperInner:
         for dims_x, dims_y, runs in (((40_000, 30_001, 7), (12, 40_000, 29_999), long_runs),
                                      ((65_527, 5), (3,), ((0, 2),)),
                                      ((65_528, 5), (3,), ((0, 1), (1, 2)))):
-            assert _gram_layout(dims_x, dims_y)[3] == runs
+            assert run_bounds(dims_x, dims_y) == runs
             X = HyperVector(rng.normal(size=sum(dims_x)), dims_x)
             Y = HyperVector(rng.normal(size=sum(dims_y)), dims_y)
             assert hyper_inner(X, Y).tobytes() == rowmajor_gram(X, Y).tobytes()
@@ -357,26 +363,38 @@ class TestHyperInner:
         assert cold.tobytes() == warm.tobytes() == again.tobytes()
 
     def test_plan_is_read_only_with_int32_indices(self):
-        src_x, src_y, pair, coef = plan = _gram_plan((7, 3), (3, 11, 7), 0, 6)
+        rows, cols, lcm, ((lo, hi, band),) = _gram_plan((7, 3), (3, 11, 7))
+        assert (lo, hi) == (0, 6)
+        src_x, src_y, pair, coef = band
         assert src_x.dtype == src_y.dtype == pair.dtype == np.int32
-        for a in plan:
+        for a in (rows, cols, lcm, *band):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             coef[0] = 0.0
 
-    def test_long_plan_is_not_kept(self, rng):
+    def test_long_plan_keeps_no_band(self, rng):
         # Pair (n, n + 1) has 2n band entries, here _BAND_CHUNK, so pair
-        # (7, n + 1) forms a second run.
+        # (7, n + 1) forms a second run.  A plan of two runs holds its
+        # layout only: each call reads both bands and keeps neither.
         n = _BAND_CHUNK // 2
         X = HyperVector(rng.normal(size=n + 7), (n, 7))
         Y = HyperVector(rng.normal(size=n + 1), (n + 1,))
-        assert _gram_layout(X.dims, Y.dims)[3] == ((0, 1), (1, 2))
+        assert run_bounds(X.dims, Y.dims) == ((0, 1), (1, 2))
         _gram_plan.cache_clear()
-        hyper_inner(X, Y)
-        hyper_inner(X, Y)
-        # Each call builds both runs again and keeps only the last one.
-        info = _gram_plan.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 4, 1)
+        tracemalloc.start()
+        try:
+            first = hyper_inner(X, Y)
+            second = hyper_inner(X, Y)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert _gram_plan.cache_info()[:2] == (1, 1)  # (hits, misses)
+        smaller_band = sum(a.nbytes for a in pair_band(X.dims, Y.dims, [1], [0]))
+        assert retained < smaller_band
+        for cache in stpdft_caches().values():
+            cache.cache_clear()
+        cold = hyper_inner(X, Y)
+        assert first.tobytes() == second.tobytes() == cold.tobytes()
 
     def test_cache_stays_bounded(self, rng):
         info = _gram_plan.cache_info()

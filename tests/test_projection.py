@@ -32,7 +32,7 @@ from stpdft import (
 )
 from stpdft import projection
 from stpdft.algebra import _band, _pair_band, as_lengths, bridge_band
-from stpdft.projection import _gram_layout, _gram_plan, _resample, _resample_band, pair_band
+from stpdft.projection import _gram_plan, _resample, _resample_band, pair_band
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
 from conftest import stpdft_caches
 from test_algebra import LENGTH_PAIRS, assert_fractions_equal, kron_bridge, kron_bridge_exact
@@ -543,9 +543,10 @@ class TestBandOracle:
                 order = sorted(range(s), key=dims_x.__getitem__)
                 listed = [(order[a], order[b]) for a in range(s) for b in range(a, s)]
             _gram_plan.cache_clear()
-            for run_lo, run_hi in _gram_layout(dims_x, dims_y)[3]:
+            rows, cols, _, runs = _gram_plan(dims_x, dims_y)
+            for run_lo, run_hi, band in runs:  # a plan of two or more runs keeps no band
                 want = oracle_plan_band(dims_x, dims_y, listed[run_lo:run_hi])
-                got = _gram_plan(dims_x, dims_y, run_lo, run_hi)
+                got = band or pair_band(dims_x, dims_y, rows[run_lo:run_hi], cols[run_lo:run_hi])
                 for arr, vals, dtype in zip(got, want, (np.int32, np.int32, np.int32,
                                                         np.float64), strict=True):
                     assert_same_array(arr, vals, dtype)

@@ -883,7 +883,7 @@ class TestPlanReuse:
     @staticmethod
     def _clear_plans():
         projection._resample_band.cache_clear()
-        hypervector._gram_plan.cache_clear()
+        projection._gram_plan.cache_clear()
 
     def test_two_layer_ragged_stack_lists_two_bands(self, rng, monkeypatch):
         X, w, cfg = self._stack(rng, [61, *rng.integers(17, 61, 15)], 61)
@@ -948,11 +948,9 @@ class TestPlanReuse:
         # memory for time.
         dims = (61, *range(60, 45, -1))
         self._clear_plans()
-        hypervector._gram_layout.cache_clear()
         tracemalloc.start()
         try:
-            for lo, hi in hypervector._gram_layout(dims, dims)[3]:
-                hypervector._gram_plan(dims, dims, lo, hi)
+            projection._gram_plan(dims, dims)
             gram_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
@@ -1126,7 +1124,7 @@ class TestEqualLengthPath:
     the identity and every score a plain product, so a forward pass builds no
     band plan of any kind."""
 
-    PLANS = ("_resample_band", "_gram_layout", "_gram_plan", "_band_rows")
+    PLANS = ("_resample_band", "_gram_plan", "_read_bands", "_band_rows")
 
     @pytest.mark.parametrize("heads", [1, 2])
     @pytest.mark.parametrize("norm_mode", ["vector-wise", "layer-wise"])
