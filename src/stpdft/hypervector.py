@@ -72,6 +72,15 @@ class HyperVector:
         self._adopt(buf, dims)
         return self
 
+    @classmethod
+    def _finite(cls, buf: np.ndarray, dims: tuple) -> "HyperVector":
+        """_owned without _adopt's scan, for a buf that a map which cannot
+        create a non-finite entry computed from checked buffers alone."""
+        self = cls.__new__(cls)
+        buf.flags.writeable = False
+        self._buffer, self._dims, self._components = buf, dims, None
+        return self
+
     def _adopt(self, buf, dims):
         finite = np.isfinite(buf)
         # ndarray.all would reduce through numpy's Python-level _methods.

@@ -420,9 +420,16 @@ def _gram(P, Q, dims_x: tuple, dims_y: tuple) -> np.ndarray:
     for lo, hi, band in runs:
         r, c = rows[lo:hi], cols[lo:hi]
         src_x, src_y, pair, coef = band or _read_bands(_profile(dims_x), _profile(dims_y), r, c)
-        G[r, c] = np.bincount(pair, P.take(src_x) * Q.take(src_y) * coef, hi - lo)
+        # Each product in place, in the order (P * Q) * coef of one expression.
+        t = P.take(src_x)
+        t *= Q.take(src_y)
+        t *= coef
+        G[r, c] = np.bincount(pair, t, hi - lo)
         if mirrored:  # pairs (b, a) by pair_band's swap rule
-            G[c, r] = np.bincount(pair, P.take(src_y) * Q.take(src_x) * coef, hi - lo)
+            t = P.take(src_y)
+            t *= Q.take(src_x)
+            t *= coef
+            G[c, r] = np.bincount(pair, t, hi - lo)
     return np.divide(G, lcm, out=G)
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -66,6 +67,8 @@ class ModelConfig:
     here and nowhere else.  The fields are the `stpdft forward` config keys,
     with these defaults and allowed values.  Each is checked once, on
     construction, and the instance is frozen, so no setting changes after it.
+    attention_mask is the attention mask that mask names, built once per
+    config, on first use, and read-only.
     """
 
     batch_size: int
@@ -101,6 +104,17 @@ class ModelConfig:
             finite = False
         if not (finite and self.eps > 0):
             raise ValueError(f"eps must be positive and finite in float64, got {self.eps!r}")
+
+    @cached_property
+    def attention_mask(self) -> np.ndarray | None:
+        """None for mask "none", else causal_mask(batch_size), read-only:
+        built on first use and kept outside the fields, so ==, hash, replace
+        and asdict ignore it and a replaced config builds its own."""
+        if self.mask == "none":
+            return None
+        M = causal_mask(self.batch_size)
+        M.flags.writeable = False
+        return M
 
 
 @dataclass
@@ -387,6 +401,9 @@ def dv_multi_head(heads, target_dims, weights=None, out_maps=None) -> HyperVecto
         term = _resample(h.buffer, h.dims, target_dims)
         acc = acc + (term if wgt == 1.0 else wgt * term)
     if out_maps is None:
+        if len(heads) == 1 and weights[0] == 1.0 and term is heads[0].buffer:
+            # 0.0 + x of one checked buffer x, the identity resample's.
+            return HyperVector._finite(acc, target_dims)
         return HyperVector._owned(acc, target_dims)
     if len(out_maps) != s:
         raise ShapeError(f"{len(out_maps)} output maps for batch size {s}")
@@ -463,7 +480,7 @@ def df_ffn(X: HyperVector, w1, w2, b1=None, b2=None) -> HyperVector:
     H = diamond(w1, X)
     if b1 is not None:
         H = hyper_add_listwise(H, _as_hyper(b1, s), dims)
-    H = HyperVector._owned(relu(H.buffer), H.dims)
+    H = HyperVector._finite(relu(H.buffer), H.dims)  # max(x, 0) of a checked x
     out = diamond(w2, H)
     if b2 is not None:
         out = hyper_add_listwise(out, _as_hyper(b2, s), dims)
@@ -488,18 +505,13 @@ def _qkv_hyper(X: HyperVector, w: AttentionWeights, cfg: ModelConfig):
     return pipeline(X, (w.wq, w.wk, w.wv), cfg.nominal_dim, X.dims)
 
 
-def _block_mask(cfg: ModelConfig):
-    if cfg.mask == "none":
-        return None
-    return causal_mask(cfg.batch_size)
-
-
 def encoder_block(X: HyperVector, w: AttentionWeights, cfg: ModelConfig,
                   return_weights: bool = False, mask=None):
     """One ragged encoder block: Q/K/V pipelines, (multi-head) attention,
     add-norm, feed-forward, add-norm.  Q, K, V, the combined heads and the
     output keep the input profile.  mask is the additive attention mask,
-    added to the scores; None builds the one cfg.mask names.
+    added to the scores; None reads cfg.attention_mask, the one cfg.mask
+    names, built once per config and read-only.
 
     mask="causal" masks the attention weights only.  Token i's output is
     free of later tokens only if, besides, W1, W2 and the head maps are
@@ -512,7 +524,7 @@ def encoder_block(X: HyperVector, w: AttentionWeights, cfg: ModelConfig,
         )
     Q, K, V = _qkv_hyper(X, w, cfg)
     if mask is None:
-        mask = _block_mask(cfg)
+        mask = cfg.attention_mask
 
     heads = _head_count(w)
     if (1 if heads is None else heads) != cfg.heads:
@@ -545,19 +557,19 @@ def encoder_stack(X: HyperVector, w_list, cfg: ModelConfig,
     """cfg.layers encoder blocks in sequence; a single weight set is reused
     for every block, otherwise w_list must provide one per block.  Zero
     layers is the identity.  The attention mask of cfg.mask is built once
-    and added in every block.  Only return_weights keeps each block's
-    attention, so without it memory does not grow with cfg.layers."""
+    per config, read-only (cfg.attention_mask), and added in every block.
+    Only return_weights keeps each block's attention, so without it memory
+    does not grow with cfg.layers."""
     w_list = list(w_list)
     n = cfg.layers
     if n == 0:
         return (X, []) if return_weights else X
     if len(w_list) not in (1, n):
         raise ShapeError(f"{len(w_list)} weight sets for {n} blocks")
-    atts, mask = [], _block_mask(cfg)
+    atts = []
     for k in range(n):
         try:
-            X, A = encoder_block(X, w_list[k % len(w_list)], cfg, return_weights=True,
-                                 mask=mask)
+            X, A = encoder_block(X, w_list[k % len(w_list)], cfg, return_weights=True)
         except (ShapeError, ValueError) as exc:
             raise type(exc)(f"block {k + 1}: {exc}") from exc
         if return_weights:

@@ -1118,6 +1118,37 @@ class TestSkippedResamples:
         hypervector._pad(HyperVector.from_matrix(rng.normal(size=(2, 3))), 4)
         assert bands == [((3, 3), (4, 4))]
 
+    def test_one_read_only_mask_per_config(self, rng, monkeypatch):
+        s, d = 6, 5
+        X = HyperVector.from_matrix(rng.normal(size=(s, d)))
+        w = two_head_weights(rng, s, d, d)
+        cfg = ModelConfig(batch_size=s, nominal_dim=d, heads=2, mask="causal", layers=3)
+        fields = dataclasses.asdict(cfg)
+        masks, mask = [], transformer.causal_mask
+
+        def counting_mask(*args):
+            masks.append(args)
+            return mask(*args)
+
+        monkeypatch.setattr(transformer, "causal_mask", counting_mask)
+        want = encoder_stack(X, [w], cfg)
+        # A second stack and a block left to build its own mask reuse the first.
+        assert same_bytes(encoder_stack(X, [w], cfg), want)
+        encoder_block(X, w, cfg, mask=None)
+        assert masks == [(s,)]
+        M = cfg.attention_mask
+        assert not M.flags.writeable and M.tobytes() == mask(s).tobytes()
+        # The cached mask is no field: equality, hash, asdict (the CLI's
+        # echoed config) and replace see the fields alone.
+        twin = ModelConfig(batch_size=s, nominal_dim=d, heads=2, mask="causal", layers=3)
+        assert cfg == twin and hash(cfg) == hash(twin)
+        assert dataclasses.asdict(cfg) == fields
+        replaced = dataclasses.replace(cfg)
+        assert replaced == cfg and masks == [(s,)]
+        assert replaced.attention_mask is not M and masks == [(s,), (s,)]
+        unmasked = dataclasses.replace(cfg, mask="none")
+        assert unmasked.attention_mask is None and masks == [(s,), (s,)]
+
 
 class TestEqualLengthPath:
     """On an all-equal-length batch at the nominal length every resample is
@@ -1209,6 +1240,38 @@ class TestAdoptedOutputs:
             call()
         name = stage.split()[0]
         assert any(entry.name == name for entry in info.traceback)
+        assert info.traceback[-1].name == "_adopt"
+
+    @pytest.mark.parametrize("dims", [(4,) * 5, (4, 2, 3, 4, 1)])
+    def test_a_block_scans_every_output_a_map_can_overflow(self, rng, monkeypatch, dims):
+        # Two outputs skip the scan: the FFN's relu of a checked diamond and
+        # the one-head combine, 0.0 + the head's own checked buffer.
+        s, d = len(dims), max(dims)
+        X = HyperVector(rng.normal(size=sum(dims)), dims)
+        w = AttentionWeights(wq=rng.normal(size=(d, d)), wk=rng.normal(size=(d, d)),
+                             wv=rng.normal(size=(d, d)), ffn_w1=rng.normal(size=(s, s)),
+                             ffn_w2=rng.normal(size=(s, s)))
+        scanned, adopt = [], HyperVector._adopt
+
+        def counting_adopt(self, buf, dims):
+            scanned.append(dims)
+            return adopt(self, buf, dims)
+
+        monkeypatch.setattr(HyperVector, "_adopt", counting_adopt)
+        encoder_block(X, w, ModelConfig(batch_size=s, nominal_dim=d, mask="causal"))
+        assert len(scanned) == 8
+        # A combine that resamples or weighs its one head still scans.
+        scanned.clear()
+        dv_multi_head([X], (d + 1,) * s)
+        dv_multi_head([X], dims, weights=[0.5])
+        assert len(scanned) == 2
+
+    def test_a_weighted_head_overflows_in_the_combine(self):
+        dims = (3, 3, 3)
+        big = HyperVector(np.full(9, 1e308), dims)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
+            dv_multi_head([big], dims, weights=[2.0])
+        assert any(entry.name == "dv_multi_head" for entry in info.traceback)
         assert info.traceback[-1].name == "_adopt"
 
     @settings(max_examples=60, deadline=None)
