@@ -22,9 +22,11 @@ pairs, the band plans of ``projection``, take the row-level ``_band_rows``:
 a few per row, cheaper there because a plan has fewer rows than entries.
 Only stp and sta, whose results are lcm-sized by definition, expand to the
 lcm, and sta builds only its result.  The bridge factors and
-``projection``'s one-pair kernels read one memoised band (``_pair_band``)
-that holds the last pair's n + p entries of 24 B at most, bounded by no
-budget; ``bridge_band`` is uncached.
+``projection``'s one-pair kernels read their band from one memo of many
+pairs (``_pair_band``), least recently used evicted first once it holds
+2**16 entries (about 1.5 MiB), the most recent pair kept whatever its
+size; a dense factor also keeps its pair's flat scatter plan there.
+``bridge_band`` is uncached.
 
 Matrices are plain 2-D float ndarrays, vectors 1-D.  Results depend on the
 arguments alone; nothing here mutates its inputs.  Lengths are never
@@ -34,9 +36,10 @@ batch) and nominal length passes ``as_lengths``.
 
 from __future__ import annotations
 
-import functools
+import collections
 import math
 import operator
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -168,29 +171,106 @@ def bridge_matrix(n: int, p: int) -> np.ndarray:
 
 
 def _scatter_bridge(n, p, scale=None):
-    """bridge_matrix(n, p) with scale applied to its band values v = w // gcd
-    (integer arrays) before they are scattered into n x p zeros.  The scale
-    never meets a zero entry, and a positive scale keeps a zero +0.0, so the
-    bytes are those of scale applied to the whole matrix.  The memo (_band)
-    is read after the checks, so a failing pair is never cached."""
+    """bridge_matrix(n, p) with scale applied to its band values v = w / gcd
+    before one flat put into n x p zeros.  The memo holds the pair's scatter
+    plan with its band: v as float64, exact integers below 2**53 and so the
+    bits of w // gcd converted, the same for both orientations (the swap
+    rule keeps the order), and per orientation the flat index i * p + j,
+    built with its first dense factor and counted as size entries (with v).
+    The scale never meets a zero entry, and a positive scale keeps a zero
+    +0.0, so the bytes are those of scale applied to the whole matrix.  The
+    memo is read after the checks, so a failing pair is never held."""
     if n < 1 or p < 1:
         raise ShapeError(f"bridge_matrix dims must be positive, got ({n}, {p})")
     _check_budget(n, p)
-    i, j, w = _band(n, p)
-    v = w // math.gcd(n, p)
+    if type(n) is not int or type(p) is not int:
+        n, p = as_lengths((n, p), "bridge_band lengths")
+    slot = 3 if n <= p else 4  # n == p has one orientation
+    with _memo_lock:
+        held = _hold((min(n, p), max(n, p)))
+        if held[slot] is None:
+            i, j, w = held[1]
+            held[slot] = (i * p + j) if n <= p else (j * p + i)
+            held[slot].flags.writeable = False
+            if held[2] is None:
+                held[2] = w / math.gcd(n, p)
+                held[2].flags.writeable = False
+            held[0] += len(w)
+            _count(len(w))
+        flat, v = held[slot], held[2]
     out = np.zeros((n, p))
-    out[i, j] = v if scale is None else scale(v)
+    out.reshape(-1)[flat] = v if scale is None else scale(v)
     return out
 
 
-@functools.lru_cache(maxsize=1)
+# The memo of _pair_band, least recently used pair first: unordered
+# pair (n, p), n <= p -> [entries, band, v, flat of (n, p), flat of (p, n)],
+# the last three None until a dense factor of the pair is first built.
+_MEMO_CAP = 1 << 16
+_memo = collections.OrderedDict()
+_memo_counts = [0, 0, 0]  # band hits and misses, in lookups, and entries held
+_memo_lock = threading.Lock()
+
+
 def _pair_band(n, p):
     """Read-only int64 (i, j, w) of bridge_band(n, p), n <= p Python ints
-    (_band converts every length), memoised."""
-    band = bridge_band(n, p)[1:]
+    (_band converts every length), memoised.
+
+    The kernels of one pair tend to run together while pairs rotate
+    (kernels_coprime visits about 30), so the memo holds many pairs, apart
+    from pair_band's store, and evicts the least recently used first.  It
+    counts entries, not pairs: a band counts its n + p - gcd(n, p) entries,
+    and each dense factor's scatter plan (_scatter_bridge) as many more, so
+    it holds at most _MEMO_CAP = 2**16 entries of at most 24 B, about
+    1.5 MiB, but keeps the most recent pair whatever its size.  Reads and
+    writes run under one lock.  _pair_band.cache_info() gives the band
+    lookups that found their pair (hits) and built it (misses), the pairs
+    held (currsize), and the cap (maxsize) and the entries held (entries)
+    in entries; _pair_band.cache_clear() empties it."""
+    # The lock without `with`, which costs about 0.1 us more: a hit is most
+    # of a one-pair kernel's band read.
+    _memo_lock.acquire()
+    try:
+        return _hold((n, p))[1]
+    finally:
+        _memo_lock.release()
+
+
+def _hold(key):
+    """The memo's record of the pair key, built if the memo lacks it; either
+    way key becomes the most recent pair.  Called under the lock."""
+    held = _memo.get(key)
+    if held is not None:
+        _memo.move_to_end(key)
+        _memo_counts[0] += 1
+        return held
+    band = bridge_band(*key)[1:]
     for arr in band:
         arr.flags.writeable = False
-    return band
+    held = _memo[key] = [len(band[2]), band, None, None, None]
+    _memo_counts[1] += 1
+    _count(held[0])
+    return held
+
+
+def _count(entries):
+    """Count entries more as held, then evict the least recently used pairs
+    until the memo holds at most _MEMO_CAP entries or one pair."""
+    _memo_counts[2] += entries
+    while _memo_counts[2] > _MEMO_CAP and len(_memo) > 1:
+        _memo_counts[2] -= _memo.popitem(last=False)[1][0]
+
+
+def _clear_memo():
+    with _memo_lock:
+        _memo.clear()
+        _memo_counts[:] = 0, 0, 0
+
+
+_MemoInfo = collections.namedtuple("MemoInfo", "hits misses maxsize currsize entries")
+_pair_band.cache_clear = _clear_memo
+_pair_band.cache_info = lambda: _MemoInfo(*_memo_counts[:2], _MEMO_CAP, len(_memo),
+                                          _memo_counts[2])
 
 
 def _band(n, p):
@@ -200,8 +280,10 @@ def _band(n, p):
     Python int by as_lengths, so the kinds share one entry and a bool raises."""
     if type(n) is not int or type(p) is not int:
         n, p = as_lengths((n, p), "bridge_band lengths")
-    i, j, w = _pair_band(min(n, p), max(n, p))
-    return (i, j, w) if n <= p else (j, i, w)
+    if n <= p:
+        return _pair_band(n, p)
+    i, j, w = _pair_band(p, n)
+    return j, i, w
 
 
 def bridge_band(n, p):

@@ -16,7 +16,8 @@ Nothing is replicated to length t: the replicated vectors are constant on
 the pieces of [0, t) where one entry of x meets one entry of y, the
 nonzeros of ``algebra.bridge_band(m, n)``, and everything here sums over them.
 The one-pair kernels (vinner, vdist, proj_matrix, project) read that band
-from ``algebra._band``, memoised for the last pair.
+from ``algebra._band``, whose memo holds the bands of many pairs, least
+recently used evicted first, apart from ``pair_band``'s store.
 
 This module owns a length profile's arrays and the band plans.  ``_profile``
 is the one record of a profile's lengths, offsets and shared length, which
@@ -47,7 +48,8 @@ def vinner(x, y) -> float:
 
     Equal lengths give x @ y / m; otherwise the sum of x_i y_j w over the
     memoised band (i, j, w) of bridge_band(m, n) (algebra._band), over m n;
-    no budget is checked, and the band stays held until another pair's call.
+    no budget is checked, and the band stays held until the memo evicts it
+    (algebra._pair_band).
     """
     x = as_vector(x)
     y = as_vector(y)
@@ -100,8 +102,9 @@ def project(x, n: int) -> np.ndarray:
     """Closest vector in R^n to x under vdist: proj_matrix(len(x), n) @ x,
     with no dense matrix.  Equal lengths copy x; otherwise entry j sums
     x[i] * w / m over the memoised band (i, j, w) of bridge_band(m, n)
-    (algebra._band, read after the budget check): the band, order and
-    coefficients of project_batch of the one component, so the same bytes."""
+    (algebra._band, read after the budget check, so a failing pair is never
+    held): the band, order and coefficients of project_batch of the one
+    component, so the same bytes."""
     x = as_vector(x)
     (n,), m = as_lengths((n,), "output profile"), len(x)
     if m == n:

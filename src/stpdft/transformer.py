@@ -83,12 +83,11 @@ class ModelConfig:
 
     def __post_init__(self):
         # Messages start with the field name: the CLI reports it as the config key.
-        for f in fields(self):
-            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
-            value = getattr(self, f.name)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+        for name, kind in _NUMBER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
                 noun = "an integer" if kind is numbers.Integral else "a real number"
-                raise TypeError(f"{f.name} must be {noun}, got {value!r}")
+                raise TypeError(f"{name} must be {noun}, got {value!r}")
         for name, least in (("batch_size", 1), ("nominal_dim", 1), ("heads", 1),
                             ("layers", 0)):
             if getattr(self, name) < least:
@@ -115,6 +114,12 @@ class ModelConfig:
         M = causal_mask(self.batch_size)
         M.flags.writeable = False
         return M
+
+
+# (name, kind) of each number field of ModelConfig, read from its annotations
+# once, not on every construction.
+_NUMBER_FIELDS = tuple((f.name, kind) for f in fields(ModelConfig)
+                       if (kind := {"int": numbers.Integral, "float": numbers.Real}.get(f.type)))
 
 
 @dataclass
@@ -195,10 +200,8 @@ def causal_mask(s: int, mode: str = "conventional") -> np.ndarray:
         raise ShapeError(f"mask size must be positive, got {s}")
     if mode != "conventional":
         raise ValueError(f"mask mode must be 'conventional', got {mode!r}")
-    upper = np.triu(np.ones((s, s), dtype=bool), k=1)  # j > i
-    M = np.zeros((s, s))
-    M[upper] = -np.inf
-    return M
+    r = np.arange(s)
+    return np.where(r[:, None] < r, -np.inf, 0.0)  # -inf where j > i
 
 
 def attention_nominal(Q, K, V, scale: str = "sqrt-n", mask=None,

@@ -21,8 +21,10 @@ def src_on_child_path():
 
 
 def stpdft_caches() -> dict:
-    """Every functools cache (lru_cache, cache) on an imported stpdft module,
-    by qualified name."""
+    """Every memo on an imported stpdft module, by qualified name: each
+    module attribute with a cache_clear method, so the functools caches
+    (lru_cache, cache) and the hand-built memos that mimic their
+    cache_clear / cache_info pair (algebra._pair_band, projection.pair_band)."""
     return {f"{name}.{attr}": obj for name, module in list(sys.modules.items())
             if name == "stpdft" or name.startswith("stpdft.")
             for attr, obj in vars(module).items() if hasattr(obj, "cache_clear")}

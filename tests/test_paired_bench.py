@@ -106,3 +106,65 @@ def test_a_worse_median_is_worse_even_when_the_parent_spreads_wide():
     rows = paired_bench.summarise(pairs, paired_bench.directions(doc))
     assert rows[0]["parent_iqr"] > 0.25
     assert paired_bench.verdicts(rows, doc) == {"peak_rss_mb": "worse"}
+
+
+def fake_runs(monkeypatch, values):
+    """Serve run_once from values: (side, seed) -> (tok, p50), with no
+    subprocess, and record the calls as (side, seed)."""
+    calls = []
+
+    def run_once(checkout, cmd, seed):
+        side = checkout.name
+        calls.append((side, seed))
+        return paired_bench.parse_result(result_line(*values[side, seed]))
+
+    monkeypatch.setattr(paired_bench, "run_once", run_once)
+    return calls
+
+
+def test_out_writes_rows_verdicts_and_pairs_by_workload(tmp_path, monkeypatch):
+    values = {("parent", 1): (100, 1.0), ("change", 1): (120, 0.8),
+              ("parent", 2): (104, 1.1), ("change", 2): (118, 0.9)}
+    calls = fake_runs(monkeypatch, values)
+    out = tmp_path / "BENCH.json"
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    assert paired_bench.main([str(parent), str(change), "--workload", "w1", "--seeds", "1", "2",
+                              "--out", str(out)]) == 0
+    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    doc = json.loads(out.read_text())
+    assert list(doc) == ["w1"]
+    w1 = doc["w1"]
+    assert (w1["seeds"], w1["trace"], w1["runs_failing_checks"]) == ([1, 2], 0, 0)
+    assert [(r["seed"], r["order"]) for r in w1["pairs"]] == [
+        (1, ["parent", "change"]), (2, ["change", "parent"])]
+    assert w1["pairs"][1]["change"] == {
+        "correct": True, "failed": 0,
+        "metrics": {"throughput_tok_s": 118, "latency_p50_ms": 0.9, "peak_rss_mb": 38.0}}
+    rows = {r["metric"]: r for r in w1["rows"]}
+    assert rows["throughput_tok_s"]["parent"] == [101, 102, 103]  # inclusive quartiles
+    assert rows["throughput_tok_s"]["wins"] == 2
+    assert w1["verdicts"] == {"throughput_tok_s": "ok", "latency_p50_ms": "ok",
+                              "peak_rss_mb": "ok"}
+
+
+def test_out_keeps_the_other_workloads_of_the_file(tmp_path, monkeypatch):
+    values = {(side, seed): (100 + seed, 1.0) for side in ("parent", "change") for seed in (1, 2)}
+    fake_runs(monkeypatch, values)
+    out = tmp_path / "BENCH.json"
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--out", str(out)]
+    paired_bench.main([*args, "--workload", "w1", "--seeds", "1"])
+    paired_bench.main([*args, "--workload", "w2", "--seeds", "2"])
+    first = json.loads(out.read_text())
+    assert list(first) == ["w1", "w2"] and first["w1"]["seeds"] == [1]
+    paired_bench.main([*args, "--workload", "w1", "--seeds", "1", "2"])
+    second = json.loads(out.read_text())
+    assert list(second) == ["w1", "w2"] and second["w1"]["seeds"] == [1, 2]
+    assert second["w2"] == first["w2"]
+
+
+def test_no_out_writes_no_file(tmp_path, monkeypatch):
+    fake_runs(monkeypatch, {(side, 1): (100, 1.0) for side in ("parent", "change")})
+    monkeypatch.chdir(tmp_path)
+    paired_bench.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w1",
+                       "--seeds", "1"])
+    assert list(tmp_path.iterdir()) == []

@@ -30,12 +30,13 @@ from stpdft import (
     weighted_bridge_matrix,
     weighted_dk_stp,
 )
-from stpdft import projection
+from stpdft import algebra, projection
 from stpdft.algebra import _band, _pair_band, as_lengths, bridge_band
 from stpdft.projection import _gram_plan, _resample, _resample_band, pair_band
 from stpdft.worked_examples import GOLDEN_PROJECTIONS, golden_fraction_matrix
 from conftest import stpdft_caches
-from test_algebra import LENGTH_PAIRS, assert_fractions_equal, kron_bridge, kron_bridge_exact
+from test_algebra import (LENGTH_PAIRS, assert_fractions_equal, count_one_pair_bands, kron_bridge,
+                          kron_bridge_exact)
 
 
 def repeat_vinner(x, y):
@@ -671,6 +672,178 @@ class TestPairBandMemo:
             assert np.asarray(kernel(n, 5), dtype=float).tobytes() == want
         with pytest.raises(TypeError):
             kernel(True, 5)
+
+
+def kernels_coprime_pairs():
+    """The unordered pairs of perfbench's kernels_coprime workload: (m, m + 1)
+    for m = 10 + 17 k, k < 15, and the consecutive primes around each m."""
+    primes = [q for q in range(2, 257) if all(q % d for d in range(2, int(q**0.5) + 1))]
+    pairs = []
+    for m in range(10, 256, 17):
+        k = max(k for k, q in enumerate(primes) if q <= m)
+        pairs += [(m, m + 1), (primes[k], primes[k + 1])]
+    return pairs
+
+
+def eight_kernels(m, n):
+    """The eight calls of a kernels_coprime request on the pair (m, n)."""
+    rng = np.random.default_rng([m, n])
+    x, y = rng.normal(size=m), rng.normal(size=n)
+    A, B = rng.normal(size=(8, m)), rng.normal(size=(n, 8))
+    return [lambda: proj_matrix(m, n), lambda: project(x, n), lambda: vinner(x, y),
+            lambda: vdist(x, y), lambda: bridge_matrix(m, n), lambda: dk_stp(A, B),
+            lambda: weighted_dk_stp(A, B), lambda: sta(x, y)]
+
+
+def scatter_oracle(n, p):
+    """bridge_matrix(n, p) by the 2-D scatter out[i, j] = w // gcd of the
+    uncached band, with v = w // gcd."""
+    _, i, j, w = bridge_band(n, p)
+    v = w // math.gcd(n, p)
+    out = np.zeros((n, p))
+    out[i, j] = v
+    return out, i, j, v
+
+
+def held_records():
+    """The memo's records, least recently used first, as {pair: record}."""
+    return dict(algebra._memo)
+
+
+class TestManyPairMemo:
+    """algebra._pair_band holds the bands of many pairs, capped by entries and
+    evicted least recently used first, with each dense factor's scatter plan."""
+
+    def test_held_entries_stay_within_the_cap(self):
+        rng = np.random.default_rng(34)
+        pairs = [tuple(rng.integers(1, 3000, 2).tolist()) for _ in range(200)]
+        pairs[120] = (40_000, 40_001)  # 80,000 entries: a band larger than the cap
+        cap = algebra._MEMO_CAP
+        for k, (n, p) in enumerate(pairs):
+            x, y = np.ones(n), np.ones(p)
+            assert vinner(x, y) == 1.0
+            if k % 3 == 0 and n * p <= 2**21:
+                bridge_matrix(n, p)
+                proj_matrix(n, p)
+            info = _pair_band.cache_info()
+            records = held_records()
+            last = records[(min(n, p), max(n, p))]
+            assert list(records)[-1] == (min(n, p), max(n, p))
+            assert info.entries == sum(r[0] for r in records.values())
+            assert info.entries - last[0] <= cap and info.currsize == len(records)
+            held = sum(a.nbytes for r in records.values() for a in (*r[1], *r[2:]) if a is not None)
+            assert held <= 24 * info.entries
+        assert 1 < info.currsize < 200 and info.misses == 200
+
+    def test_least_recently_used_pair_goes_first(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_MEMO_CAP", 100)
+        built = count_one_pair_bands(monkeypatch)
+        a, b, c, d = (13, 18), (11, 20), (15, 16), (14, 17)  # 30 entries each
+
+        def read(pair):
+            vinner(np.ones(pair[0]), np.ones(pair[1]))
+
+        for pair in (a, b, c):
+            read(pair)
+        read(a)  # a hit, so b is now the least recently used
+        assert _pair_band.cache_info().entries == 90
+        read(d)  # 120 entries: b goes
+        assert list(held_records()) == [c, a, d]
+        for pair in (a, c, d):
+            read(pair)
+        assert built == [a, b, c, d]
+        read(b)  # built again, and a, now the oldest, goes
+        assert built == [a, b, c, d, b]
+        assert list(held_records()) == [c, d, b]
+        bridge_matrix(*c)  # c's scatter plan, 30 entries more: d goes
+        assert list(held_records()) == [b, c]
+        assert _pair_band.cache_info()[2:] == (100, 2, 90)
+        _pair_band.cache_clear()
+        assert _pair_band.cache_info() == (0, 0, 100, 0, 0)
+
+    def test_kernels_coprime_pairs_are_built_once(self, monkeypatch):
+        # Two passes over the workload's pairs in both orders through all
+        # eight kernels: the second pass builds no band and no scatter plan.
+        built = count_one_pair_bands(monkeypatch)
+        pairs = kernels_coprime_pairs()
+        ordered = [q for pair in pairs for q in (pair, pair[::-1])]
+        for m, n in ordered:
+            for call in eight_kernels(m, n):
+                call()
+        records = held_records()
+        plans = {key: (r[2], r[3], r[4]) for key, r in records.items()}
+        assert len(built) == len(records) == len(set(pairs))
+        assert all(all(a is not None for a in plan) for plan in plans.values())
+        before = _pair_band.cache_info()
+        for m, n in ordered:
+            for call in eight_kernels(m, n):
+                call()
+        assert len(built) == len(set(pairs))
+        after = _pair_band.cache_info()
+        assert (after.misses, after.entries) == (before.misses, before.entries)
+        assert after.hits == before.hits + 7 * len(ordered)  # sta reads no band
+        assert all(all(a is b for a, b in zip(plans[key], (r[2], r[3], r[4])))
+                   for key, r in held_records().items())
+
+    @pytest.mark.parametrize("n, p", [(5, 7), (7, 5), (12, 18), (18, 12), (6, 6), (1, 4),
+                                      (4, 1), (1, 1), (96, 144)])
+    def test_dense_factors_match_a_two_d_scatter(self, n, p):
+        g, t = math.gcd(n, p), math.lcm(n, p)
+        bridge, i, j, v = scatter_oracle(n, p)
+        weighted = np.zeros((n, p))
+        weighted[i, j] = v / (n // g)
+        proj = np.zeros((p, n))  # proj_matrix(n, p) is the bridge of (p, n) scaled
+        _, i2, j2, v2 = scatter_oracle(p, n)
+        proj[i2, j2] = v2 * (p / t)
+        rng = np.random.default_rng([n, p])
+        A, B = rng.normal(size=(3, n)), rng.normal(size=(p, 2))
+        reduced = scatter_oracle(n // g, p // g)[0]
+        dk = (A.reshape(3 * g, n // g) @ reduced).reshape(3, p) @ B if n != p else A @ B
+        wreduced = reduced / (n // g)
+        wdk = (A.reshape(3 * g, n // g) @ wreduced).reshape(3, p) @ B if n != p else A @ B
+        for _ in range(2):  # cold, then from the held plans
+            for call, want in ((lambda: bridge_matrix(n, p), bridge),
+                               (lambda: weighted_bridge_matrix(n, p), weighted),
+                               (lambda: proj_matrix(n, p), proj),
+                               (lambda: dk_stp(A, B), dk),
+                               (lambda: weighted_dk_stp(A, B), wdk)):
+                got, again = call(), call()
+                assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+                assert got.flags.writeable and got.flags.c_contiguous and got.flags.owndata
+                assert not np.shares_memory(got, again)
+                got[...] = np.nan
+                assert call().tobytes() == want.tobytes()
+
+    def test_threads_read_the_bytes_of_cold_calls(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_MEMO_CAP", 1_500)  # pairs are evicted often
+        pairs = kernels_coprime_pairs()[:12]
+        ordered = [q for pair in pairs for q in (pair, pair[::-1])]
+        cold = {}
+        for pair in ordered:
+            _pair_band.cache_clear()
+            cold[pair] = [np.asarray(call()).tobytes() for call in eight_kernels(*pair)]
+        _pair_band.cache_clear()
+        wrong = []
+
+        def run(seed):
+            for k in np.random.default_rng(seed).permutation(len(ordered) * 3) % len(ordered):
+                got = [np.asarray(call()).tobytes() for call in eight_kernels(*ordered[k])]
+                if got != cold[ordered[k]]:
+                    wrong.append(ordered[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert _pair_band.cache_info().entries == sum(r[0] for r in held_records().values())
 
 
 @st.composite

@@ -152,6 +152,14 @@ class TestCausalMask:
         with pytest.raises(ValueError, match="conventional"):
             causal_mask(2, "paper-literal")
 
+    @pytest.mark.parametrize("s", [1, 2, 8, 64])
+    def test_bytes_of_the_triu_construction(self, s):
+        want = np.zeros((s, s))
+        want[np.triu(np.ones((s, s), dtype=bool), k=1)] = -np.inf
+        M = causal_mask(s)
+        assert M.tobytes() == want.tobytes() and M.dtype == want.dtype
+        assert M.flags.c_contiguous and M.flags.writeable and M.flags.owndata
+
 
 class TestMultiHeadNominal:
     def test_single_head_identity_map(self, rng):

@@ -5,7 +5,7 @@ and for each metric the medians, quartiles and wins of the change.
 Usage:
 
     python tools/paired_bench.py PARENT_DIR CHANGE_DIR --workload W \\
-        --seeds 501 502 503 [--trace 0|1]
+        --seeds 501 502 503 [--trace 0|1] [--out BENCH.json]
 
 Pair k runs BENCHMARK.json's command (`python3 perfbench/run.py`) with
 `--workload W --seed S --seconds T --trace X`, T its `run_seconds`, in
@@ -22,7 +22,10 @@ differ by more than the parent's IQR.  Below it, each end-to-end metric gets
 a verdict against its `bound` in BENCHMARK.json: `worse` when the median is
 worse by more than the bound, `unresolved` when the parent's IQR is wider
 than the bound (the runs spread too widely to tell), `ok` otherwise.
-Nothing under either perfbench/ is edited.
+With --out, the run is also written to a JSON file as one object under the
+workload's name: the seeds, each pair's results, the rows and the verdicts.
+Other workloads already in the file are kept, so one file can hold a
+commit's runs of every workload.  Nothing under either perfbench/ is edited.
 """
 
 import argparse
@@ -170,10 +173,11 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", type=int, nargs="+", required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    p.add_argument("--out", type=Path, help="JSON file to write the run into, by workload")
     args = p.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = load_benchmark()
-    pairs, bad = [], 0
+    pairs, runs, bad = [], [], 0
     for seed, order in schedule(args.seeds):
         cmd = run_command(doc, args.workload, seed, args.trace)
         got = {side: run_once(dirs[side], cmd, seed) for side in order}
@@ -183,12 +187,25 @@ def main(argv=None) -> int:
             print(f"seed {seed} {side}: correct={res['correct']} failed={res['failed']} "
                   + json.dumps(res["metrics"]), flush=True)
         pairs.append((got["parent"]["metrics"], got["change"]["metrics"]))
+        runs.append({"seed": seed, "order": list(order), **got})
     print(f"\n{args.workload}: {len(pairs)} pairs, seeds {' '.join(map(str, args.seeds))},"
           f" {bad} runs failing their checks")
     rows = summarise(pairs, directions(doc))
     print(format_rows(rows))
     print("\n" + format_verdicts(rows, doc))
+    if args.out is not None:
+        write_results(args.out, args.workload, {
+            "seeds": args.seeds, "trace": args.trace, "runs_failing_checks": bad,
+            "pairs": runs, "rows": rows, "verdicts": verdicts(rows, doc)})
     return 1 if bad else 0
+
+
+def write_results(path: Path, workload: str, record: dict):
+    """Set record as the entry of workload in the JSON object at path,
+    keeping its other workloads; a missing file starts empty."""
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc[workload] = record
+    path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 if __name__ == "__main__":
