@@ -38,6 +38,8 @@ import sys
 import time
 import types
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -58,9 +60,65 @@ from .transformer import (
 )
 
 
-def _write_text(path: str | None, text: str):
-    """Write text to standard output (path None or "-") or to the file path,
-    the only place where stpdft writes a file.
+def _json_chunks(o, level: int = 0):
+    """Yield the text of json.dumps(o, indent=2, default=np.ndarray.tolist),
+    for o nested level deep, in chunks that join to exactly those bytes; o
+    holds no reference cycle.
+
+    With indent set, json runs its pure-Python encoder, one generator frame
+    per float.  Here a nonempty float64 array of 1 or 2 dims is one C-level
+    repr of its tolist(), whose ", " (and, in 2-D, "], [") become the
+    newline and indent: json writes each float as float.__repr__, as repr
+    of a list does, so the bytes agree whenever the text holds no "n" (nan
+    and inf, which json writes NaN and Infinity).  Dicts with str keys,
+    lists and tuples are walked here in json's layout, str, int and float
+    leaves written as json writes them, and every other value (a non-str
+    key, an empty container, a non-finite float, another dtype or rank, a
+    scalar of another type) goes to json.dumps itself, re-indented: with
+    ensure_ascii no string holds a raw newline, so every newline json
+    writes starts an indent.
+    """
+    t = type(o)
+    if t is dict and o and all(type(k) is str for k in o):
+        ind, sep = "\n" + "  " * (level + 1), "{"
+        for k, v in o.items():
+            yield sep + ind + _quote(k) + ": "
+            yield from _json_chunks(v, level + 1)
+            sep = ","
+        yield ind[:-2] + "}"
+        return
+    if (t is list or t is tuple) and o:
+        ind, sep = "\n" + "  " * (level + 1), "["
+        for v in o:
+            yield sep + ind
+            yield from _json_chunks(v, level + 1)
+            sep = ","
+        yield ind[:-2] + "]"
+        return
+    if t is str:
+        yield _quote(o)
+        return
+    text, ind = "n", "\n" + "  " * level  # "n": to json.dumps unless set below
+    if t is int or t is float:
+        text = repr(o)
+    elif t is np.ndarray and o.dtype == np.float64 and 0 < o.ndim < 3 and o.size:
+        text, ind1, ind2 = repr(o.tolist()), ind + "  ", ind + "    "
+        if o.ndim == 1:
+            text = "[" + ind1 + text[1:-1].replace(", ", "," + ind1) + ind + "]"
+        else:
+            text = ("[" + ind1 + "[" + ind2
+                    + text[2:-2].replace("], [", ind1 + "]," + ind1 + "[" + ind2)
+                    .replace(", ", "," + ind2) + ind1 + "]" + ind + "]")
+    if "n" in text:
+        text = json.dumps(o, indent=2, default=np.ndarray.tolist).replace("\n", ind)
+    yield text
+
+
+def _write_text(path: str | None, chunks):
+    """Write the str chunks, in order, to standard output (path None or "-")
+    or to the file path, the only place where stpdft writes a file.  A
+    generator's chunks are written as they come, so the whole text is never
+    held.
 
     The file is rewritten in place: opened without O_TRUNC, written, then cut
     to the new length.  The final file is the same, but truncating on open
@@ -75,11 +133,11 @@ def _write_text(path: str | None, text: str):
     file gets the mode that open(path, "w") gives it.
     """
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(path, "w", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
-            fh.write(text)
+            fh.writelines(chunks)
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.truncate()
     except OSError as exc:
@@ -190,7 +248,7 @@ def cmd_examples(args) -> int:
     for name, ok, status, expected, actual in rows:
         items.append({"name": name, "status": "pass" if ok else status,
                       "expected": expected, "actual": actual})
-    _write_text(args.out, json.dumps({"items": items}, indent=2, default=np.ndarray.tolist) + "\n")
+    _write_text(args.out, chain(_json_chunks({"items": items}), ("\n",)))
     return 0 if all(i["status"] != "fail" for i in items) else 4
 
 
@@ -251,11 +309,23 @@ def _parse_batch(path: str) -> HyperVector:
     seqs = doc["sequences"]
     if not isinstance(seqs, list) or not seqs:
         raise SchemaError(f"{path}: field 'sequences' must be a nonempty list")
-    comps = []
-    for i, seq in enumerate(seqs):
-        if not isinstance(seq, list) or not seq:
-            raise SchemaError(f"{path}: field 'sequences[{i}]' must be a nonempty list")
-        comps.append(_number_array(seq, path, f"sequences[{i}]"))
+    X = None
+    if all(isinstance(seq, list) and seq for seq in seqs):
+        # One flat buffer: one type check, one conversion and _adopt's one
+        # scan, and no copy.  Any fault falls through to the loop below.
+        flat = list(chain.from_iterable(seqs))
+        if set(map(type, flat)) <= {int, float}:
+            try:
+                X = HyperVector._owned(np.array(flat, dtype=float), tuple(map(len, seqs)))
+            except (OverflowError, NonFiniteError):  # an int beyond float64; inf or nan
+                pass
+    if X is None:  # names the first bad field in file order, list check first
+        comps = []
+        for i, seq in enumerate(seqs):
+            if not isinstance(seq, list) or not seq:
+                raise SchemaError(f"{path}: field 'sequences[{i}]' must be a nonempty list")
+            comps.append(_number_array(seq, path, f"sequences[{i}]"))
+        X = HyperVector(comps)
     if "dims" in doc:  # optional metadata; must agree with the data when given
         dims = doc["dims"]
         if not isinstance(dims, list) or dims != [len(s) for s in seqs]:
@@ -263,7 +333,7 @@ def _parse_batch(path: str) -> HyperVector:
                 f"{path}: field 'dims' must equal the sequence lengths"
                 f" {[len(s) for s in seqs]}"
             )
-    return HyperVector(comps)
+    return X
 
 
 def _parse_matrix(path, name, spec) -> np.ndarray:
@@ -422,9 +492,9 @@ def _weights_from_file(path: str, data: bytes, s: int, d: int,
 
 
 # The peak memory that `forward` takes for each s x s attention matrix it keeps
-# (the array, its tolist and its indented JSON text) is at most
-# ATTENTION_BYTES + ENTRY_BYTES * s^2: a fit to the growth of peak RSS with
-# layers at s = 3 and s = 16, rounded up.
+# is at most ATTENTION_BYTES + ENTRY_BYTES * s^2: a fit to the growth of peak
+# RSS with layers at s = 3 and s = 16, rounded up, made when the whole indented
+# JSON text was held; it is streamed now, so the bound over-counts.
 ATTENTION_BYTES, ENTRY_BYTES = 1024, 152
 
 
@@ -464,12 +534,13 @@ def cmd_forward(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         Y, atts = encoder_stack(X, [w], cfg, return_weights=True)
     doc = {
-        "config": {"batch_size": s, "dims": list(dims), **dataclasses.asdict(cfg),
+        "config": {"batch_size": s, "dims": list(dims),
+                   **{k: getattr(cfg, k) for k in CONFIG_KEYS},
                    "seed": args.seed, "weights_source": "file" if mats else "seeded"},
         "output": {"sequences": Y.components},
         "attention": atts,
     }
-    _write_text(args.out, json.dumps(doc, indent=2, default=np.ndarray.tolist) + "\n")
+    _write_text(args.out, chain(_json_chunks(doc), ("\n",)))
     return 0
 
 
@@ -542,7 +613,7 @@ def cmd_compare_padding(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)
-    _write_text(args.out, buf.getvalue())
+    _write_text(args.out, (buf.getvalue(),))
     return 0
 
 

@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from stpdft import HyperVector, ModelConfig, SplitMix64, cli, encoder_stack
 from stpdft.cli import (CONFIG_KEYS, WEIGHT_MATRICES, _decode_weights, _weights_from_file,
@@ -311,6 +313,36 @@ class TestForwardCommand:
         bad.write_text('{"sequences": [[1.0, 1' + "0" * 400 + ']]}')
         assert main(["forward", str(bad)]) == 2
         assert "sequences[0][1]" in capsys.readouterr().err
+
+    # (batch file text, the field its error names): with several faults, the
+    # first sequence in file order with any fault is named, and within it the
+    # list check comes before the number checks; "dims" only after them all.
+    FIRST_FAULT = {
+        "number-before-later-non-list": ('{"sequences": [[1.0, "x"], [2.0], 3.0]}',
+                                         "'sequences[0][1]' must be a finite number"),
+        "non-list-before-later-number": ('{"sequences": [[1.0], {"a": 1}, [2.0, "x"]]}',
+                                         "'sequences[1]' must be a nonempty list"),
+        "empty-before-later-number": ('{"sequences": [[1.0], [], [null]]}',
+                                      "'sequences[1]' must be a nonempty list"),
+        "bool": ('{"sequences": [[1.0, 2.0], [0.5, true, "x"]]}',
+                 "'sequences[1][1]' must be a finite number"),
+        "integer-beyond-float64": ('{"sequences": [[1.0], [2, 1' + "0" * 400 + '], []]}',
+                                   "'sequences[1][1]' must be a finite number"),
+        "1e999": ('{"sequences": [[1.0, 2.0], [1e999], [true]]}',
+                  "'sequences[1][0]' must be a finite number"),
+        "nested-list": ('{"sequences": [[1.0, [2.0]], 5]}',
+                        "'sequences[0][1]' must be a finite number"),
+        "number-before-dims": ('{"sequences": [[1.0], [-1e999]], "dims": [9]}',
+                               "'sequences[1][0]' must be a finite number"),
+    }
+
+    @pytest.mark.parametrize("case", list(FIRST_FAULT))
+    def test_first_fault_of_a_batch_file_is_named(self, tmp_path, capsys, case):
+        text, message = self.FIRST_FAULT[case]
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["forward", str(bad)]) == 2
+        assert capsys.readouterr().err == f"stpdft: input error: {bad}: field {message}\n"
 
     def test_malformed_json_reports_line(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -901,6 +933,57 @@ class TestOutFile:
         assert len(os.listdir("/proc/self/fd")) == before
         err = capsys.readouterr().err
         assert "input error" in err and out in err and "internal error" not in err
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf")]
+_leaves = (st.none() | st.booleans() | st.text()
+           | st.integers(min_value=-(2 ** 70), max_value=2 ** 70)
+           | st.floats() | st.sampled_from(SPECIAL_FLOATS)
+           | st.floats().map(np.float64))
+_shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+_arrays = (hnp.arrays(np.float64, _shapes, elements=st.floats(allow_nan=False,
+                                                              allow_infinity=False))
+           | hnp.arrays(np.float64, _shapes, elements=st.floats() | st.sampled_from(SPECIAL_FLOATS))
+           | hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5))
+             .map(lambda a: a.T[..., ::-2])  # a non-contiguous view
+           | hnp.arrays(st.sampled_from([np.int64, np.bool_, np.float32]), _shapes))
+_keys = (st.text() | st.sampled_from(["", "\n", "\x00\x1f\x7f", "café", " \U0001f600"])
+         | st.integers() | st.floats() | st.booleans() | st.none())
+JSON_DOCS = st.recursive(
+    _leaves | _arrays,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(_keys, inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonChunks:
+    """cli._json_chunks gives json.dumps(doc, indent=2, default=np.ndarray.tolist)
+    byte for byte, and forward streams it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=JSON_DOCS)
+    @example(doc={"a": [np.array([1.5, -0.0, 5e-324, 1e16]), np.eye(2), np.array([np.nan, 1.0])],
+                  "b": {"c": (np.zeros((2, 0)), np.ones((1, 2, 1)), np.array(3.0))}})
+    @example(doc=[{1: 2.0, "\n": [np.inf]}, {}, [], (), np.arange(6.0).reshape(2, 3)[:, ::2]])
+    def test_joined_chunks_are_the_bytes_of_json_dumps(self, doc):
+        assert "".join(cli._json_chunks(doc)) == json.dumps(doc, indent=2,
+                                                            default=np.ndarray.tolist)
+
+    def test_forward_never_holds_its_whole_text(self, tmp_path):
+        # Held as one text, the output alone would outweigh this peak twice.
+        rng = SplitMix64(3)
+        batch = write_batch(tmp_path / "batch.json",
+                            [rng.vector(rng.randint(2, 9)).tolist() for _ in range(16)])
+        out = tmp_path / "o.json"
+        assert main(["forward", batch, "--layers", "2", "--out", str(out)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["forward", batch, "--layers", "200", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.stat().st_size / 2
 
 
 def _weights_doc(matrices):
